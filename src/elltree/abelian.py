@@ -56,13 +56,6 @@ class IntMatrix:
         )
 
     @staticmethod
-    def from_cols(cols, nrows):
-        cols = [list(c) for c in cols]
-        return IntMatrix(
-            tuple(tuple(c[i] for c in cols) for i in range(nrows)), nrows, len(cols)
-        )
-
-    @staticmethod
     def from_sparse_cols(col_dicts, nrows):
         """Build from a list of {row: value} dicts."""
         rows = [[0] * len(col_dicts) for _ in range(nrows)]
@@ -83,9 +76,6 @@ class IntMatrix:
 
     def at(self, i, j):
         return self.rows[i][j]
-
-    def col(self, j):
-        return tuple(r[j] for r in self.rows)
 
     def col_dicts(self):
         return [
@@ -167,33 +157,6 @@ class IntMatrix:
         return f"IntMatrix({self.nrows}x{self.ncols})"
 
 
-def determinant(mat):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if mat.nrows != mat.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    n = mat.nrows
-    if n == 0:
-        return 1
-    a = [list(r) for r in mat.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form engine
 
@@ -213,11 +176,10 @@ class _SmithEngine:
 
     Maintains U * M * V = S throughout, where U and V are products of
     elementary row and column operations.  U and Vinv are stored row-major,
-    Uinv and V column-major, so each update touches one vector.
+    V column-major, so each update touches one vector.
     """
 
-    def __init__(self, row_dicts, nrows, ncols, want_u=False, want_uinv=False,
-                 want_v=False, want_vinv=False):
+    def __init__(self, row_dicts, nrows, ncols, want_u=False, want_v=False, want_vinv=False):
         self.m = nrows
         self.n = ncols
         self.rows = [dict(r) for r in row_dicts]
@@ -226,7 +188,6 @@ class _SmithEngine:
             for j in r:
                 self.colmap[j].add(i)
         self.U = [{i: 1} for i in range(nrows)] if want_u else None
-        self.Uinv = [{i: 1} for i in range(nrows)] if want_uinv else None
         self.V = [{j: 1} for j in range(ncols)] if want_v else None
         self.Vinv = [{j: 1} for j in range(ncols)] if want_vinv else None
         self.rank = 0
@@ -246,8 +207,6 @@ class _SmithEngine:
                 self.colmap[j].discard(dst)
         if self.U is not None:
             _dict_addmul(self.U[dst], self.U[src], c)
-        if self.Uinv is not None:
-            _dict_addmul(self.Uinv[src], self.Uinv[dst], -c)
 
     def _row_swap(self, i1, i2):
         if i1 == i2:
@@ -261,15 +220,11 @@ class _SmithEngine:
         self.rows[i1], self.rows[i2] = self.rows[i2], self.rows[i1]
         if self.U is not None:
             self.U[i1], self.U[i2] = self.U[i2], self.U[i1]
-        if self.Uinv is not None:
-            self.Uinv[i1], self.Uinv[i2] = self.Uinv[i2], self.Uinv[i1]
 
     def _row_negate(self, i):
         self.rows[i] = {j: -v for j, v in self.rows[i].items()}
         if self.U is not None:
             self.U[i] = {j: -v for j, v in self.U[i].items()}
-        if self.Uinv is not None:
-            self.Uinv[i] = {j: -v for j, v in self.Uinv[i].items()}
 
     def _col_add(self, dst, src, c):
         for i in list(self.colmap[src]):
@@ -301,14 +256,6 @@ class _SmithEngine:
             self.V[j1], self.V[j2] = self.V[j2], self.V[j1]
         if self.Vinv is not None:
             self.Vinv[j1], self.Vinv[j2] = self.Vinv[j2], self.Vinv[j1]
-
-    def _col_negate(self, j):
-        for i in self.colmap[j]:
-            self.rows[i][j] = -self.rows[i][j]
-        if self.V is not None:
-            self.V[j] = {i: -v for i, v in self.V[j].items()}
-        if self.Vinv is not None:
-            self.Vinv[j] = {i: -v for i, v in self.Vinv[j].items()}
 
     # pivoting
 
@@ -412,12 +359,6 @@ class _SmithEngine:
     def v_matrix(self):
         return IntMatrix.from_sparse_cols(self.V, self.n)
 
-    def uinv_matrix(self):
-        return IntMatrix.from_sparse_cols(self.Uinv, self.m)
-
-    def vinv_matrix(self):
-        return IntMatrix.from_sparse_rows(self.Vinv, self.n)
-
     def vinv_matvec(self, col_dict):
         """Vinv applied to a sparse column, as a dict."""
         out = {}
@@ -492,7 +433,7 @@ def kernel_basis(mat):
 class FgAbGroup:
     """Canonical form: rank plus invariant factors d1 | d2 | ..., each >= 2.
 
-    Equality of canonical forms is isomorphism, so == doubles as iso_eq.
+    Equality of canonical forms is isomorphism.
     """
 
     rank: int
@@ -512,15 +453,8 @@ class FgAbGroup:
     def is_trivial(self):
         return self.rank == 0 and not self.torsion
 
-    def iso_eq(self, other):
-        return self == other
-
     def to_json(self):
         return {"rank": self.rank, "torsion": list(self.torsion)}
-
-    @staticmethod
-    def from_json(data):
-        return FgAbGroup(data["rank"], tuple(data["torsion"]))
 
     def __repr__(self):
         parts = ["Z"] * self.rank + [f"Z/{d}" for d in self.torsion]
@@ -593,6 +527,23 @@ class PresentedGroup:
 
 def canonical_group(presented):
     return presented.canonical()
+
+
+def canonical_with_class(presented, chain):
+    """Canonical form of a presented group and the class of one element.
+
+    chain is a sparse {generator: coefficient} vector.  Its class is a tuple
+    in the canonical presentation that PresentedGroup.from_group builds: one
+    coordinate per free generator, then one per invariant factor d > 1,
+    reduced into [0, d).  Unit invariant factors carry no coordinate.
+    """
+    eng = _engine_for(presented.relations, want_u=True)
+    y = eng.u_matvec(chain)
+    torsion = [i for i in range(eng.rank) if eng.diag[i] > 1]
+    group = FgAbGroup(presented.gens - eng.rank, tuple(eng.diag[i] for i in torsion))
+    coords = [y.get(i, 0) for i in range(eng.rank, presented.gens)]
+    coords += [y.get(i, 0) % eng.diag[i] for i in torsion]
+    return group, tuple(coords)
 
 
 class _Lattice:

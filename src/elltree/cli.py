@@ -34,8 +34,6 @@ LARGE_LIMITS = BarLimits(max_order=360, max_degree=3, dense_columns=9000)
 
 MODES = ("classify", "domain", "symbolic", "concrete", "compare", "selftest")
 
-_CURVE_MODES = {"classify", "domain", "symbolic", "concrete", "compare"}
-
 
 class CliError(Exception):
     """Bad invocation or bad input; maps to exit code 1."""

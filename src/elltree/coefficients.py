@@ -22,6 +22,10 @@ homology groups of the degree-q system, the assembled group in degree
 i >= 1 is E0(i) + E1(i-1), flagged when E1(i-1) is nonzero because the
 direct sum is then only one resolution of an extension problem.
 
+A branch's E2 depends only on its line's case, the depth and the cap
+attachment, so E2 is computed once per branch shape and glued at the root
+(assemble_over_branches); the *_monolithic routines cross-check this.
+
 The predicted decomposition has one projective-linear factor per point
 fixed by negation, one units factor per line meeting the curve twice, and
 one quadratic-units factor per line missing the curve entirely.
@@ -39,6 +43,7 @@ from .abelian import (
     IntMatrix,
     PresentedGroup,
     TRIVIAL_GROUP,
+    canonical_with_class,
     direct_sum_groups,
     homology_at,
 )
@@ -346,56 +351,110 @@ def e2_pair(system):
 
 
 # ---------------------------------------------------------------------------
-# symbolic homology, split by line with memoization
+# E2 split over line branches, glued at the root
+
+
+def assemble_over_branches(tree, branch_e2, root_carries_z=False):
+    """(H0, H1) of the tree from branch_e2(view) of each line branch.
+
+    If the root and its edges carry 0 (degrees q >= 1), branch_e2 gives
+    (H0, H1) and E2 is the direct sum.  If they carry Z, it gives (H0, H1, c)
+    as rooted_branch_e2 does; the pair (tree, branches + root) then leaves
+    Z_root + sum H0 <-- Z^(root edges), edge |-> c - root, whose H0 is the
+    tree's and whose H1, free, splits off the tree's H1 beside sum H1.
+    """
+    branches = []
+    for view in tree.subtrees():
+        try:
+            branches.append(branch_e2(view))
+        except TooLargeError as exc:
+            raise TooLargeError(
+                f"{exc.what} [line x={view.line_class.label}]", exc.size, exc.ceiling
+            ) from exc
+    h1s = [b[1] for b in branches]
+    if not root_carries_z:
+        return direct_sum_groups([b[0] for b in branches]), direct_sum_groups(h1s)
+    h0s = [PresentedGroup.free(1)] + [PresentedGroup.from_group(b[0]) for b in branches]
+    cols, offset = [], 1
+    for _, _, c in branches:
+        cols.append({0: -1, **{offset + i: v for i, v in enumerate(c) if v}})
+        offset += len(c)
+    c0, c1 = PresentedGroup.direct_sum(h0s), PresentedGroup.free(len(branches))
+    glue = ChainComplexFg([c0, c1], [AbHom(c1, c0, IntMatrix.from_sparse_cols(cols, c0.gens))])
+    return homology_at(glue, 0), direct_sum_groups(h1s + [homology_at(glue, 1)])
+
+
+def rooted_branch_e2(tree, tokens, inst, view):
+    """(H0, H1, c) of a branch; c is the class its root edge hits in H0.
+
+    The root and root edge must carry Z, the edge mapping identically to
+    the root.  c is in the canonical presentation of H0.
+    """
+    stub = instantiate_tokens(tree, tokens, inst, (0, view.vertex_ids[0]), (view.root_edge_id,))
+    _, _, to_root, to_line = stub.edge_wiring[0]
+    free = not (stub.vertex_groups[0].relations.ncols or stub.edge_groups[0].relations.ncols)
+    if not free or to_root.matrix != IntMatrix.identity(1):
+        raise ValueError("the root and its edges must carry Z, mapped identically")
+    system = instantiate_tokens(tree, tokens, inst, view.vertex_ids, view.edge_ids)
+    complex_ = two_column_complex(system)
+    c0, d1 = complex_.groups[0], complex_.boundaries[0].matrix
+    cokernel = PresentedGroup(c0.gens, d1.hstack(c0.relations))
+    h0, c = canonical_with_class(cokernel, to_line.matrix.col_dicts()[0])
+    return h0, homology_at(complex_, 1), c
+
+
+def _branch_tree(case, depth, attach):
+    """A one-line tree whose branch stands for every line of that case."""
+    summary = synthetic_summary(**{f"case{case}": 1})
+    return build_domain(summary, depth, attach if case == 2 else 1)
 
 
 @lru_cache(maxsize=None)
 def _symbolic_branch_e2(case, depth, attach, inst):
-    """E2 of a single line branch; label-independent, hence cacheable."""
-    kwargs = {f"case{case}": 1}
-    summary = synthetic_summary(**kwargs)
-    tree = build_domain(summary, depth, attach if case == 2 else 1)
+    tree = _branch_tree(case, depth, attach)
     view = tree.subtrees()[0]
     tokens = symbolic_tokens(tree)
-    system = instantiate_tokens(tree, tokens, inst, view.vertex_ids, view.edge_ids)
-    return e2_pair(system)
+    return e2_pair(instantiate_tokens(tree, tokens, inst, view.vertex_ids, view.edge_ids))
+
+
+@lru_cache(maxsize=None)
+def _degree_zero_branch_e2(case, depth, attach):
+    tree = _branch_tree(case, depth, attach)
+    return rooted_branch_e2(tree, degree_zero_tokens(tree), BATTERY_A, tree.subtrees()[0])
 
 
 def symbolic_e2(tree, inst):
-    """E2 of the full degree-q system (q >= 1), summed over line branches.
-
-    The root and its edges carry the zero group for q >= 1, so the system
-    splits as a direct sum over branches; each branch depends only on its
-    case shape.
-    """
-    parts0 = []
-    parts1 = []
-    for view in tree.subtrees():
-        h0, h1 = _symbolic_branch_e2(view.line_class.case, tree.depth, tree.attach, inst)
-        parts0.append(h0)
-        parts1.append(h1)
-    return direct_sum_groups(parts0), direct_sum_groups(parts1)
+    """E2 of the full degree-q system (q >= 1), split over line branches."""
+    return assemble_over_branches(
+        tree, lambda v: _symbolic_branch_e2(v.line_class.case, tree.depth, tree.attach, inst)
+    )
 
 
-def symbolic_e2_monolithic(tree, inst, tokens=None):
+def symbolic_e2_monolithic(tree, inst):
     """E2 computed on the whole tree at once; cross-check for the split."""
-    if tokens is None:
-        tokens = symbolic_tokens(tree)
-    return e2_pair(instantiate_tokens(tree, tokens, inst))
+    return e2_pair(instantiate_tokens(tree, symbolic_tokens(tree), inst))
 
 
 def degree_zero_e2(tree):
-    """E2 of the constant unit system, computed on the whole tree."""
-    system = instantiate_tokens(tree, degree_zero_tokens(tree), BATTERY_A)
-    return e2_pair(system)
+    """E2 of the constant unit system, split over line branches.
+
+    The root and its edges carry Z here, so the branches are glued at the
+    root.  The cost grows with the number of lines, not of vertices.
+    """
+    return assemble_over_branches(
+        tree,
+        lambda v: _degree_zero_branch_e2(v.line_class.case, tree.depth, tree.attach),
+        root_carries_z=True,
+    )
+
+
+def degree_zero_e2_monolithic(tree):
+    """The constant unit system on the whole tree; cross-check for the split."""
+    return e2_pair(instantiate_tokens(tree, degree_zero_tokens(tree), BATTERY_A))
 
 
 # ---------------------------------------------------------------------------
 # concrete systems over a finite field
-
-
-def _trivial_finite_group():
-    return cyclic(1)
 
 
 def _identity_hom(group):
@@ -404,7 +463,7 @@ def _identity_hom(group):
 
 def _concrete_vertex_group(vertex, case_of_line, field):
     if vertex.kind == "root":
-        return _trivial_finite_group()
+        return cyclic(1)
     if vertex.kind == "line":
         case = case_of_line[vertex.line]
         if case == 1:
@@ -498,30 +557,18 @@ def concrete_system(tree, q, field, limits=DEFAULT_LIMITS, vertex_ids=None, edge
 
 @lru_cache(maxsize=None)
 def _concrete_branch_e2(case, depth, attach, field, q, limits):
-    kwargs = {f"case{case}": 1}
-    summary = synthetic_summary(**kwargs)
-    tree = build_domain(summary, depth, attach if case == 2 else 1)
+    tree = _branch_tree(case, depth, attach)
     view = tree.subtrees()[0]
     system = concrete_system(tree, q, field, limits, view.vertex_ids, view.edge_ids)
     return e2_pair(system)
 
 
 def concrete_e2(tree, q, field, limits=DEFAULT_LIMITS):
-    """E2 of the concrete degree-q system, split over line branches."""
-    parts0 = []
-    parts1 = []
-    for view in tree.subtrees():
-        try:
-            h0, h1 = _concrete_branch_e2(
-                view.line_class.case, tree.depth, tree.attach, field, q, limits
-            )
-        except TooLargeError as exc:
-            raise TooLargeError(
-                f"{exc.what} [line x={view.line_class.label}]", exc.size, exc.ceiling
-            ) from exc
-        parts0.append(h0)
-        parts1.append(h1)
-    return direct_sum_groups(parts0), direct_sum_groups(parts1)
+    """E2 of the concrete degree-q system (q >= 1), split over line branches."""
+    return assemble_over_branches(
+        tree,
+        lambda v: _concrete_branch_e2(v.line_class.case, tree.depth, tree.attach, field, q, limits),
+    )
 
 
 def concrete_e2_monolithic(tree, q, field, limits=DEFAULT_LIMITS):
@@ -598,7 +645,9 @@ def symbolic_report(summary, depth, inst, q_max=5, attach=1, curve=None, field=N
 
     The symbolic system is degree-independent, so one E2 computation
     serves every degree; only the degree-1 entry differs, borrowing its
-    extension part from the constant unit system.
+    extension part from the constant unit system.  Both E2 computations
+    are split over line branches, so the cost grows with the number of
+    lines and the depth, not with the size of the assembled tree.
     """
     tree = build_domain(summary, depth, attach)
     e20, e21 = symbolic_e2(tree, inst)

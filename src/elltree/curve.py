@@ -50,11 +50,6 @@ class CurvePoint:
             return INFINITY
         return f"({self.x!r},{self.y!r})"
 
-    def sort_key(self):
-        if self.is_infinity:
-            return (0,)
-        return (1, self.x.coeffs, self.y.coeffs)
-
     def __repr__(self):
         return self.label()
 

@@ -319,10 +319,6 @@ def make_field(p, k, ceiling=DEFAULT_ORDER_CEILING):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-def field_from_json(data):
-    return FiniteField(data["p"], data["k"], data["modulus"])
-
-
 class FieldEmbedding:
     """A field homomorphism determined by the image of the generator.
 

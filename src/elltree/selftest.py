@@ -27,6 +27,7 @@ from .coefficients import (
     TOKEN_UNITS,
     ZERO_MAP,
     degree_zero_e2,
+    degree_zero_e2_monolithic,
     e2_pair,
     instantiate_tokens,
     instantiated_rhs,
@@ -70,6 +71,8 @@ def _det_bareiss(mat):
     n = mat.nrows
     if n != mat.ncols:
         raise ValueError("determinant needs a square matrix")
+    if n == 0:
+        return 1
     a = [list(r) for r in mat.rows]
     sign = 1
     prev = 1
@@ -322,12 +325,19 @@ def branch_battery():
 
 
 def degree_zero_battery():
-    """Constant unit coefficients see only the contractible tree."""
+    """Constant unit coefficients see only the contractible tree.
+
+    The row is computed per branch and glued at the root; the whole-tree
+    assembly of the same system must agree.
+    """
     for curve in corpus_curves():
         tree = build_domain(curve.classify_all(), 2)
-        if degree_zero_e2(tree) != (FgAbGroup(1, ()), TRIVIAL_GROUP):
+        split = degree_zero_e2(tree)
+        if split != (FgAbGroup(1, ()), TRIVIAL_GROUP):
             return False, f"degree-0 row wrong for {curve.to_json()}"
-    return True, f"{len(corpus_curves())} corpus trees contractible"
+        if split != degree_zero_e2_monolithic(tree):
+            return False, f"split and whole-tree degree-0 rows differ for {curve.to_json()}"
+    return True, f"{len(corpus_curves())} corpus trees contractible, split = whole tree"
 
 
 def invariance_battery():

@@ -8,6 +8,7 @@ against an independent rank-nullity computation over the rationals.
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -19,8 +20,8 @@ from elltree.abelian import (
     IntMatrix,
     PresentedGroup,
     canonical_group,
+    canonical_with_class,
     cyclic_group_homology,
-    determinant,
     direct_sum_groups,
     homology_at,
     invariant_factors,
@@ -28,6 +29,7 @@ from elltree.abelian import (
     matrix_rank,
     smith_normal_form,
 )
+from elltree.selftest import _det_bareiss
 
 
 def rational_rank(mat):
@@ -70,8 +72,8 @@ def crt_invariant_factors(orders):
 def check_snf(mat):
     U, S, V = smith_normal_form(mat)
     assert (U @ mat) @ V == S
-    assert abs(determinant(U)) == 1
-    assert abs(determinant(V)) == 1
+    assert abs(_det_bareiss(U)) == 1
+    assert abs(_det_bareiss(V)) == 1
     diag = [S.at(i, i) for i in range(min(S.nrows, S.ncols))]
     for i in range(S.nrows):
         for j in range(S.ncols):
@@ -159,6 +161,35 @@ def test_direct_sum_crt_oracle():
         assert tuple(sorted(got.torsion)) == crt_invariant_factors(orders)
         for a, b in zip(got.torsion, got.torsion[1:]):
             assert b % a == 0
+
+
+def test_canonical_with_class_against_lattice():
+    """Class coordinates agree with relation-lattice membership and add up."""
+    rng = random.Random(13)
+    for _ in range(200):
+        gens = rng.randint(1, 4)
+        ncols = rng.randint(0, 4)
+        rels = IntMatrix(
+            [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(gens)], gens, ncols
+        )
+        P = PresentedGroup(gens, rels)
+        x, y = ({i: v for i in range(gens) if (v := rng.randint(-3, 3))} for _ in "xy")
+        group, cx = canonical_with_class(P, x)
+        assert group == canonical_group(P)
+        assert len(cx) == group.rank + len(group.torsion)
+        free, tors = cx[:group.rank], cx[group.rank:]
+        assert all(0 <= v < d for v, d in zip(tors, group.torsion))
+        # n * x is a relation exactly when the order of its class divides n
+        order = 0 if any(free) else lcm(*(d // gcd(v, d) for v, d in zip(tors, group.torsion)))
+        for n in range(1, 13):
+            nx = {i: n * v for i, v in x.items()}
+            assert P.lattice().contains(nx) == (order != 0 and n % order == 0)
+        _, cy = canonical_with_class(P, y)
+        xy = {i: x.get(i, 0) + y.get(i, 0) for i in range(gens)}
+        _, cxy = canonical_with_class(P, {i: v for i, v in xy.items() if v})
+        want = [a + b for a, b in zip(cx[:group.rank], cy[:group.rank])]
+        want += [(a + b) % d for a, b, d in zip(tors, cy[group.rank:], group.torsion)]
+        assert cxy == tuple(want)
 
 
 def test_canonical_group_example():

@@ -174,3 +174,14 @@ def test_criterion_8_robustness():
         h0, h1 = e2_pair(instantiate_tokens(tree, flipped, inst))
         verdict = "match" if (h0, h1) == (predicted, TRIVIAL_GROUP) else "mismatch"
         assert verdict == "mismatch"
+
+
+def test_reach_symbolic_p251_depth_50():
+    curve = WeierstrassCurve(make_field(251, 1), 0, 0, 0, -1, 0)
+    with _Clock(10.0, "reach: symbolic p=251, depth 50"):
+        summary = curve.classify_all()
+        report = symbolic_report(
+            summary, 50, BATTERIES["A"], q_max=5, curve=curve, field=curve.field
+        )
+        assert [d["i"] for d in report["degrees"]] == [1, 2, 3, 4, 5]
+        assert all(d["verdict"] != "mismatch" for d in report["degrees"])

@@ -24,20 +24,27 @@ from elltree.coefficients import (
     TOKEN_UNITS,
     TOKEN_Z0,
     TOKEN_ZERO,
+    UNCONSTRAINED,
     ZERO_MAP,
+    EdgeTokens,
     Instantiation,
+    TokenSystem,
+    assemble_over_branches,
     canonical_max_hom,
     concrete_e2,
     concrete_e2_monolithic,
     concrete_report,
     concrete_rhs,
     degree_zero_e2,
+    degree_zero_e2_monolithic,
+    degree_zero_tokens,
     e2_pair,
     instantiate_tokens,
     instantiated_rhs,
     measure_diagonal_reduction,
     report_to_json_text,
     rhs_tokens,
+    rooted_branch_e2,
     symbolic_e2,
     symbolic_e2_monolithic,
     symbolic_report,
@@ -48,6 +55,7 @@ from elltree.curve import ClassificationSummary, WeierstrassCurve, synthetic_sum
 from elltree.errors import TooLargeError
 from elltree.field import make_field
 from elltree.groups import BarLimits
+from elltree.selftest import corpus_curves
 from elltree.tree import build_domain
 
 
@@ -180,6 +188,83 @@ def test_empty_summary_degenerates():
     assert symbolic_e2(tree, BATTERY_A) == (TRIVIAL_GROUP, TRIVIAL_GROUP)
     assert symbolic_e2_monolithic(tree, BATTERY_A) == (TRIVIAL_GROUP, TRIVIAL_GROUP)
     assert degree_zero_e2(tree) == (fg(1), TRIVIAL_GROUP)
+
+
+@pytest.mark.parametrize("depth,attach", [(1, 1), (3, 1), (3, 2)])
+def test_degree_zero_split_equals_monolithic(depth, attach):
+    shapes = [c.classify_all() for c in corpus_curves()]
+    shapes += [
+        synthetic_summary(case1=2, case2=1, case3=1, include_infinity_line=True),
+        ClassificationSummary(()),
+    ]
+    for summary in shapes:
+        tree = build_domain(summary, depth, attach)
+        assert degree_zero_e2(tree) == degree_zero_e2_monolithic(tree)
+
+
+# Pairwise distinct roles with free parts and torsion, so that branch H0s
+# and the classes glued at the root carry both kinds of coordinate.
+DESIGNED = Instantiation(
+    "designed", pgl2k=fg(1, 4), units=fg(0, 6), quad=fg(2), additive=fg(1), resolution=ISO
+)
+
+
+def designed_tokens(tree):
+    """The constant unit system with two branches rewired by hand.
+
+    The first case-1 line vertex carries Z/6, reached from the root at its
+    generator; the second carries Z^2 but its root edge maps to 0 there, so
+    that edge bounds the root alone and, together with the Z/6 line's edge
+    (whose class is torsion), adds a free cycle through the root.
+
+    The first case-3 branch (depth 2) has L - a1 - a2 and L - b1 - b2 with
+    L = Z + Z/4, a1 = b2 = Z, a2 = Z/6, b1 = Z^2: L-a1 glues a1 to the free
+    generator of L, a1-a2 kills a2, b1-b2 kills b1, and the L-b1 edge plus
+    b1-b2 then close a cycle, so H0 = Z^2 + Z/4 and H1 = Z.
+    """
+    v = dict(degree_zero_tokens(tree).vertex_tokens)
+    e = dict(degree_zero_tokens(tree).edge_tokens)
+    lone, cut = [s for s in tree.subtrees() if s.line_class.case == 1][:2]
+    v[lone.vertex_ids[0]] = TOKEN_UNITS
+    e[lone.root_edge_id] = EdgeTokens(TOKEN_Z0, ISO, UNCONSTRAINED)
+    v[cut.vertex_ids[0]] = TOKEN_QUAD
+    e[cut.root_edge_id] = EdgeTokens(TOKEN_Z0, ISO, ZERO_MAP)
+    branch = next(s for s in tree.subtrees() if s.line_class.case == 3)
+    line, a1, a2, b1, b2 = branch.vertex_ids
+    la, aa, lb, bb = branch.edge_ids
+    v.update({line: TOKEN_PGL2K, a1: TOKEN_ADDITIVE, a2: TOKEN_UNITS,
+              b1: TOKEN_QUAD, b2: TOKEN_ADDITIVE})
+    e[branch.root_edge_id] = EdgeTokens(TOKEN_Z0, ISO, UNCONSTRAINED)
+    e[la] = EdgeTokens(TOKEN_ADDITIVE, UNCONSTRAINED, ISO)
+    e[aa] = EdgeTokens(TOKEN_UNITS, UNCONSTRAINED, ISO)
+    e[lb] = EdgeTokens(TOKEN_ADDITIVE, ZERO_MAP, UNCONSTRAINED)
+    e[bb] = EdgeTokens(TOKEN_QUAD, ISO, ZERO_MAP)
+    return TokenSystem(v, e), lone, cut, branch
+
+
+@pytest.mark.parametrize("attach", [1, 2])
+def test_root_gluing_on_designed_branches(attach):
+    tree = build_domain(synthetic_summary(case1=3, case2=1, case3=2), 2, attach)
+    tokens, lone, cut, branch = designed_tokens(tree)
+    views = tree.subtrees()
+    branches = [rooted_branch_e2(tree, tokens, DESIGNED, view) for view in views]
+    assert branches[views.index(lone)] == (fg(0, 6), TRIVIAL_GROUP, (1,))
+    assert branches[views.index(cut)] == (fg(2), TRIVIAL_GROUP, (0, 0))
+    h0, h1, _ = branches[views.index(branch)]
+    assert (h0, h1) == (fg(2, 4), fg(1))
+    glued = assemble_over_branches(
+        tree, lambda view: rooted_branch_e2(tree, tokens, DESIGNED, view), root_carries_z=True
+    )
+    assert glued == e2_pair(instantiate_tokens(tree, tokens, DESIGNED))
+
+
+def test_root_gluing_needs_z_at_the_root():
+    tree = build_domain(synthetic_summary(case1=1), 1)
+    tokens = degree_zero_tokens(tree)
+    view = tree.subtrees()[0]
+    tokens.edge_tokens[view.root_edge_id] = EdgeTokens(TOKEN_QUAD, ZERO_MAP, ZERO_MAP)
+    with pytest.raises(ValueError):
+        rooted_branch_e2(tree, tokens, DESIGNED, view)
 
 
 # ---------------------------------------------------------------------------
