@@ -8,10 +8,12 @@ presented groups computed by lifting through the presentations.
 
 The Smith elimination is deterministic: the pivot is always the entry of
 least absolute value in the active region, ties broken by row-major
-position.  Internally matrices are kept sparse (dict per row) so that the
-large, mostly-unit-entry matrices coming from bar complexes and incidence
-matrices of trees reduce quickly; small dense inputs pass through the same
-code path.
+position.  Matrices are sparse throughout: IntMatrix keeps one
+{row: value} dict per column, and the Smith engine turns that into one
+{column: value} dict per row in a single pass over the nonzero entries.
+The matrices that matter here, bar-complex face maps and tree incidence
+maps, are large with few, mostly unit, entries; small inputs pass through
+the same code path.
 """
 
 from dataclasses import dataclass
@@ -19,20 +21,35 @@ from functools import lru_cache
 
 
 # ---------------------------------------------------------------------------
-# dense integer matrices (the public value type)
+# sparse integer matrices (the public value type)
+
+
+def _transpose_dicts(vectors, n):
+    """Sparse vectors indexed one way, re-indexed the other way (n slots)."""
+    out = [{} for _ in range(n)]
+    for j, vec in enumerate(vectors):
+        for i, v in vec.items():
+            out[i][j] = v
+    return out
 
 
 class IntMatrix:
-    """Immutable dense integer matrix with explicit shape.
+    """Immutable sparse integer matrix: a shape plus one {row: value} per column.
 
-    The shape is stored explicitly so 0 x n and m x 0 matrices behave; both
-    arise routinely as boundary maps at the ends of chain complexes.
+    Zeros are never stored, so two matrices are equal exactly when their
+    shapes and column dicts are.  The shape is explicit so 0 x n and m x 0
+    matrices behave; both arise routinely as boundary maps at the ends of
+    chain complexes.  Columns are shared, not copied, by the constructors
+    and operations below, so nobody may mutate them.
+
+    IntMatrix(rows[, nrows, ncols]) builds one from dense lists, for
+    literals in tests; the rows property gives the dense view back.
     """
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "cols")
 
     def __init__(self, rows, nrows=None, ncols=None):
-        rows = tuple(tuple(int(v) for v in r) for r in rows)
+        rows = [[int(v) for v in r] for r in rows]
         if nrows is None:
             nrows = len(rows)
         if ncols is None:
@@ -43,115 +60,97 @@ class IntMatrix:
             raise ValueError("ragged or mis-shaped matrix")
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = rows
+        self.cols = tuple({i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols))
+
+    @staticmethod
+    def _of(nrows, ncols, cols):
+        """Wrap a tuple of zero-free column dicts with rows in range."""
+        mat = object.__new__(IntMatrix)
+        mat.nrows, mat.ncols, mat.cols = nrows, ncols, cols
+        return mat
 
     @staticmethod
     def zeros(nrows, ncols):
-        return IntMatrix(((0,) * ncols,) * nrows, nrows, ncols)
+        return IntMatrix._of(nrows, ncols, tuple({} for _ in range(ncols)))
 
     @staticmethod
     def identity(n):
-        return IntMatrix(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n, n
-        )
+        return IntMatrix._of(n, n, tuple({j: 1} for j in range(n)))
 
     @staticmethod
     def from_sparse_cols(col_dicts, nrows):
-        """Build from a list of {row: value} dicts."""
-        rows = [[0] * len(col_dicts) for _ in range(nrows)]
-        for j, col in enumerate(col_dicts):
+        """Adopt a list of {row: value} dicts as the columns.
+
+        Row indices must lie in [0, nrows); zero values are dropped.
+        """
+        cols = list(col_dicts)
+        for j, col in enumerate(cols):
+            if col and (min(col) < 0 or max(col) >= nrows):
+                raise ValueError(f"row index out of range [0, {nrows}) in column {j}")
+            if 0 in col.values():
+                cols[j] = {i: v for i, v in col.items() if v}
+        return IntMatrix._of(nrows, len(cols), tuple(cols))
+
+    @property
+    def rows(self):
+        """Dense view as a tuple of row tuples, for oracles and literals."""
+        dense = [[0] * self.ncols for _ in range(self.nrows)]
+        for j, col in enumerate(self.cols):
             for i, v in col.items():
-                rows[i][j] = v
-        return IntMatrix(rows, nrows, len(col_dicts))
-
-    @staticmethod
-    def from_sparse_rows(row_dicts, ncols):
-        rows = []
-        for rd in row_dicts:
-            row = [0] * ncols
-            for j, v in rd.items():
-                row[j] = v
-            rows.append(row)
-        return IntMatrix(rows, len(row_dicts), ncols)
-
-    def at(self, i, j):
-        return self.rows[i][j]
-
-    def col_dicts(self):
-        return [
-            {i: self.rows[i][j] for i in range(self.nrows) if self.rows[i][j]}
-            for j in range(self.ncols)
-        ]
-
-    def sparse_rows(self):
-        return [{j: v for j, v in enumerate(r) if v} for r in self.rows]
-
-    def transpose(self):
-        return IntMatrix(
-            tuple(tuple(self.rows[i][j] for i in range(self.nrows)) for j in range(self.ncols)),
-            self.ncols,
-            self.nrows,
-        )
+                dense[i][j] = v
+        return tuple(map(tuple, dense))
 
     def __matmul__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        ot = other.transpose().rows
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(r, c)) for c in ot) for r in self.rows
-            ),
-            self.nrows,
-            other.ncols,
+        return IntMatrix._of(
+            self.nrows, other.ncols, tuple(self.matvec(col) for col in other.cols)
         )
 
     def matvec(self, col_dict):
         """Product with a sparse column vector, returned as a dict."""
+        if col_dict and (min(col_dict) < 0 or max(col_dict) >= self.ncols):
+            raise ValueError(f"vector index out of range [0, {self.ncols})")
         out = {}
-        for i, r in enumerate(self.rows):
-            acc = 0
-            for j, v in col_dict.items():
-                if r[j]:
-                    acc += r[j] * v
-            if acc:
-                out[i] = acc
+        for j, c in col_dict.items():
+            for i, v in self.cols[j].items():
+                nv = out.get(i, 0) + c * v
+                if nv:
+                    out[i] = nv
+                else:
+                    out.pop(i, None)
         return out
 
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
-        return IntMatrix(
-            tuple(a + b for a, b in zip(self.rows, other.rows)),
-            self.nrows,
-            self.ncols + other.ncols,
-        )
+        return IntMatrix._of(self.nrows, self.ncols + other.ncols, self.cols + other.cols)
 
     @staticmethod
     def block_diag(blocks):
-        nrows = sum(b.nrows for b in blocks)
-        ncols = sum(b.ncols for b in blocks)
-        rows = [[0] * ncols for _ in range(nrows)]
-        ri = ci = 0
+        cols = []
+        offset = 0
         for b in blocks:
-            for i, r in enumerate(b.rows):
-                for j, v in enumerate(r):
-                    rows[ri + i][ci + j] = v
-            ri += b.nrows
-            ci += b.ncols
-        return IntMatrix(rows, nrows, ncols)
+            if offset:
+                cols.extend({i + offset: v for i, v in col.items()} for col in b.cols)
+            else:
+                cols.extend(b.cols)
+            offset += b.nrows
+        return IntMatrix._of(offset, len(cols), tuple(cols))
 
     def is_zero(self):
-        return all(all(v == 0 for v in r) for r in self.rows)
+        return not any(self.cols)
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return (self.nrows, self.ncols, self.rows) == (other.nrows, other.ncols, other.rows)
+        return (self.nrows, self.ncols, self.cols) == (other.nrows, other.ncols, other.cols)
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self.rows))
+        return hash((self.nrows, self.ncols,
+                     tuple(tuple(sorted(col.items())) for col in self.cols)))
 
     def __repr__(self):
         return f"IntMatrix({self.nrows}x{self.ncols})"
@@ -176,13 +175,14 @@ class _SmithEngine:
 
     Maintains U * M * V = S throughout, where U and V are products of
     elementary row and column operations.  U and Vinv are stored row-major,
-    V column-major, so each update touches one vector.
+    V column-major, so each update touches one vector.  The row dicts of M
+    are taken over and reduced in place.
     """
 
     def __init__(self, row_dicts, nrows, ncols, want_u=False, want_v=False, want_vinv=False):
         self.m = nrows
         self.n = ncols
-        self.rows = [dict(r) for r in row_dicts]
+        self.rows = row_dicts
         self.colmap = [set() for _ in range(ncols)]
         for i, r in enumerate(self.rows):
             for j in r:
@@ -348,49 +348,37 @@ class _SmithEngine:
     # exports
 
     def smith_matrix(self):
-        return IntMatrix.from_sparse_rows(
-            [{i: d} if (d := self.rows[i].get(i, 0)) else {} for i in range(self.m)],
-            self.n,
-        )
+        cols = [{j: d} for j, d in enumerate(self.diag)]
+        return IntMatrix.from_sparse_cols(cols + [{}] * (self.n - len(cols)), self.m)
 
     def u_matrix(self):
-        return IntMatrix.from_sparse_rows(self.U, self.m)
+        return IntMatrix.from_sparse_cols(_transpose_dicts(self.U, self.m), self.m)
 
     def v_matrix(self):
         return IntMatrix.from_sparse_cols(self.V, self.n)
-
-    def vinv_matvec(self, col_dict):
-        """Vinv applied to a sparse column, as a dict."""
-        out = {}
-        for i, row in enumerate(self.Vinv):
-            acc = 0
-            for j, v in col_dict.items():
-                w = row.get(j)
-                if w:
-                    acc += w * v
-            if acc:
-                out[i] = acc
-        return out
-
-    def u_matvec(self, col_dict):
-        out = {}
-        for i, row in enumerate(self.U):
-            acc = 0
-            for j, v in col_dict.items():
-                w = row.get(j)
-                if w:
-                    acc += w * v
-            if acc:
-                out[i] = acc
-        return out
 
     def kernel_cols(self):
         """Sparse basis columns of the integer kernel (needs V tracking)."""
         return [dict(self.V[j]) for j in range(self.rank, self.n)]
 
 
+def _rows_matvec(rows, col_dict):
+    """A row-major transform (the engine's U or Vinv) applied to a sparse column."""
+    out = {}
+    for i, row in enumerate(rows):
+        acc = 0
+        for j, v in col_dict.items():
+            w = row.get(j)
+            if w:
+                acc += w * v
+        if acc:
+            out[i] = acc
+    return out
+
+
 def _engine_for(mat, **want):
-    return _SmithEngine(mat.sparse_rows(), mat.nrows, mat.ncols, **want).run()
+    rows = _transpose_dicts(mat.cols, mat.nrows)
+    return _SmithEngine(rows, mat.nrows, mat.ncols, **want).run()
 
 
 def smith_normal_form(mat):
@@ -525,10 +513,6 @@ class PresentedGroup:
         return f"PresentedGroup({self.gens} gens, {self.relations.ncols} relations)"
 
 
-def canonical_group(presented):
-    return presented.canonical()
-
-
 def canonical_with_class(presented, chain):
     """Canonical form of a presented group and the class of one element.
 
@@ -538,7 +522,7 @@ def canonical_with_class(presented, chain):
     reduced into [0, d).  Unit invariant factors carry no coordinate.
     """
     eng = _engine_for(presented.relations, want_u=True)
-    y = eng.u_matvec(chain)
+    y = _rows_matvec(eng.U, chain)
     torsion = [i for i in range(eng.rank) if eng.diag[i] > 1]
     group = FgAbGroup(presented.gens - eng.rank, tuple(eng.diag[i] for i in torsion))
     coords = [y.get(i, 0) for i in range(eng.rank, presented.gens)]
@@ -556,7 +540,7 @@ class _Lattice:
     def contains(self, col_dict):
         if not col_dict:
             return True
-        y = self._eng.u_matvec(col_dict)
+        y = _rows_matvec(self._eng.U, col_dict)
         for i, v in y.items():
             if i >= self._eng.rank:
                 return False
@@ -582,7 +566,7 @@ class AbHom:
         self.matrix = matrix
         if check:
             lat = target.lattice()
-            for col in source.relations.col_dicts():
+            for col in source.relations.cols:
                 if not lat.contains(matrix.matvec(col)):
                     raise ValueError("matrix does not send relations into relations")
 
@@ -596,22 +580,13 @@ class AbHom:
 
     def compose(self, other):
         """self after other."""
-        if other.target is not self.source and other.target.gens != self.source.gens:
+        if other.target is not self.source and other.target.relations != self.source.relations:
             raise ValueError("composition mismatch")
         return AbHom(other.source, self.target, self.matrix @ other.matrix, check=False)
 
     def is_zero_hom(self):
         lat = self.target.lattice()
-        return all(lat.contains(col) for col in self.matrix.col_dicts())
-
-    @staticmethod
-    def direct_sum(homs):
-        return AbHom(
-            PresentedGroup.direct_sum([h.source for h in homs]),
-            PresentedGroup.direct_sum([h.target for h in homs]),
-            IntMatrix.block_diag([h.matrix for h in homs]),
-            check=False,
-        )
+        return all(lat.contains(col) for col in self.matrix.cols)
 
     def is_isomorphism(self):
         """Bijective on the underlying quotient groups."""
@@ -654,12 +629,9 @@ class ChainComplexFg:
                 composite = boundaries[i].matrix @ boundaries[i + 1].matrix
                 if not composite.is_zero():
                     lat = groups[i].lattice()
-                    for col in composite.col_dicts():
+                    for col in composite.cols:
                         if not lat.contains(col):
                             raise ValueError(f"boundary composite at {i + 2} is nonzero")
-
-    def homology_at(self, n):
-        return homology_at(self, n)
 
 
 class CyclePresentation:
@@ -679,7 +651,7 @@ class CyclePresentation:
         self.gens = g - self.rank
         rel_cols = []
         if d_next is not None:
-            for col in d_next.col_dicts():
+            for col in d_next.cols:
                 rel_cols.append(self.coords_of_cycle(col))
         self.presented = PresentedGroup(
             self.gens, IntMatrix.from_sparse_cols(rel_cols, self.gens)
@@ -687,7 +659,7 @@ class CyclePresentation:
 
     def coords_of_cycle(self, chain_dict):
         """Coordinates of a cycle in the kernel basis, as a sparse dict."""
-        y = self._eng.vinv_matvec(chain_dict)
+        y = _rows_matvec(self._eng.Vinv, chain_dict)
         if any(i < self.rank for i in y):
             raise AssertionError("chain is not a cycle")
         return {i - self.rank: v for i, v in y.items()}
@@ -739,10 +711,10 @@ def homology_at(complex_, n):
         return TRIVIAL_GROUP
     # rewrite the image of d_next and the relations at n in the basis of
     # the cycle lattice; both lie inside it, so the division is exact
-    mod_cols = (d_next.col_dicts() if d_next is not None else []) + group.relations.col_dicts()
+    mod_cols = (d_next.cols if d_next is not None else ()) + group.relations.cols
     rel_cols = []
     for m in mod_cols:
-        y = eng2.u_matvec(m)
+        y = _rows_matvec(eng2.U, m)
         col = {}
         for i, v in y.items():
             if i >= s or v % eng2.diag[i]:

@@ -326,8 +326,8 @@ def two_column_complex(system):
         acc += g.gens
     cols = []
     for eg, (tp, hp, to_tail, to_head) in zip(system.edge_groups, system.edge_wiring):
-        tail_cols = to_tail.matrix.col_dicts()
-        head_cols = to_head.matrix.col_dicts()
+        tail_cols = to_tail.matrix.cols
+        head_cols = to_head.matrix.cols
         for j in range(eg.gens):
             col = {}
             for i, v in head_cols[j].items():
@@ -399,7 +399,7 @@ def rooted_branch_e2(tree, tokens, inst, view):
     complex_ = two_column_complex(system)
     c0, d1 = complex_.groups[0], complex_.boundaries[0].matrix
     cokernel = PresentedGroup(c0.gens, d1.hstack(c0.relations))
-    h0, c = canonical_with_class(cokernel, to_line.matrix.col_dicts()[0])
+    h0, c = canonical_with_class(cokernel, to_line.matrix.cols[0])
     return h0, homology_at(complex_, 1), c
 
 

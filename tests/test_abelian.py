@@ -12,6 +12,7 @@ from math import gcd, lcm
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from elltree.abelian import (
     AbHom,
@@ -19,7 +20,6 @@ from elltree.abelian import (
     FgAbGroup,
     IntMatrix,
     PresentedGroup,
-    canonical_group,
     canonical_with_class,
     cyclic_group_homology,
     direct_sum_groups,
@@ -29,7 +29,7 @@ from elltree.abelian import (
     matrix_rank,
     smith_normal_form,
 )
-from elltree.selftest import _det_bareiss
+from elltree.selftest import _dense_product, _det_bareiss
 
 
 def rational_rank(mat):
@@ -71,14 +71,16 @@ def crt_invariant_factors(orders):
 
 def check_snf(mat):
     U, S, V = smith_normal_form(mat)
-    assert (U @ mat) @ V == S
+    n = mat.ncols
+    assert _dense_product(_dense_product(U.rows, mat.rows, n), V.rows, n) == S.rows
     assert abs(_det_bareiss(U)) == 1
     assert abs(_det_bareiss(V)) == 1
-    diag = [S.at(i, i) for i in range(min(S.nrows, S.ncols))]
+    dense = S.rows
+    diag = [dense[i][i] for i in range(min(S.nrows, S.ncols))]
     for i in range(S.nrows):
         for j in range(S.ncols):
             if i != j:
-                assert S.at(i, j) == 0
+                assert dense[i][j] == 0
     nz = [d for d in diag if d]
     assert diag[: len(nz)] == nz, "zeros must trail"
     for a, b in zip(nz, nz[1:]):
@@ -175,7 +177,7 @@ def test_canonical_with_class_against_lattice():
         P = PresentedGroup(gens, rels)
         x, y = ({i: v for i in range(gens) if (v := rng.randint(-3, 3))} for _ in "xy")
         group, cx = canonical_with_class(P, x)
-        assert group == canonical_group(P)
+        assert group == P.canonical()
         assert len(cx) == group.rank + len(group.torsion)
         free, tors = cx[:group.rank], cx[group.rank:]
         assert all(0 <= v < d for v, d in zip(tors, group.torsion))
@@ -194,9 +196,9 @@ def test_canonical_with_class_against_lattice():
 
 def test_canonical_group_example():
     P = PresentedGroup(2, IntMatrix([[2, 0], [0, 3]]))
-    assert canonical_group(P) == FgAbGroup(0, (6,))
+    assert P.canonical() == FgAbGroup(0, (6,))
     free = PresentedGroup(3)
-    assert canonical_group(free) == FgAbGroup(3, ())
+    assert free.canonical() == FgAbGroup(3, ())
 
 
 def test_presented_from_group_round_trip():
@@ -223,6 +225,18 @@ def test_abhom_compose_and_zero():
     g = AbHom(z3, z3, IntMatrix([[3]]))  # multiplication by 3 is zero on Z/3
     assert g.is_zero_hom()
     assert g.compose(f).is_zero_hom()
+
+
+def test_abhom_compose_checks_middle_presentation():
+    z4 = PresentedGroup(1, IntMatrix([[4]]))
+    z2 = PresentedGroup(1, IntMatrix([[2]]))
+    # the composite would be Z/2 -> Z/4 with 1 |-> 1, which is not a hom
+    with pytest.raises(ValueError):
+        AbHom.identity(z4).compose(AbHom.identity(z2))
+    # a distinct object with the same relations is the same middle group
+    z4_again = PresentedGroup(1, IntMatrix.from_sparse_cols([{0: 4}], 1))
+    f = AbHom.identity(z4).compose(AbHom.identity(z4_again))
+    assert f.source is z4_again and f.target is z4
 
 
 def test_abhom_is_isomorphism():
@@ -350,3 +364,88 @@ def test_block_diag_and_hstack_shapes():
     assert (c.nrows, c.ncols) == (1, 5)
     d = IntMatrix.zeros(1, 0).hstack(a)
     assert d == a
+
+
+def test_indices_out_of_range_are_rejected():
+    with pytest.raises(ValueError):
+        IntMatrix.from_sparse_cols([{-1: 5}], 3)
+    with pytest.raises(ValueError):
+        IntMatrix.from_sparse_cols([{0: 1}, {3: 2}], 3)
+    with pytest.raises(ValueError):
+        IntMatrix.from_sparse_cols([{0: 1}], 0)
+    assert IntMatrix.from_sparse_cols([{2: 5}], 3).rows == ((0,), (0,), (5,))
+    with pytest.raises(ValueError):
+        IntMatrix.identity(2).matvec({-1: 1})
+    with pytest.raises(ValueError):
+        IntMatrix.identity(2).matvec({2: 1})
+
+
+# ---------------------------------------------------------------------------
+# the sparse type against dense-list arithmetic
+
+
+@st.composite
+def dense(draw, nrows=None, ncols=None):
+    """(nrows, ncols, rows) with mostly zero entries; either side may be 0."""
+    m = draw(st.integers(0, 4)) if nrows is None else nrows
+    n = draw(st.integers(0, 4)) if ncols is None else ncols
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7])
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    return m, n, rows
+
+
+def as_rows(rows):
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense(), st.integers(0, 2**16))
+def test_equality_and_hash_agree_across_construction_routes(mat, salt):
+    m, n, rows = mat
+    literal = IntMatrix(rows, m, n)
+    # explicit zeros in the columns, at salt-chosen spots, must not count
+    cols = [{i: rows[i][j] for i in range(m) if rows[i][j] or (salt >> (i + j)) & 1}
+            for j in range(n)]
+    adopted = IntMatrix.from_sparse_cols(cols, m)
+    assert literal.rows == adopted.rows == as_rows(rows)
+    assert literal == adopted and hash(literal) == hash(adopted)
+    for export in smith_normal_form(literal):
+        again = IntMatrix(export.rows, export.nrows, export.ncols)
+        assert export == again and hash(export) == hash(again)
+    kernel = kernel_basis(literal)
+    assert kernel == IntMatrix(kernel.rows, kernel.nrows, kernel.ncols)
+    if any(map(any, rows)):
+        assert literal != IntMatrix.zeros(m, n)
+    assert literal != IntMatrix.zeros(m + 1, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_products_agree_with_dense_arithmetic(data):
+    m, k, a = data.draw(dense())
+    _, n, b = data.draw(dense(nrows=k))
+    A, B = IntMatrix(a, m, k), IntMatrix(b, k, n)
+    assert (A @ B).rows == _dense_product(a, b, n)
+    x = data.draw(st.dictionaries(st.integers(0, max(k - 1, 0)), st.integers(-3, 3)))
+    x = {j: v for j, v in x.items() if j < k}
+    want = [sum(a[i][j] * v for j, v in x.items()) for i in range(m)]
+    assert A.matvec(x) == {i: w for i, w in enumerate(want) if w}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_hstack_and_block_diag_agree_with_dense_arithmetic(data):
+    m, k, a = data.draw(dense())
+    _, n, b = data.draw(dense(nrows=m))
+    A, B = IntMatrix(a, m, k), IntMatrix(b, m, n)
+    assert A.hstack(B).rows == tuple(tuple(ra + rb) for ra, rb in zip(a, b))
+    assert (A.hstack(B).nrows, A.hstack(B).ncols) == (m, k + n)
+    blocks = data.draw(st.lists(dense(), max_size=3))
+    total = sum(c for _, c, _ in blocks)
+    want, offset = [], 0
+    for r, c, rows in blocks:
+        want += [[0] * offset + row + [0] * (total - offset - c) for row in rows]
+        offset += c
+    got = IntMatrix.block_diag([IntMatrix(rows, r, c) for r, c, rows in blocks])
+    assert (got.nrows, got.ncols) == (len(want), total)
+    assert got.rows == as_rows(want)

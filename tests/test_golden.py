@@ -1,8 +1,10 @@
 """Golden CLI reports: byte equality with outputs frozen before refactors.
 
 The files under tests/golden/ were written by the CLI before the
-degree-zero row was split over line branches; any later change to the
-assembly must reproduce them byte for byte, exit code included.  A second
+refactors they guard: the symbolic and first concrete and classify cases
+before the degree-zero row was split over line branches, the compare,
+degree-3, GF(3) and GF(4) cases before IntMatrix became sparse.  Any
+later change must reproduce them byte for byte, exit code included.  A second
 test runs the CLI in fresh interpreters under several hash seeds, since
 determinism within one process says nothing about set or dict ordering
 that depends on PYTHONHASHSEED.
@@ -33,6 +35,16 @@ CASES = [
     ("concrete_p2_d2_q2.json", 2,
      ["concrete", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "2", "--q-max", "2"]),
     ("classify_p3_e5.json", 0, ["classify", "--p", "3", "--curve", E5]),
+    ("compare_p2_d1_q1.json", 2,
+     ["compare", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "1", "--q-max", "1"]),
+    ("concrete_p2_d2_q3_large.json", 2,
+     ["concrete", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "2", "--q-max", "3",
+      "--allow-large"]),
+    ("concrete_p3_e5_d1_q1.json", 0,
+     ["concrete", "--p", "3", "--curve", E5, "--depth", "1", "--q-max", "1"]),
+    ("concrete_p2_k2_d1_q1.json", 0,
+     ["concrete", "--p", "2", "--k", "2", "--curve", "0,0,1,0,0", "--depth", "1",
+      "--q-max", "1", "--allow-large"]),
 ]
 
 

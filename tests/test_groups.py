@@ -92,10 +92,7 @@ def _element_order(g, i):
 def homs_equal(f, g):
     assert f.source is g.source or f.source == g.source
     diff = IntMatrix(
-        [
-            [f.matrix.rows[i][j] - g.matrix.rows[i][j] for j in range(f.matrix.ncols)]
-            for i in range(f.matrix.nrows)
-        ],
+        [[a - b for a, b in zip(fr, gr)] for fr, gr in zip(f.matrix.rows, g.matrix.rows)],
         f.matrix.nrows,
         f.matrix.ncols,
     )
