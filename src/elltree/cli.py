@@ -17,12 +17,7 @@ import argparse
 import json
 import sys
 
-from .coefficients import (
-    BATTERIES,
-    concrete_report,
-    report_to_json_text,
-    symbolic_report,
-)
+from .coefficients import BATTERIES, ConcreteSpec, report, report_to_json_text
 from .curve import SingularCurveError, WeierstrassCurve
 from .errors import TooLargeError
 from .field import make_field
@@ -44,6 +39,26 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+# Flags by destination: (type, choices, help).  The parser and the config
+# file both check values against this one table.
+_FLAGS = {
+    "p": (int, None, "field characteristic"),
+    "k": (int, None, "extension degree (default 1)"),
+    "curve": (
+        str,
+        None,
+        "coefficients a1,a2,a3,a4,a6; integers for k=1, "
+        "colon-separated vectors c0:c1:... for k>1",
+    ),
+    "q_max": (int, None, "top homology degree"),
+    "depth": (int, None, "cusp truncation depth (default 2)"),
+    "battery": (str, sorted(BATTERIES), None),
+    "resolution": (str, ["zero", "iso"], None),
+    "attach": (int, [1, 2], None),
+    "allow_large": (bool, None, "raise the group-size ceilings for concrete runs"),
+}
+
+
 def build_parser():
     parser = _Parser(
         prog="elltree",
@@ -52,26 +67,13 @@ def build_parser():
     )
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--config", help="JSON file with flag defaults")
-    parser.add_argument("--p", type=int, help="field characteristic")
-    parser.add_argument("--k", type=int, help="extension degree (default 1)")
-    parser.add_argument(
-        "--curve",
-        help="coefficients a1,a2,a3,a4,a6; integers for k=1, "
-        "colon-separated vectors c0:c1:... for k>1",
-    )
-    parser.add_argument("--q-max", dest="q_max", type=int, help="top homology degree")
-    parser.add_argument("--depth", type=int, help="cusp truncation depth (default 2)")
-    parser.add_argument("--battery", choices=sorted(BATTERIES))
-    parser.add_argument("--resolution", choices=["zero", "iso"])
-    parser.add_argument("--attach", type=int, choices=[1, 2])
+    for key, (typ, choices, text) in _FLAGS.items():
+        flag = "--" + key.replace("_", "-")
+        if typ is bool:
+            parser.add_argument(flag, dest=key, action="store_true", default=None, help=text)
+        else:
+            parser.add_argument(flag, dest=key, type=typ, choices=choices, help=text)
     parser.add_argument("--out", help="write output to this path instead of stdout")
-    parser.add_argument(
-        "--allow-large",
-        dest="allow_large",
-        action="store_true",
-        default=None,
-        help="raise the group-size ceilings for concrete runs",
-    )
     return parser
 
 
@@ -81,6 +83,8 @@ def _load_config(path):
             data = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"config is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -88,33 +92,24 @@ def _load_config(path):
     return data
 
 
-_CONFIG_KEYS = {
-    "p": int,
-    "k": int,
-    "curve": str,
-    "q_max": int,
-    "depth": int,
-    "battery": str,
-    "resolution": str,
-    "attach": int,
-    "allow_large": bool,
-}
-
-
 def _merge_config(args):
     """Fill unset flags from the config file; explicit flags win."""
     if args.config is None:
         return
     data = _load_config(args.config)
-    unknown = set(data) - set(_CONFIG_KEYS)
+    unknown = set(data) - set(_FLAGS)
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key, typ in _CONFIG_KEYS.items():
-        if key in data and getattr(args, key) is None:
-            value = data[key]
-            if not isinstance(value, typ):
-                raise CliError(f"config key {key!r} must be {typ.__name__}")
-            setattr(args, key, value)
+    for key, value in data.items():
+        if getattr(args, key) is not None:
+            continue
+        typ, choices, _ = _FLAGS[key]
+        # bool is a subclass of int, but true is not a depth
+        if not isinstance(value, typ) or (typ is not bool and isinstance(value, bool)):
+            raise CliError(f"config key {key!r} must be {typ.__name__}")
+        if choices is not None and value not in choices:
+            raise CliError(f"config key {key!r} must be one of {', '.join(map(str, choices))}")
+        setattr(args, key, value)
 
 
 def parse_curve_coefficients(text, k):
@@ -173,9 +168,12 @@ def _build_curve(args):
 def _emit(text, out_path):
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
 def _verdicts(report):
@@ -201,41 +199,21 @@ def _run_domain(args, field, curve):
     return 0
 
 
-def _run_symbolic(args, field, curve):
-    inst = BATTERIES[args.battery].with_resolution(args.resolution)
-    report = symbolic_report(
-        curve.classify_all(),
-        args.depth,
-        inst,
-        q_max=args.q_max,
-        attach=args.attach,
-        curve=curve,
-        field=field,
-    )
-    _emit(report_to_json_text(report), args.out)
-    return 0 if "mismatch" not in _verdicts(report) else 2
+def _spec(mode, args, field):
+    if mode == "symbolic":
+        return BATTERIES[args.battery].with_resolution(args.resolution)
+    return ConcreteSpec(field, LARGE_LIMITS if args.allow_large else DEFAULT_LIMITS)
 
 
-def _run_concrete(args, field, curve):
-    limits = LARGE_LIMITS if args.allow_large else DEFAULT_LIMITS
-    report = concrete_report(
-        curve, args.depth, q_max=args.q_max, attach=args.attach, limits=limits
-    )
-    _emit(report_to_json_text(report), args.out)
-    return 0 if "mismatch" not in _verdicts(report) else 2
-
-
-def _run_compare(args, field, curve):
-    inst = BATTERIES[args.battery].with_resolution(args.resolution)
-    summary = curve.classify_all()
-    sym = symbolic_report(
-        summary, args.depth, inst, q_max=args.q_max, attach=args.attach,
-        curve=curve, field=field,
-    )
-    limits = LARGE_LIMITS if args.allow_large else DEFAULT_LIMITS
-    con = concrete_report(
-        curve, args.depth, q_max=args.q_max, attach=args.attach, limits=limits
-    )
+def _run_reports(args, field, curve):
+    """One report; compare builds both over one tree and adds an agreement table."""
+    tree = build_domain(curve.classify_all(), args.depth, args.attach)
+    if args.mode != "compare":
+        rep = report(tree, _spec(args.mode, args, field), args.q_max, curve)
+        _emit(report_to_json_text(rep), args.out)
+        return 2 if "mismatch" in _verdicts(rep) else 0
+    sym = report(tree, _spec("symbolic", args, field), args.q_max, curve)
+    con = report(tree, _spec("concrete", args, field), args.q_max, curve)
     agreement = [
         {
             "i": s["i"],
@@ -245,15 +223,9 @@ def _run_compare(args, field, curve):
         }
         for s, c in zip(sym["degrees"], con["degrees"])
     ]
-    payload = {
-        "mode": "compare",
-        "symbolic": sym,
-        "concrete": con,
-        "agreement": agreement,
-    }
+    payload = {"mode": "compare", "symbolic": sym, "concrete": con, "agreement": agreement}
     _emit(report_to_json_text(payload), args.out)
-    bad = "mismatch" in _verdicts(sym) or "mismatch" in _verdicts(con)
-    return 2 if bad else 0
+    return 2 if "mismatch" in _verdicts(sym) + _verdicts(con) else 0
 
 
 def _run_selftest(args):
@@ -272,14 +244,11 @@ def main(argv=None):
         if args.mode == "selftest":
             return _run_selftest(args)
         field, curve = _build_curve(args)
-        runner = {
-            "classify": _run_classify,
-            "domain": _run_domain,
-            "symbolic": _run_symbolic,
-            "concrete": _run_concrete,
-            "compare": _run_compare,
-        }[args.mode]
-        return runner(args, field, curve)
+        if args.mode == "classify":
+            return _run_classify(args, field, curve)
+        if args.mode == "domain":
+            return _run_domain(args, field, curve)
+        return _run_reports(args, field, curve)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,30 +1,36 @@
 """Coefficient systems on the domain tree and the homology they assemble.
 
 A coefficient system assigns an abelian group to every vertex and edge of
-the tree and, for each edge, a map toward each endpoint.  Two assignments
-are provided:
+the tree and, for each edge, a map toward each endpoint.  A provider hands
+them out per simplex, vertex_group(vid) and edge_data(eid) -> (edge group,
+map toward tail, map toward head), and assemble_system builds the complex
+below from them.  A spec names a system and the report about it:
+provider(tree, q) makes its degree-q provider, system_degree(q) names the
+degree q' whose system stands for q >= 1, rhs_group(token, i) is the
+predicted degree-i group of a role token, and report_fields(depth, q_max)
+gives its own report fields.  Two specs:
 
-  symbolic: groups are role tokens (one per stabilizer type) and maps are
-    tags (iso / zero / unconstrained); tokens are instantiated through a
-    battery that sends each role to a small group with coprime torsion so
-    wiring mistakes show up in the canonical form.
+  symbolic (Instantiation): groups are role tokens (one per stabilizer
+    type) and maps are tags (iso / zero / unconstrained), instantiated
+    through a battery that sends each role to a small group with coprime
+    torsion so wiring mistakes show up in the canonical form; the system
+    is the same in every degree q >= 1.
 
-  concrete: groups are the integral homology of actual finite stabilizer
-    groups over a chosen field, and maps are induced by explicit inclusion
-    homomorphisms.
+  concrete (ConcreteSpec): groups are the integral homology of actual
+    finite stabilizer groups over a chosen field, and maps are induced by
+    explicit inclusion homomorphisms.
 
-Either way the system yields a two-term chain complex: degree 0 sums the
-vertex groups, degree 1 sums the edge groups, and the boundary of an edge
-is (map toward head) minus (map toward tail) with edges oriented away
-from the root.  Homology in degree 0 and 1 of this complex is what the
-spectral-sequence assembly consumes: writing E0(q), E1(q) for the two
-homology groups of the degree-q system, the assembled group in degree
-i >= 1 is E0(i) + E1(i-1), flagged when E1(i-1) is nonzero because the
-direct sum is then only one resolution of an extension problem.
+In degree 0 every spec has the constant unit system Z (UNIT_SYSTEM); _system
+maps (spec, q) to the system that is computed.  Each system yields a
+two-term chain complex: degree 0 sums the vertex groups, degree 1 sums the
+edge groups, and the boundary of an edge is (map toward head) minus (map
+toward tail) with edges oriented away from the root.  Writing E0(q),
+E1(q) for its two homology groups in degree q, the assembled group in
+degree i >= 1 is E0(i) + E1(i-1), flagged when E1(i-1) is nonzero because
+the direct sum is then only one resolution of an extension problem.
 
-A branch's E2 depends only on its line's case, the depth and the cap
-attachment, so E2 is computed once per branch shape and glued at the root
-(assemble_over_branches); the *_monolithic routines cross-check this.
+E2 is computed once per branch shape (line case, depth, cap attachment,
+spec, q) and glued at the root; e2_whole_tree cross-checks this.
 
 The predicted decomposition has one projective-linear factor per point
 fixed by negation, one units factor per line meeting the curve twice, and
@@ -67,7 +73,7 @@ from .groups import (
     unit_group,
     units_to_cusp,
 )
-from .tree import build_domain
+from .tree import build_domain, point_label
 
 TOKEN_PGL2K = "pgl2k"
 TOKEN_UNITS = "units"
@@ -86,7 +92,8 @@ class Instantiation:
     """Token-to-group assignment plus the unconstrained-map resolution.
 
     The four role groups must be pairwise non-isomorphic so that any
-    mis-wiring of the system changes the assembled canonical form.
+    mis-wiring of the system changes the assembled canonical form.  As a
+    spec, it stands for the symbolic system of a tree.
     """
 
     name: str
@@ -106,22 +113,30 @@ class Instantiation:
             raise ValueError("resolution must be the zero or the canonical map")
 
     def group_for(self, token):
-        if token == TOKEN_PGL2K:
-            return self.pgl2k
-        if token == TOKEN_UNITS:
-            return self.units
-        if token == TOKEN_QUAD:
-            return self.quad
-        if token == TOKEN_ADDITIVE:
-            return self.additive
-        if token == TOKEN_ZERO:
-            return TRIVIAL_GROUP
-        if token == TOKEN_Z0:
-            return FgAbGroup(1, ())
-        raise KeyError(f"unknown token {token!r}")
+        return {
+            TOKEN_PGL2K: self.pgl2k,
+            TOKEN_UNITS: self.units,
+            TOKEN_QUAD: self.quad,
+            TOKEN_ADDITIVE: self.additive,
+            TOKEN_ZERO: TRIVIAL_GROUP,
+            TOKEN_Z0: FgAbGroup(1, ()),
+        }[token]
 
     def with_resolution(self, resolution):
         return replace(self, resolution=resolution)
+
+    def system_degree(self, q):
+        """The symbolic system is the same in every degree q >= 1."""
+        return 1
+
+    def provider(self, tree, q):
+        return TokenProvider(tree, symbolic_tokens(tree), self)
+
+    def rhs_group(self, token, i):
+        return self.group_for(token)
+
+    def report_fields(self, depth, q_max):
+        return {"mode": "symbolic", "battery": self.name, "resolution": self.resolution}
 
 
 BATTERY_A = Instantiation(
@@ -246,107 +261,201 @@ def degree_zero_tokens(tree):
     )
 
 
+class TokenProvider:
+    """A token system resolved through an instantiation.
+
+    Presented groups are shared per token, so iso-tagged maps run between
+    the very same presentation.
+    """
+
+    def __init__(self, tree, tokens, inst):
+        self.tree = tree
+        self.tokens = tokens
+        self.inst = inst
+        self.presented = {}
+
+    def _group(self, token):
+        if token not in self.presented:
+            self.presented[token] = PresentedGroup.from_group(self.inst.group_for(token))
+        return self.presented[token]
+
+    def _map(self, tag, token, vid):
+        """The map a tag names, from token's group to the group of vertex vid."""
+        source = self._group(token)
+        target_token = self.tokens.vertex_tokens[vid]
+        target = self._group(target_token)
+        if tag == ISO:
+            if token != target_token:
+                raise ValueError("iso tag between different tokens")
+            return AbHom(source, target, IntMatrix.identity(source.gens), check=False)
+        if tag == ZERO_MAP or self.inst.resolution == ZERO_MAP:
+            return AbHom.zero(source, target)
+        return canonical_max_hom(source, target)
+
+    def vertex_group(self, vid):
+        return self._group(self.tokens.vertex_tokens[vid])
+
+    def edge_data(self, eid):
+        e = self.tree.edges[eid]
+        et = self.tokens.edge_tokens[eid]
+        to_tail = self._map(et.toward_tail, et.token, e.tail)
+        return self._group(et.token), to_tail, self._map(et.toward_head, et.token, e.head)
+
+
+# ---------------------------------------------------------------------------
+# concrete systems over a finite field
+
+
+# The finite group behind each role token, looked up when called so that
+# rebinding a module-level name (as perfbench/traced.py does) reaches it.
+_ROLE_GROUPS = {
+    TOKEN_PGL2K: lambda field: pgl2(field),
+    TOKEN_UNITS: lambda field: unit_group(field),
+    TOKEN_QUAD: lambda field: quad_units_group(field)[0],
+    TOKEN_ADDITIVE: lambda field: additive_group(field),
+}
+
+
+def _identity_hom(group):
+    return GroupHom(group, group, range(group.order))
+
+
+def _concrete_vertex_group(vertex, case_of_line, field):
+    if vertex.kind == "root":
+        return cyclic(1)
+    if vertex.kind == "line":
+        return _ROLE_GROUPS[_LINE_TOKEN_BY_CASE[case_of_line[vertex.line]]](field)
+    if vertex.kind == "cusp":
+        return cusp_group(field, vertex.depth)[0]
+    return pgl2(field)
+
+
+def _concrete_edge_data(edge, case_of_line, field):
+    """(edge group, hom toward tail, hom toward head) for a non-root edge."""
+    if edge.kind == "line-cusp":
+        if case_of_line[edge.line] == 2:
+            g = additive_group(field)
+            return g, _identity_hom(g), additive_to_cusp(field)
+        g = unit_group(field)
+        return g, _identity_hom(g), units_to_cusp(field)
+    if edge.kind == "cusp-cusp":
+        g = cusp_group(field, edge.depth)[0]
+        return g, _identity_hom(g), cusp_chain_inclusion(field, edge.depth)
+    # cusp-cap: the edge carries the depth-1 group; toward the cusp it
+    # includes up to the attachment depth, toward the cap it maps into
+    # the full projective group
+    g = cusp_group(field, 1)[0]
+    if edge.depth == 1:
+        to_tail = _identity_hom(g)
+    else:
+        to_tail = cusp_chain_inclusion(field, 1)
+    return g, to_tail, cusp_to_pgl2(field)
+
+
+class ConcreteProvider:
+    """Degree-q homology of the stabilizers over a field, with induced maps.
+
+    Raises TooLargeError when a stabilizer exceeds the homology ceilings.
+    """
+
+    def __init__(self, tree, field, q, limits):
+        self.tree = tree
+        self.field = field
+        self.q = q
+        self.limits = limits
+        self.case_of_line = {lc.label: lc.case for lc in tree.summary.lines}
+        self.presented = {}
+
+    def vertex_group(self, vid):
+        if vid not in self.presented:
+            group = _concrete_vertex_group(self.tree.vertices[vid], self.case_of_line, self.field)
+            self.presented[vid] = homology_presentation(group, self.q, self.limits)
+        return self.presented[vid]
+
+    def edge_data(self, eid):
+        e = self.tree.edges[eid]
+        if e.kind == "root-line":
+            trivial = PresentedGroup(0)
+            tail, head = self.vertex_group(e.tail), self.vertex_group(e.head)
+            return trivial, AbHom.zero(trivial, tail), AbHom.zero(trivial, head)
+        group, to_tail, to_head = _concrete_edge_data(e, self.case_of_line, self.field)
+        return (
+            homology_presentation(group, self.q, self.limits),
+            induced_map(to_tail, self.q, self.limits),
+            induced_map(to_head, self.q, self.limits),
+        )
+
+
+@dataclass(frozen=True)
+class ConcreteSpec:
+    """The concrete system over a field, within the homology ceilings."""
+
+    field: object
+    limits: object = DEFAULT_LIMITS
+
+    def system_degree(self, q):
+        return q
+
+    def provider(self, tree, q):
+        return ConcreteProvider(tree, self.field, q, self.limits)
+
+    def rhs_group(self, token, i):
+        return bar_homology(_ROLE_GROUPS[token](self.field), i, self.limits)
+
+    def report_fields(self, depth, q_max):
+        diagonal = measure_diagonal_reduction(self.field, depth, q_max, self.limits)
+        return {"mode": "concrete", "battery": None, "resolution": None, "diagonal_reduction": diagonal}
+
+
 # ---------------------------------------------------------------------------
 # assembled systems and their two-term complex
 
 
-@dataclass
-class AssembledSystem:
-    """Presented groups per simplex plus wired edge maps.
-
-    edge_wiring[j] = (tail position, head position, map toward tail,
-    map toward head) for the j-th included edge.
-    """
-
-    vertex_groups: list
-    edge_groups: list
-    edge_wiring: list
-
-
-def _resolve_tag(tag, source, target, same_token, resolution):
-    if tag == ZERO_MAP:
-        return AbHom.zero(source, target)
-    if tag == ISO:
-        if not same_token:
-            raise ValueError("iso tag between different tokens")
-        return AbHom(source, target, IntMatrix.identity(source.gens), check=False)
-    if resolution == ZERO_MAP:
-        return AbHom.zero(source, target)
-    return canonical_max_hom(source, target)
-
-
-def instantiate_tokens(tree, tokens, inst, vertex_ids=None, edge_ids=None):
-    """Resolve a token system into presented groups and checked maps.
+def assemble_system(tree, provider, vertex_ids=None, edge_ids=None):
+    """The two-term complex (vertex sum) <- (edge sum) of a provider's system.
 
     vertex_ids and edge_ids restrict to a subtree; default is the whole
-    tree.  Presented groups are shared per token so edge maps line up.
+    tree.  The provider is asked for the vertices first, then the edges; a
+    TooLargeError it raises gains the tag of the simplex.
     """
     if vertex_ids is None:
         vertex_ids = [v.vid for v in tree.vertices]
     if edge_ids is None:
         edge_ids = [e.eid for e in tree.edges]
-    presented = {}
-
-    def presented_for(token):
-        if token not in presented:
-            presented[token] = PresentedGroup.from_group(inst.group_for(token))
-        return presented[token]
-
-    vpos = {vid: i for i, vid in enumerate(vertex_ids)}
-    vertex_groups = [presented_for(tokens.vertex_tokens[vid]) for vid in vertex_ids]
-    edge_groups = []
-    wiring = []
+    vertex_groups, offset, gens = [], {}, 0
+    for vid in vertex_ids:
+        try:
+            vertex_groups.append(provider.vertex_group(vid))
+        except TooLargeError as exc:
+            raise exc.at(f"vertex {tree.vertices[vid].tag}") from exc
+        offset[vid] = gens
+        gens += vertex_groups[-1].gens
+    edge_groups, cols = [], []
     for eid in edge_ids:
         e = tree.edges[eid]
-        et = tokens.edge_tokens[eid]
-        eg = presented_for(et.token)
-        edge_groups.append(eg)
-        tail_token = tokens.vertex_tokens[e.tail]
-        head_token = tokens.vertex_tokens[e.head]
-        to_tail = _resolve_tag(
-            et.toward_tail, eg, presented_for(tail_token),
-            et.token == tail_token, inst.resolution,
-        )
-        to_head = _resolve_tag(
-            et.toward_head, eg, presented_for(head_token),
-            et.token == head_token, inst.resolution,
-        )
-        wiring.append((vpos[e.tail], vpos[e.head], to_tail, to_head))
-    return AssembledSystem(vertex_groups, edge_groups, wiring)
-
-
-def two_column_complex(system):
-    """The chain complex (vertex sum) <- (edge sum) of an assembled system."""
-    c0 = PresentedGroup.direct_sum(system.vertex_groups) if system.vertex_groups else PresentedGroup(0)
-    c1 = PresentedGroup.direct_sum(system.edge_groups) if system.edge_groups else PresentedGroup(0)
-    v_off = []
-    acc = 0
-    for g in system.vertex_groups:
-        v_off.append(acc)
-        acc += g.gens
-    cols = []
-    for eg, (tp, hp, to_tail, to_head) in zip(system.edge_groups, system.edge_wiring):
-        tail_cols = to_tail.matrix.cols
-        head_cols = to_head.matrix.cols
-        for j in range(eg.gens):
-            col = {}
-            for i, v in head_cols[j].items():
-                col[v_off[hp] + i] = col.get(v_off[hp] + i, 0) + v
-            for i, v in tail_cols[j].items():
-                key = v_off[tp] + i
+        try:
+            group, to_tail, to_head = provider.edge_data(eid)
+        except TooLargeError as exc:
+            tag = f"{tree.vertices[e.tail].tag}--{tree.vertices[e.head].tag}"
+            raise exc.at(f"edge {tag}") from exc
+        edge_groups.append(group)
+        for head_col, tail_col in zip(to_head.matrix.cols, to_tail.matrix.cols):
+            col = {offset[e.head] + i: v for i, v in head_col.items()}
+            for i, v in tail_col.items():
+                key = offset[e.tail] + i
                 val = col.get(key, 0) - v
                 if val:
                     col[key] = val
                 else:
                     col.pop(key, None)
             cols.append(col)
-    d1 = AbHom(c1, c0, IntMatrix.from_sparse_cols(cols, c0.gens))
-    return ChainComplexFg([c0, c1], [d1])
+    c0 = PresentedGroup.direct_sum(vertex_groups) if vertex_groups else PresentedGroup(0)
+    c1 = PresentedGroup.direct_sum(edge_groups) if edge_groups else PresentedGroup(0)
+    return ChainComplexFg([c0, c1], [AbHom(c1, c0, IntMatrix.from_sparse_cols(cols, c0.gens))])
 
 
-def e2_pair(system):
-    """Homology of the two-term complex: (degree 0, degree 1)."""
-    complex_ = two_column_complex(system)
+def e2_pair(complex_):
+    """Homology of a two-term complex: (degree 0, degree 1)."""
     return homology_at(complex_, 0), homology_at(complex_, 1)
 
 
@@ -368,9 +477,7 @@ def assemble_over_branches(tree, branch_e2, root_carries_z=False):
         try:
             branches.append(branch_e2(view))
         except TooLargeError as exc:
-            raise TooLargeError(
-                f"{exc.what} [line x={view.line_class.label}]", exc.size, exc.ceiling
-            ) from exc
+            raise exc.at(f"line x={view.line_class.label}") from exc
     h1s = [b[1] for b in branches]
     if not root_carries_z:
         return direct_sum_groups([b[0] for b in branches]), direct_sum_groups(h1s)
@@ -384,23 +491,36 @@ def assemble_over_branches(tree, branch_e2, root_carries_z=False):
     return homology_at(glue, 0), direct_sum_groups(h1s + [homology_at(glue, 1)])
 
 
-def rooted_branch_e2(tree, tokens, inst, view):
+def rooted_branch_e2(tree, provider, view):
     """(H0, H1, c) of a branch; c is the class its root edge hits in H0.
 
     The root and root edge must carry Z, the edge mapping identically to
     the root.  c is in the canonical presentation of H0.
     """
-    stub = instantiate_tokens(tree, tokens, inst, (0, view.vertex_ids[0]), (view.root_edge_id,))
-    _, _, to_root, to_line = stub.edge_wiring[0]
-    free = not (stub.vertex_groups[0].relations.ncols or stub.edge_groups[0].relations.ncols)
+    edge_group, to_root, to_line = provider.edge_data(view.root_edge_id)
+    free = not (provider.vertex_group(0).relations.ncols or edge_group.relations.ncols)
     if not free or to_root.matrix != IntMatrix.identity(1):
         raise ValueError("the root and its edges must carry Z, mapped identically")
-    system = instantiate_tokens(tree, tokens, inst, view.vertex_ids, view.edge_ids)
-    complex_ = two_column_complex(system)
+    complex_ = assemble_system(tree, provider, view.vertex_ids, view.edge_ids)
     c0, d1 = complex_.groups[0], complex_.boundaries[0].matrix
     cokernel = PresentedGroup(c0.gens, d1.hstack(c0.relations))
     h0, c = canonical_with_class(cokernel, to_line.matrix.cols[0])
     return h0, homology_at(complex_, 1), c
+
+
+class _UnitSystem:
+    """The constant unit system Z with identity maps: degree 0 of every spec."""
+
+    def provider(self, tree, q):
+        return TokenProvider(tree, degree_zero_tokens(tree), BATTERY_A)
+
+
+UNIT_SYSTEM = _UnitSystem()
+
+
+def _system(spec, q):
+    """(spec, degree) of the system that stands for spec's degree q."""
+    return (UNIT_SYSTEM, 0) if q == 0 else (spec, spec.system_degree(q))
 
 
 def _branch_tree(case, depth, attach):
@@ -410,169 +530,38 @@ def _branch_tree(case, depth, attach):
 
 
 @lru_cache(maxsize=None)
-def _symbolic_branch_e2(case, depth, attach, inst):
+def _branch_e2(spec, case, depth, attach, q):
+    """(H0, H1) of one branch of a system that _system names, and for the
+    unit system also the class c of its root edge (rooted_branch_e2)."""
     tree = _branch_tree(case, depth, attach)
     view = tree.subtrees()[0]
-    tokens = symbolic_tokens(tree)
-    return e2_pair(instantiate_tokens(tree, tokens, inst, view.vertex_ids, view.edge_ids))
+    provider = spec.provider(tree, q)
+    if spec is UNIT_SYSTEM:
+        return rooted_branch_e2(tree, provider, view)
+    return e2_pair(assemble_system(tree, provider, view.vertex_ids, view.edge_ids))
 
 
-@lru_cache(maxsize=None)
-def _degree_zero_branch_e2(case, depth, attach):
-    tree = _branch_tree(case, depth, attach)
-    return rooted_branch_e2(tree, degree_zero_tokens(tree), BATTERY_A, tree.subtrees()[0])
-
-
-def symbolic_e2(tree, inst):
-    """E2 of the full degree-q system (q >= 1), split over line branches."""
-    return assemble_over_branches(
-        tree, lambda v: _symbolic_branch_e2(v.line_class.case, tree.depth, tree.attach, inst)
-    )
-
-
-def symbolic_e2_monolithic(tree, inst):
-    """E2 computed on the whole tree at once; cross-check for the split."""
-    return e2_pair(instantiate_tokens(tree, symbolic_tokens(tree), inst))
-
-
-def degree_zero_e2(tree):
-    """E2 of the constant unit system, split over line branches.
-
-    The root and its edges carry Z here, so the branches are glued at the
-    root.  The cost grows with the number of lines, not of vertices.
-    """
+def _system_e2(tree, spec, q):
     return assemble_over_branches(
         tree,
-        lambda v: _degree_zero_branch_e2(v.line_class.case, tree.depth, tree.attach),
-        root_carries_z=True,
+        lambda v: _branch_e2(spec, v.line_class.case, tree.depth, tree.attach, q),
+        root_carries_z=spec is UNIT_SYSTEM,
     )
 
 
-def degree_zero_e2_monolithic(tree):
-    """The constant unit system on the whole tree; cross-check for the split."""
-    return e2_pair(instantiate_tokens(tree, degree_zero_tokens(tree), BATTERY_A))
+def e2(tree, spec, q):
+    """(H0, H1) of spec's degree-q system, split over line branches.
 
-
-# ---------------------------------------------------------------------------
-# concrete systems over a finite field
-
-
-def _identity_hom(group):
-    return GroupHom(group, group, range(group.order))
-
-
-def _concrete_vertex_group(vertex, case_of_line, field):
-    if vertex.kind == "root":
-        return cyclic(1)
-    if vertex.kind == "line":
-        case = case_of_line[vertex.line]
-        if case == 1:
-            return quad_units_group(field)[0]
-        if case == 2:
-            return additive_group(field)
-        return unit_group(field)
-    if vertex.kind == "cusp":
-        return cusp_group(field, vertex.depth)[0]
-    return pgl2(field)
-
-
-def _concrete_edge_data(edge, case_of_line, field):
-    """(edge group, hom toward tail, hom toward head) for one edge.
-
-    Root edges carry the trivial group and are wired by the caller.
+    Branches are shared by every tree, and every degree, with the same
+    system; degree 0 shares them between specs too.
     """
-    if edge.kind == "line-cusp":
-        if case_of_line[edge.line] == 2:
-            g = additive_group(field)
-            return g, _identity_hom(g), additive_to_cusp(field)
-        g = unit_group(field)
-        return g, _identity_hom(g), units_to_cusp(field)
-    if edge.kind == "cusp-cusp":
-        g = cusp_group(field, edge.depth)[0]
-        return g, _identity_hom(g), cusp_chain_inclusion(field, edge.depth)
-    # cusp-cap: the edge carries the depth-1 group; toward the cusp it
-    # includes up to the attachment depth, toward the cap it maps into
-    # the full projective group
-    g = cusp_group(field, 1)[0]
-    if edge.depth == 1:
-        to_tail = _identity_hom(g)
-    else:
-        to_tail = cusp_chain_inclusion(field, 1)
-    return g, to_tail, cusp_to_pgl2(field)
+    return _system_e2(tree, *_system(spec, q))
 
 
-def concrete_system(tree, q, field, limits=DEFAULT_LIMITS, vertex_ids=None, edge_ids=None):
-    """Induced-homology system in degree q over an explicit field.
-
-    Raises TooLargeError naming the offending simplex when a stabilizer
-    exceeds the homology ceilings.
-    """
-    if vertex_ids is None:
-        vertex_ids = [v.vid for v in tree.vertices]
-    if edge_ids is None:
-        edge_ids = [e.eid for e in tree.edges]
-    case_of_line = {lc.label: lc.case for lc in tree.summary.lines}
-    vpos = {vid: i for i, vid in enumerate(vertex_ids)}
-    vertex_groups = []
-    for vid in vertex_ids:
-        v = tree.vertices[vid]
-        try:
-            vertex_groups.append(
-                homology_presentation(_concrete_vertex_group(v, case_of_line, field), q, limits)
-            )
-        except TooLargeError as exc:
-            raise TooLargeError(f"{exc.what} [vertex {v.tag}]", exc.size, exc.ceiling)
-    edge_groups = []
-    wiring = []
-    trivial = PresentedGroup(0)
-    for eid in edge_ids:
-        e = tree.edges[eid]
-        if e.kind == "root-line":
-            edge_groups.append(trivial)
-            wiring.append(
-                (
-                    vpos[e.tail],
-                    vpos[e.head],
-                    AbHom.zero(trivial, vertex_groups[vpos[e.tail]]),
-                    AbHom.zero(trivial, vertex_groups[vpos[e.head]]),
-                )
-            )
-            continue
-        group, hom_tail, hom_head = _concrete_edge_data(e, case_of_line, field)
-        try:
-            edge_groups.append(homology_presentation(group, q, limits))
-            wiring.append(
-                (
-                    vpos[e.tail],
-                    vpos[e.head],
-                    induced_map(hom_tail, q, limits),
-                    induced_map(hom_head, q, limits),
-                )
-            )
-        except TooLargeError as exc:
-            tag = f"{tree.vertices[e.tail].tag}--{tree.vertices[e.head].tag}"
-            raise TooLargeError(f"{exc.what} [edge {tag}]", exc.size, exc.ceiling)
-    return AssembledSystem(vertex_groups, edge_groups, wiring)
-
-
-@lru_cache(maxsize=None)
-def _concrete_branch_e2(case, depth, attach, field, q, limits):
-    tree = _branch_tree(case, depth, attach)
-    view = tree.subtrees()[0]
-    system = concrete_system(tree, q, field, limits, view.vertex_ids, view.edge_ids)
-    return e2_pair(system)
-
-
-def concrete_e2(tree, q, field, limits=DEFAULT_LIMITS):
-    """E2 of the concrete degree-q system (q >= 1), split over line branches."""
-    return assemble_over_branches(
-        tree,
-        lambda v: _concrete_branch_e2(v.line_class.case, tree.depth, tree.attach, field, q, limits),
-    )
-
-
-def concrete_e2_monolithic(tree, q, field, limits=DEFAULT_LIMITS):
-    return e2_pair(concrete_system(tree, q, field, limits))
+def e2_whole_tree(tree, spec, q):
+    """E2 assembled on the whole tree at once; the reference for e2."""
+    spec, q = _system(spec, q)
+    return e2_pair(assemble_system(tree, spec.provider(tree, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +575,6 @@ def rhs_tokens(summary):
     factor per twice-meeting line, one quadratic-units factor per line
     missing the curve.
     """
-    from .tree import point_label
-
     out = []
     for lc in summary.lines:
         if lc.case == 2:
@@ -599,24 +586,9 @@ def rhs_tokens(summary):
     return out
 
 
-def instantiated_rhs(summary, inst):
-    return direct_sum_groups([inst.group_for(t) for t, _ in rhs_tokens(summary)])
-
-
-def concrete_token_group(token, field, i, limits=DEFAULT_LIMITS):
-    if token == TOKEN_PGL2K:
-        return bar_homology(pgl2(field), i, limits)
-    if token == TOKEN_UNITS:
-        return bar_homology(unit_group(field), i, limits)
-    if token == TOKEN_QUAD:
-        return bar_homology(quad_units_group(field)[0], i, limits)
-    raise KeyError(f"token {token!r} has no concrete counterpart")
-
-
-def concrete_rhs(summary, field, i, limits=DEFAULT_LIMITS):
-    return direct_sum_groups(
-        [concrete_token_group(t, field, i, limits) for t, _ in rhs_tokens(summary)]
-    )
+def predicted(summary, spec, i):
+    """The predicted degree-i group: the sum of spec's rhs token groups."""
+    return direct_sum_groups([spec.rhs_group(t, i) for t, _ in rhs_tokens(summary)])
 
 
 # ---------------------------------------------------------------------------
@@ -637,36 +609,6 @@ def _degree_entry(i, e20, e21_prev, predicted, rhs):
         "e2": {"col0": e20.to_json(), "col1": e21_prev.to_json()},
         "rhs": [{"token": t, "label": l} for t, l in rhs],
         "verdict": _verdict(assembled, predicted, e21_prev),
-    }
-
-
-def symbolic_report(summary, depth, inst, q_max=5, attach=1, curve=None, field=None):
-    """Per-degree comparison of assembled homology against the prediction.
-
-    The symbolic system is degree-independent, so one E2 computation
-    serves every degree; only the degree-1 entry differs, borrowing its
-    extension part from the constant unit system.  Both E2 computations
-    are split over line branches, so the cost grows with the number of
-    lines and the depth, not with the size of the assembled tree.
-    """
-    tree = build_domain(summary, depth, attach)
-    e20, e21 = symbolic_e2(tree, inst)
-    _, z_e21 = degree_zero_e2(tree)
-    rhs = rhs_tokens(summary)
-    predicted = instantiated_rhs(summary, inst)
-    degrees = []
-    for i in range(1, q_max + 1):
-        prev = z_e21 if i == 1 else e21
-        degrees.append(_degree_entry(i, e20, prev, predicted, rhs))
-    return {
-        "mode": "symbolic",
-        "curve": curve.to_json() if curve is not None else None,
-        "field": field.to_json() if field is not None else None,
-        "depth": depth,
-        "attach": attach,
-        "battery": inst.name,
-        "resolution": inst.resolution,
-        "degrees": degrees,
     }
 
 
@@ -691,36 +633,29 @@ def measure_diagonal_reduction(field, depth, q_max, limits=DEFAULT_LIMITS):
     return out
 
 
-def concrete_report(curve, depth, q_max=2, attach=1, limits=DEFAULT_LIMITS):
-    """Full concrete pipeline over the curve's field.
+def report(tree, spec, q_max, curve=None):
+    """Per-degree comparison of spec's assembled homology with the prediction.
 
-    The prediction is instantiated with the honest finite-group homology
-    of the role groups; degrees where the extension part is nonzero are
-    flagged instead of asserted.
+    E2 and the prediction are computed once per distinct system, and E2
+    of every degree 0..q_max before any prediction, so a refusal comes
+    from the tree's stabilizers first.  Degrees whose extension part is
+    nonzero are flagged instead of asserted.
     """
-    field = curve.field
-    summary = curve.classify_all()
-    tree = build_domain(summary, depth, attach)
-    e2_by_q = {0: degree_zero_e2(tree)}
-    for q in range(1, q_max + 1):
-        e2_by_q[q] = concrete_e2(tree, q, field, limits)
-    rhs = rhs_tokens(summary)
-    degrees = []
-    for i in range(1, q_max + 1):
-        predicted = concrete_rhs(summary, field, i, limits)
-        degrees.append(
-            _degree_entry(i, e2_by_q[i][0], e2_by_q[i - 1][1], predicted, rhs)
-        )
+    system = [_system(spec, q) for q in range(q_max + 1)]
+    e2_of = {s: _system_e2(tree, *s) for s in dict.fromkeys(system)}
+    predicted_of = {s: predicted(tree.summary, spec, s[1]) for s in dict.fromkeys(system[1:])}
+    rhs = rhs_tokens(tree.summary)
+    degrees = [
+        _degree_entry(i, e2_of[system[i]][0], e2_of[system[i - 1]][1], predicted_of[system[i]], rhs)
+        for i in range(1, q_max + 1)
+    ]
     return {
-        "mode": "concrete",
-        "curve": curve.to_json(),
-        "field": field.to_json(),
-        "depth": depth,
-        "attach": attach,
-        "battery": None,
-        "resolution": None,
+        "curve": curve.to_json() if curve is not None else None,
+        "field": curve.field.to_json() if curve is not None else None,
+        "depth": tree.depth,
+        "attach": tree.attach,
         "degrees": degrees,
-        "diagonal_reduction": measure_diagonal_reduction(field, depth, q_max, limits),
+        **spec.report_fields(tree.depth, q_max),
     }
 
 

@@ -13,3 +13,7 @@ class TooLargeError(RuntimeError):
         self.size = size
         self.ceiling = ceiling
         super().__init__(f"{what}: size {size} exceeds ceiling {ceiling}")
+
+    def at(self, where):
+        """The same refusal with where it happened appended in brackets."""
+        return TooLargeError(f"{self.what} [{where}]", self.size, self.ceiling)

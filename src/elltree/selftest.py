@@ -27,12 +27,12 @@ from .coefficients import (
     TOKEN_QUAD,
     TOKEN_UNITS,
     ZERO_MAP,
-    degree_zero_e2,
-    degree_zero_e2_monolithic,
+    TokenProvider,
+    assemble_system,
+    e2,
     e2_pair,
-    instantiate_tokens,
-    instantiated_rhs,
-    symbolic_e2,
+    e2_whole_tree,
+    predicted,
     symbolic_tokens,
 )
 from .curve import WeierstrassCurve
@@ -312,7 +312,7 @@ def abelianization_battery():
 
 def branch_battery():
     """Single-line subtrees collapse to their predicted token group."""
-    from .coefficients import _symbolic_branch_e2
+    from .coefficients import _branch_e2
 
     expected = {1: TOKEN_QUAD, 2: TOKEN_PGL2K, 3: TOKEN_UNITS}
     checks = 0
@@ -322,7 +322,7 @@ def branch_battery():
                 for res in (ZERO_MAP, ISO):
                     use = inst.with_resolution(res)
                     for attach in (1, 2) if (case == 2 and depth >= 2) else (1,):
-                        got = _symbolic_branch_e2(case, depth, attach, use)
+                        got = _branch_e2(use, case, depth, attach, 1)
                         want = (use.group_for(token), TRIVIAL_GROUP)
                         if got != want:
                             return False, (
@@ -341,10 +341,10 @@ def degree_zero_battery():
     """
     for curve in corpus_curves():
         tree = build_domain(curve.classify_all(), 2)
-        split = degree_zero_e2(tree)
+        split = e2(tree, None, 0)
         if split != (FgAbGroup(1, ()), TRIVIAL_GROUP):
             return False, f"degree-0 row wrong for {curve.to_json()}"
-        if split != degree_zero_e2_monolithic(tree):
+        if split != e2_whole_tree(tree, None, 0):
             return False, f"split and whole-tree degree-0 rows differ for {curve.to_json()}"
     return True, f"{len(corpus_curves())} corpus trees contractible, split = whole tree"
 
@@ -355,13 +355,13 @@ def invariance_battery():
         summary = curve.classify_all()
         for inst in BATTERIES.values():
             use = inst.with_resolution(ISO)
-            base = symbolic_e2(build_domain(summary, 1), use)
+            base = e2(build_domain(summary, 1), use, 1)
             for depth in (2, 5):
-                if symbolic_e2(build_domain(summary, depth), use) != base:
+                if e2(build_domain(summary, depth), use, 1) != base:
                     return False, f"truncation varied at depth {depth}"
-            if symbolic_e2(build_domain(summary, 3, attach=2), use) != base:
+            if e2(build_domain(summary, 3, attach=2), use, 1) != base:
                 return False, "cap attachment varied the answer"
-            if base != (instantiated_rhs(summary, use), TRIVIAL_GROUP):
+            if base != (predicted(summary, use, 1), TRIVIAL_GROUP):
                 return False, f"assembly missed the prediction for {inst.name}"
     return True, "truncation, attachment, instantiation stable"
 
@@ -373,11 +373,11 @@ def detectability_battery():
     tree = build_domain(summary, 1)
     tokens = symbolic_tokens(tree)
     inst = BATTERIES["A"]
-    clean = e2_pair(instantiate_tokens(tree, tokens, inst))
+    clean = e2_pair(assemble_system(tree, TokenProvider(tree, tokens, inst)))
     eid = next(e.eid for e in tree.edges if e.kind == "line-cusp")
     flipped = tokens.with_flipped_tag(eid, "tail", ZERO_MAP)
-    broken = e2_pair(instantiate_tokens(tree, flipped, inst))
-    if clean[0] != instantiated_rhs(summary, inst) or clean[1] != TRIVIAL_GROUP:
+    broken = e2_pair(assemble_system(tree, TokenProvider(tree, flipped, inst)))
+    if clean[0] != predicted(summary, inst, 1) or clean[1] != TRIVIAL_GROUP:
         return False, "clean system does not match the prediction"
     if broken == clean:
         return False, "flipped tag went unnoticed"

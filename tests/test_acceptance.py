@@ -18,13 +18,14 @@ from elltree.coefficients import (
     TOKEN_QUAD,
     TOKEN_UNITS,
     ZERO_MAP,
-    concrete_report,
-    degree_zero_e2,
+    ConcreteSpec,
+    TokenProvider,
+    assemble_system,
+    e2,
     e2_pair,
-    instantiate_tokens,
-    instantiated_rhs,
+    predicted,
+    report,
     report_to_json_text,
-    symbolic_report,
     symbolic_tokens,
 )
 from elltree.curve import SingularCurveError, WeierstrassCurve
@@ -65,13 +66,11 @@ def test_criterion_1_symbolic_reproduction():
             summary = curve.classify_all()
             for depth in (1, 2, 5, 10):
                 for inst in BATTERIES.values():
-                    predicted = instantiated_rhs(summary, inst)
-                    report = symbolic_report(
-                        summary, depth, inst, q_max=5, curve=curve, field=curve.field
-                    )
-                    for entry in report["degrees"]:
+                    expected = predicted(summary, inst, 1)
+                    rep = report(build_domain(summary, depth), inst, 5, curve)
+                    for entry in rep["degrees"]:
                         assert entry["verdict"] == "match"
-                        assert entry["assembled"] == predicted.to_json()
+                        assert entry["assembled"] == expected.to_json()
 
 
 def test_criterion_2_subtree_collapse():
@@ -84,10 +83,9 @@ def test_criterion_2_subtree_collapse():
                 token = expected_token[view.line_class.case]
                 for resolution in (ZERO_MAP, ISO):
                     inst = BATTERIES["A"].with_resolution(resolution)
-                    system = instantiate_tokens(
-                        tree, tokens, inst, view.vertex_ids, view.edge_ids
-                    )
-                    h0, h1 = e2_pair(system)
+                    provider = TokenProvider(tree, tokens, inst)
+                    complex_ = assemble_system(tree, provider, view.vertex_ids, view.edge_ids)
+                    h0, h1 = e2_pair(complex_)
                     assert h0 == inst.group_for(token)
                     assert h1 == TRIVIAL_GROUP
 
@@ -96,7 +94,7 @@ def test_criterion_3_degree_zero_row():
     with _Clock(1.0, "criterion 3: degree-0 row is (Z, 0)"):
         for curve in corpus_curves():
             tree = build_domain(curve.classify_all(), 2)
-            assert degree_zero_e2(tree) == (FgAbGroup(1, ()), TRIVIAL_GROUP)
+            assert e2(tree, None, 0) == (FgAbGroup(1, ()), TRIVIAL_GROUP)
 
 
 def test_criterion_4_counting_identities():
@@ -147,14 +145,16 @@ def test_criterion_7_concrete_experiment():
     with _Clock(300.0, "criterion 7: concrete pipeline over GF(2)"):
         for curve in f2_curves:
             for depth in (1, 2, 3):
-                report = concrete_report(curve, depth, q_max=2)
-                jsonschema.validate(report, REPORT_SCHEMA)
-                assert [d["i"] for d in report["degrees"]] == [1, 2]
-                for entry in report["degrees"]:
+                tree = build_domain(curve.classify_all(), depth)
+                rep = report(tree, ConcreteSpec(curve.field), 2, curve)
+                jsonschema.validate(rep, REPORT_SCHEMA)
+                assert [d["i"] for d in rep["degrees"]] == [1, 2]
+                for entry in rep["degrees"]:
                     assert entry["verdict"] in ("match", "mismatch", "caveat-extension")
-                assert len(report["diagonal_reduction"]) == 2 * depth
-                again = concrete_report(curve, depth, q_max=2)
-                assert report_to_json_text(report) == report_to_json_text(again)
+                assert len(rep["diagonal_reduction"]) == 2 * depth
+                again_tree = build_domain(curve.classify_all(), depth)
+                again = report(again_tree, ConcreteSpec(curve.field), 2, curve)
+                assert report_to_json_text(rep) == report_to_json_text(again)
 
 
 def test_criterion_8_robustness():
@@ -166,13 +166,13 @@ def test_criterion_8_robustness():
         tree = build_domain(summary, 1)
         tokens = symbolic_tokens(tree)
         inst = BATTERIES["A"]
-        predicted = instantiated_rhs(summary, inst)
-        clean = e2_pair(instantiate_tokens(tree, tokens, inst))
-        assert clean[0] == predicted and clean[1] == TRIVIAL_GROUP
+        expected = predicted(summary, inst, 1)
+        clean = e2_pair(assemble_system(tree, TokenProvider(tree, tokens, inst)))
+        assert clean[0] == expected and clean[1] == TRIVIAL_GROUP
         eid = next(e.eid for e in tree.edges if e.kind == "line-cusp")
         flipped = tokens.with_flipped_tag(eid, "tail", ZERO_MAP)
-        h0, h1 = e2_pair(instantiate_tokens(tree, flipped, inst))
-        verdict = "match" if (h0, h1) == (predicted, TRIVIAL_GROUP) else "mismatch"
+        h0, h1 = e2_pair(assemble_system(tree, TokenProvider(tree, flipped, inst)))
+        verdict = "match" if (h0, h1) == (expected, TRIVIAL_GROUP) else "mismatch"
         assert verdict == "mismatch"
 
 
@@ -180,8 +180,6 @@ def test_reach_symbolic_p251_depth_50():
     curve = WeierstrassCurve(make_field(251, 1), 0, 0, 0, -1, 0)
     with _Clock(10.0, "reach: symbolic p=251, depth 50"):
         summary = curve.classify_all()
-        report = symbolic_report(
-            summary, 50, BATTERIES["A"], q_max=5, curve=curve, field=curve.field
-        )
-        assert [d["i"] for d in report["degrees"]] == [1, 2, 3, 4, 5]
-        assert all(d["verdict"] != "mismatch" for d in report["degrees"])
+        rep = report(build_domain(summary, 50), BATTERIES["A"], 5, curve)
+        assert [d["i"] for d in rep["degrees"]] == [1, 2, 3, 4, 5]
+        assert all(d["verdict"] != "mismatch" for d in rep["degrees"])

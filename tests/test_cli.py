@@ -231,6 +231,62 @@ def test_bad_config_exit_one(tmp_path, capsys):
     assert code == 1 and "frob" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"battery": "Z"}',
+        b'{"resolution": "bogus"}',
+        b'{"attach": 0}',
+        b'{"attach": 3, "depth": 3}',
+        b'{"depth": true}',
+        b'{"curve": "\xff"}',
+    ],
+    ids=["battery", "resolution", "attach-0", "attach-3", "bool-depth", "not-utf8"],
+)
+def test_bad_config_value_exit_one(tmp_path, capsys, content):
+    # values from a config file get the same checks as the flags
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    code, out, err = run_cli(
+        capsys, "symbolic", "--p", "5", "--curve", "0,0,0,-1,0", "--config", str(cfg)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unwritable_out_exit_one(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "x.json"
+    code, out, err = run_cli(
+        capsys, "classify", "--p", "3", "--curve", "0,0,0,-1,0", "--out", str(target)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+
+
+# Refusal texts captured from the CLI before the symbolic and concrete
+# systems shared one assembler; the bracketed tags name the simplex and line.
+GF5_REFUSAL = (
+    "too large: bar homology of PGL2(GF(5)) [vertex cap[pt2.0]] [line x=0]: "
+    "size 120 exceeds ceiling 24\n"
+)
+GF7_REFUSAL = (
+    "too large: bar homology of Tri(GF(7),1)/N6 [vertex cusp[pt2.0,1]] [line x=0]: "
+    "size 42 exceeds ceiling 24\n"
+)
+
+
+@pytest.mark.parametrize(
+    "mode,p,text",
+    [("concrete", "5", GF5_REFUSAL), ("concrete", "7", GF7_REFUSAL), ("compare", "5", GF5_REFUSAL)],
+    ids=["concrete-gf5", "concrete-gf7", "compare-gf5"],
+)
+def test_refusal_text_is_pinned(capsys, mode, p, text):
+    code, out, err = run_cli(
+        capsys, mode, "--p", p, "--curve", "0,0,0,-1,0", "--depth", "1", "--q-max", "1"
+    )
+    assert (code, out, err) == (3, "", text)
+
+
 # ---------------------------------------------------------------------------
 # coefficient parsing details
 

@@ -26,31 +26,27 @@ from elltree.coefficients import (
     TOKEN_ZERO,
     UNCONSTRAINED,
     ZERO_MAP,
+    ConcreteSpec,
     EdgeTokens,
     Instantiation,
+    TokenProvider,
     TokenSystem,
     assemble_over_branches,
+    assemble_system,
     canonical_max_hom,
-    concrete_e2,
-    concrete_e2_monolithic,
-    concrete_report,
-    concrete_rhs,
-    degree_zero_e2,
-    degree_zero_e2_monolithic,
     degree_zero_tokens,
+    e2,
     e2_pair,
-    instantiate_tokens,
-    instantiated_rhs,
+    e2_whole_tree,
     measure_diagonal_reduction,
+    predicted,
+    report,
     report_to_json_text,
     rhs_tokens,
     rooted_branch_e2,
-    symbolic_e2,
-    symbolic_e2_monolithic,
-    symbolic_report,
     symbolic_tokens,
 )
-from elltree.coefficients import _concrete_branch_e2, _symbolic_branch_e2
+from elltree.coefficients import _branch_e2
 from elltree.curve import ClassificationSummary, WeierstrassCurve, synthetic_summary
 from elltree.errors import TooLargeError
 from elltree.field import make_field
@@ -160,7 +156,7 @@ def test_canonical_hom_well_defined_battery():
 @pytest.mark.parametrize("resolution", [ZERO_MAP, ISO])
 def test_branch_collapses_to_single_token(case, token, depth, battery, resolution):
     inst = BATTERIES[battery].with_resolution(resolution)
-    h0, h1 = _symbolic_branch_e2(case, depth, 1, inst)
+    h0, h1 = _branch_e2(inst, case, depth, 1, 1)
     assert h0 == inst.group_for(token)
     assert h1 == TRIVIAL_GROUP
 
@@ -170,7 +166,7 @@ def test_branch_collapses_to_single_token(case, token, depth, battery, resolutio
 @pytest.mark.parametrize("resolution", [ZERO_MAP, ISO])
 def test_branch_cap_attachment_insensitive(depth, battery, resolution):
     inst = BATTERIES[battery].with_resolution(resolution)
-    assert _symbolic_branch_e2(2, depth, 2, inst) == _symbolic_branch_e2(2, depth, 1, inst)
+    assert _branch_e2(inst, 2, depth, 2, 1) == _branch_e2(inst, 2, depth, 1, 1)
 
 
 def test_degree_zero_row_is_contractible():
@@ -178,16 +174,16 @@ def test_degree_zero_row_is_contractible():
     shapes += [c.classify_all() for c in corpus()[:2]]
     for summary in shapes:
         for depth in (1, 3):
-            h0, h1 = degree_zero_e2(build_domain(summary, depth))
+            h0, h1 = e2(build_domain(summary, depth), None, 0)
             assert h0 == fg(1)
             assert h1 == TRIVIAL_GROUP
 
 
 def test_empty_summary_degenerates():
     tree = build_domain(ClassificationSummary(()), 1)
-    assert symbolic_e2(tree, BATTERY_A) == (TRIVIAL_GROUP, TRIVIAL_GROUP)
-    assert symbolic_e2_monolithic(tree, BATTERY_A) == (TRIVIAL_GROUP, TRIVIAL_GROUP)
-    assert degree_zero_e2(tree) == (fg(1), TRIVIAL_GROUP)
+    assert e2(tree, BATTERY_A, 1) == (TRIVIAL_GROUP, TRIVIAL_GROUP)
+    assert e2_whole_tree(tree, BATTERY_A, 1) == (TRIVIAL_GROUP, TRIVIAL_GROUP)
+    assert e2(tree, None, 0) == (fg(1), TRIVIAL_GROUP)
 
 
 @pytest.mark.parametrize("depth,attach", [(1, 1), (3, 1), (3, 2)])
@@ -199,7 +195,7 @@ def test_degree_zero_split_equals_monolithic(depth, attach):
     ]
     for summary in shapes:
         tree = build_domain(summary, depth, attach)
-        assert degree_zero_e2(tree) == degree_zero_e2_monolithic(tree)
+        assert e2(tree, None, 0) == e2_whole_tree(tree, None, 0)
 
 
 # Pairwise distinct roles with free parts and torsion, so that branch H0s
@@ -247,15 +243,16 @@ def test_root_gluing_on_designed_branches(attach):
     tree = build_domain(synthetic_summary(case1=3, case2=1, case3=2), 2, attach)
     tokens, lone, cut, branch = designed_tokens(tree)
     views = tree.subtrees()
-    branches = [rooted_branch_e2(tree, tokens, DESIGNED, view) for view in views]
+    provider = TokenProvider(tree, tokens, DESIGNED)
+    branches = [rooted_branch_e2(tree, provider, view) for view in views]
     assert branches[views.index(lone)] == (fg(0, 6), TRIVIAL_GROUP, (1,))
     assert branches[views.index(cut)] == (fg(2), TRIVIAL_GROUP, (0, 0))
     h0, h1, _ = branches[views.index(branch)]
     assert (h0, h1) == (fg(2, 4), fg(1))
     glued = assemble_over_branches(
-        tree, lambda view: rooted_branch_e2(tree, tokens, DESIGNED, view), root_carries_z=True
+        tree, lambda view: rooted_branch_e2(tree, provider, view), root_carries_z=True
     )
-    assert glued == e2_pair(instantiate_tokens(tree, tokens, DESIGNED))
+    assert glued == e2_pair(assemble_system(tree, provider))
 
 
 def test_root_gluing_needs_z_at_the_root():
@@ -264,7 +261,7 @@ def test_root_gluing_needs_z_at_the_root():
     view = tree.subtrees()[0]
     tokens.edge_tokens[view.root_edge_id] = EdgeTokens(TOKEN_QUAD, ZERO_MAP, ZERO_MAP)
     with pytest.raises(ValueError):
-        rooted_branch_e2(tree, tokens, DESIGNED, view)
+        rooted_branch_e2(tree, TokenProvider(tree, tokens, DESIGNED), view)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +275,8 @@ def test_symbolic_matches_prediction_on_corpus(battery, resolution):
     for curve in corpus():
         summary = curve.classify_all()
         tree = build_domain(summary, 2)
-        h0, h1 = symbolic_e2(tree, inst)
-        assert h0 == instantiated_rhs(summary, inst)
+        h0, h1 = e2(tree, inst, 1)
+        assert h0 == predicted(summary, inst, 1)
         assert h1 == TRIVIAL_GROUP
 
 
@@ -287,15 +284,14 @@ def test_split_equals_monolithic():
     for curve in corpus():
         tree = build_domain(curve.classify_all(), 2)
         for inst in (BATTERY_A, BATTERY_B.with_resolution(ISO)):
-            assert symbolic_e2(tree, inst) == symbolic_e2_monolithic(tree, inst)
+            assert e2(tree, inst, 1) == e2_whole_tree(tree, inst, 1)
 
 
 def test_truncation_invariance():
     curve = corpus()[1]
     summary = curve.classify_all()
     reports = [
-        symbolic_report(summary, depth, BATTERY_A, q_max=5, curve=curve, field=curve.field)
-        for depth in (1, 2, 5, 10)
+        report(build_domain(summary, depth), BATTERY_A, 5, curve) for depth in (1, 2, 5, 10)
     ]
     for rep in reports[1:]:
         assert rep["degrees"] == reports[0]["degrees"]
@@ -307,7 +303,7 @@ def test_attachment_invariance():
         t1 = build_domain(summary, 3, attach=1)
         t2 = build_domain(summary, 3, attach=2)
         inst = BATTERY_B.with_resolution(ISO)
-        assert symbolic_e2(t1, inst) == symbolic_e2(t2, inst)
+        assert e2(t1, inst, 1) == e2(t2, inst, 1)
 
 
 def test_battery_sensitivity():
@@ -315,10 +311,24 @@ def test_battery_sensitivity():
     # point-fixing and twice-meeting lines assembles differently
     curve = corpus()[1]
     tree = build_domain(curve.classify_all(), 2)
-    a = symbolic_e2(tree, BATTERY_A)[0]
-    b = symbolic_e2(tree, BATTERY_B)[0]
+    a = e2(tree, BATTERY_A, 1)[0]
+    b = e2(tree, BATTERY_B, 1)[0]
     assert a != b
     assert a.rank == 4 and b.rank == 2
+
+
+def test_branch_cache_one_miss_per_shape():
+    # the cost of a symbolic report grows with the branch shapes, not the
+    # lines or degrees, and degree 0 is computed once for every spec
+    tree = build_domain(synthetic_summary(case1=2, case2=3, case3=2), 2)
+    shapes = 3
+    _branch_e2.cache_clear()
+    report(tree, BATTERY_A, 5)
+    assert _branch_e2.cache_info().misses == 2 * shapes  # battery A and degree 0
+    report(tree, BATTERY_B, 5)
+    assert _branch_e2.cache_info().misses == 3 * shapes
+    report(tree, ConcreteSpec(F2), 2)
+    assert _branch_e2.cache_info().misses == 5 * shapes  # degrees 1 and 2 only
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +367,9 @@ def test_rhs_tokens_with_empty_line():
 
 def test_instantiated_rhs_canonical_form():
     summary = CURVE_F2_A.classify_all()
-    assert instantiated_rhs(summary, BATTERY_A) == fg(1, 105)
-    assert instantiated_rhs(summary, BATTERY_B) == fg(1, 165)
+    for i in (1, 4):
+        assert predicted(summary, BATTERY_A, i) == fg(1, 105)
+        assert predicted(summary, BATTERY_B, i) == fg(1, 165)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +383,9 @@ def test_flipped_tag_changes_assembly():
     tokens = symbolic_tokens(tree)
     eid = next(e.eid for e in tree.edges if e.kind == "line-cusp")
     flipped = tokens.with_flipped_tag(eid, "tail", ZERO_MAP)
-    clean = e2_pair(instantiate_tokens(tree, tokens, BATTERY_A))
-    broken = e2_pair(instantiate_tokens(tree, flipped, BATTERY_A))
-    assert clean[0] == instantiated_rhs(summary, BATTERY_A)
+    clean = e2_pair(assemble_system(tree, TokenProvider(tree, tokens, BATTERY_A)))
+    broken = e2_pair(assemble_system(tree, TokenProvider(tree, flipped, BATTERY_A)))
+    assert clean[0] == predicted(summary, BATTERY_A, 1)
     assert clean[1] == TRIVIAL_GROUP
     # the uncancelled additive factor shows up in both columns
     assert broken[0] != clean[0]
@@ -398,7 +409,7 @@ def test_flip_requires_real_edge_side():
 def test_symbolic_report_all_match():
     for curve in corpus():
         summary = curve.classify_all()
-        rep = symbolic_report(summary, 2, BATTERY_A, q_max=5, curve=curve, field=curve.field)
+        rep = report(build_domain(summary, 2), BATTERY_A, 5, curve)
         assert rep["mode"] == "symbolic"
         assert rep["battery"] == "A"
         assert rep["resolution"] == ZERO_MAP
@@ -411,9 +422,8 @@ def test_symbolic_report_all_match():
 def test_symbolic_report_serialization_stable():
     curve = corpus()[0]
     summary = curve.classify_all()
-    args = dict(q_max=3, curve=curve, field=curve.field)
-    one = report_to_json_text(symbolic_report(summary, 2, BATTERY_A, **args))
-    two = report_to_json_text(symbolic_report(summary, 2, BATTERY_A, **args))
+    one = report_to_json_text(report(build_domain(summary, 2), BATTERY_A, 3, curve))
+    two = report_to_json_text(report(build_domain(summary, 2), BATTERY_A, 3, curve))
     assert one == two
     parsed = json.loads(one)
     assert parsed["degrees"][0]["assembled"] == {"rank": 4, "torsion": [3, 3, 3, 3]}
@@ -423,25 +433,29 @@ def test_symbolic_report_serialization_stable():
 # concrete runs over GF(2)
 
 
+def concrete_report(curve, depth, q_max):
+    return report(build_domain(curve.classify_all(), depth), ConcreteSpec(curve.field), q_max, curve)
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_concrete_branch_closed_forms_degree_one(depth):
     limits = BarLimits()
     pairs = depth * (depth - 1) // 2
-    assert _concrete_branch_e2(1, depth, 1, F2, 1, limits) == (fg(0, 3), TRIVIAL_GROUP)
-    assert _concrete_branch_e2(2, depth, 1, F2, 1, limits) == (
+    assert _branch_e2(ConcreteSpec(F2, limits), 1, depth, 1, 1) == (fg(0, 3), TRIVIAL_GROUP)
+    assert _branch_e2(ConcreteSpec(F2, limits), 2, depth, 1, 1) == (
         fg(0, *(2,) * depth),
         TRIVIAL_GROUP,
     )
-    assert _concrete_branch_e2(3, depth, 1, F2, 1, limits) == (
+    assert _branch_e2(ConcreteSpec(F2, limits), 3, depth, 1, 1) == (
         fg(0, *(2,) * (2 * depth)),
         TRIVIAL_GROUP,
     )
-    assert _concrete_branch_e2(1, depth, 1, F2, 2, limits) == (TRIVIAL_GROUP, TRIVIAL_GROUP)
-    assert _concrete_branch_e2(2, depth, 1, F2, 2, limits) == (
+    assert _branch_e2(ConcreteSpec(F2, limits), 1, depth, 1, 2) == (TRIVIAL_GROUP, TRIVIAL_GROUP)
+    assert _branch_e2(ConcreteSpec(F2, limits), 2, depth, 1, 2) == (
         fg(0, *(2,) * pairs),
         TRIVIAL_GROUP,
     )
-    assert _concrete_branch_e2(3, depth, 1, F2, 2, limits) == (
+    assert _branch_e2(ConcreteSpec(F2, limits), 3, depth, 1, 2) == (
         fg(0, *(2,) * (2 * pairs)),
         TRIVIAL_GROUP,
     )
@@ -452,42 +466,42 @@ def test_concrete_split_equals_monolithic():
         for depth in (1, 2):
             tree = build_domain(curve.classify_all(), depth)
             for q in (1, 2):
-                split = concrete_e2(tree, q, F2)
-                mono = concrete_e2_monolithic(tree, q, F2)
+                split = e2(tree, ConcreteSpec(F2), q)
+                mono = e2_whole_tree(tree, ConcreteSpec(F2), q)
                 assert split == mono
 
 
 def test_concrete_full_tree_frozen_values():
     tree = build_domain(CURVE_F2_A.classify_all(), 2)
-    assert concrete_e2(tree, 1, F2)[0] == fg(0, 2, 2, 2, 2, 2, 6)
-    assert concrete_e2(tree, 2, F2)[0] == fg(0, 2, 2, 2)
+    assert e2(tree, ConcreteSpec(F2), 1)[0] == fg(0, 2, 2, 2, 2, 2, 6)
+    assert e2(tree, ConcreteSpec(F2), 2)[0] == fg(0, 2, 2, 2)
     tree_b = build_domain(CURVE_F2_B.classify_all(), 1)
     # two point-fixing lines and one twice-meeting line, each chain C2
-    assert concrete_e2(tree_b, 1, F2)[0] == fg(0, 2, 2, 2, 2)
+    assert e2(tree_b, ConcreteSpec(F2), 1)[0] == fg(0, 2, 2, 2, 2)
 
 
 def test_concrete_rhs_over_f2():
     summary = CURVE_F2_A.classify_all()
-    assert concrete_rhs(summary, F2, 1) == fg(0, 6)
-    assert concrete_rhs(summary, F2, 2) == TRIVIAL_GROUP
+    assert predicted(summary, ConcreteSpec(F2), 1) == fg(0, 6)
+    assert predicted(summary, ConcreteSpec(F2), 2) == TRIVIAL_GROUP
 
 
 def test_concrete_report_verdicts_honest():
-    rep1 = concrete_report(CURVE_F2_A, 1, q_max=2)
+    rep1 = concrete_report(CURVE_F2_A, 1, 2)
     assert [d["verdict"] for d in rep1["degrees"]] == ["mismatch", "match"]
-    rep2 = concrete_report(CURVE_F2_A, 2, q_max=2)
+    rep2 = concrete_report(CURVE_F2_A, 2, 2)
     assert [d["verdict"] for d in rep2["degrees"]] == ["mismatch", "mismatch"]
     assert rep2["battery"] is None and rep2["resolution"] is None
 
 
 def test_concrete_report_schema_and_determinism():
     jsonschema = pytest.importorskip("jsonschema")
-    rep = concrete_report(CURVE_F2_A, 2, q_max=2)
+    rep = concrete_report(CURVE_F2_A, 2, 2)
     jsonschema.validate(rep, REPORT_SCHEMA)
     text = report_to_json_text(rep)
-    again = report_to_json_text(concrete_report(CURVE_F2_A, 2, q_max=2))
+    again = report_to_json_text(concrete_report(CURVE_F2_A, 2, 2))
     assert text == again
-    sym = symbolic_report(CURVE_F2_A.classify_all(), 2, BATTERY_A, q_max=3)
+    sym = report(build_domain(CURVE_F2_A.classify_all(), 2), BATTERY_A, 3)
     jsonschema.validate(sym, REPORT_SCHEMA)
 
 
@@ -512,7 +526,7 @@ def test_too_large_names_offending_line():
     curve = corpus()[1]
     tree = build_domain(curve.classify_all(), 1)
     with pytest.raises(TooLargeError) as exc:
-        concrete_e2(tree, 1, curve.field)
+        e2(tree, ConcreteSpec(curve.field), 1)
     msg = str(exc.value)
     assert "PGL2" in msg
     assert "[line x=" in msg
@@ -522,6 +536,6 @@ def test_larger_ceiling_admits_larger_fields():
     # raising the order ceiling lets the GF(3) cap through at depth 1
     limits = BarLimits(max_order=360, max_degree=3, dense_columns=600)
     field = make_field(3, 1)
-    h0, h1 = _concrete_branch_e2(1, 1, 1, field, 1, limits)
+    h0, h1 = _branch_e2(ConcreteSpec(field, limits), 1, 1, 1, 1)
     assert h0 == fg(0, 4)
     assert h1 == TRIVIAL_GROUP

@@ -3,8 +3,10 @@
 The files under tests/golden/ were written by the CLI before the
 refactors they guard: the symbolic and first concrete and classify cases
 before the degree-zero row was split over line branches, the compare,
-degree-3, GF(3) and GF(4) cases before IntMatrix became sparse.  Any
-later change must reproduce them byte for byte, exit code included.  A second
+degree-3, GF(3) and GF(4) cases before IntMatrix became sparse, and the
+two cap-attachment-2 cases before symbolic and concrete systems shared
+one assembler.  Any later change must reproduce them byte for byte, exit
+code included.  A second
 test runs the CLI in fresh interpreters under several hash seeds, since
 determinism within one process says nothing about set or dict ordering
 that depends on PYTHONHASHSEED.
@@ -45,6 +47,11 @@ CASES = [
     ("concrete_p2_k2_d1_q1.json", 0,
      ["concrete", "--p", "2", "--k", "2", "--curve", "0,0,1,0,0", "--depth", "1",
       "--q-max", "1", "--allow-large"]),
+    ("symbolic_p5_e5_d3_attach2.json", 0,
+     ["symbolic", "--p", "5", "--curve", E5, "--depth", "3", "--attach", "2", "--q-max", "3"]),
+    ("concrete_p2_d2_attach2_q2.json", 2,
+     ["concrete", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "2", "--attach", "2",
+      "--q-max", "2"]),
 ]
 
 
