@@ -6,9 +6,10 @@ them out per simplex, vertex_group(vid) and edge_data(eid) -> (edge group,
 map toward tail, map toward head), and assemble_system builds the complex
 below from them.  A spec names a system and the report about it:
 provider(tree, q) makes its degree-q provider, system_degree(q) names the
-degree q' whose system stands for q >= 1, rhs_group(token, i) is the
-predicted degree-i group of a role token, and report_fields(depth, q_max)
-gives its own report fields.  Two specs:
+degree q' whose system stands for q >= 1, preflight(tree, q_max) refuses
+what a report up to q_max would refuse before anything is built,
+rhs_group(token, i) is the predicted degree-i group of a role token, and
+report_fields(depth, q_max) gives its own report fields.  Two specs:
 
   symbolic (Instantiation): groups are role tokens (one per stabilizer
     type) and maps are tags (iso / zero / unconstrained), instantiated
@@ -18,7 +19,9 @@ gives its own report fields.  Two specs:
 
   concrete (ConcreteSpec): groups are the integral homology of actual
     finite stabilizer groups over a chosen field, and maps are induced by
-    explicit inclusion homomorphisms.
+    explicit inclusion homomorphisms.  Its preflight assembles the same
+    system with SizingProvider, which checks the ceilings on each
+    stabilizer's closed-form (name, order) and builds nothing.
 
 In degree 0 every spec has the constant unit system Z (UNIT_SYSTEM); _system
 maps (spec, q) to the system that is computed.  Each system yields a
@@ -56,22 +59,18 @@ from .abelian import (
 from .curve import synthetic_summary
 from .errors import TooLargeError
 from .groups import (
+    CHAIN_DATA,
     DEFAULT_LIMITS,
-    GroupHom,
-    additive_group,
-    additive_to_cusp,
+    PRESENTATION,
     bar_homology,
-    cusp_chain_inclusion,
-    cusp_group,
-    cusp_to_pgl2,
-    cyclic,
+    check_ceilings,
     diagonal_to_triangular,
     homology_presentation,
     induced_map,
-    pgl2,
-    quad_units_group,
-    unit_group,
-    units_to_cusp,
+    stabilizer,
+    stabilizer_inclusion,
+    stabilizer_size,
+    triangular_size,
 )
 from .tree import build_domain, point_label
 
@@ -131,6 +130,9 @@ class Instantiation:
 
     def provider(self, tree, q):
         return TokenProvider(tree, symbolic_tokens(tree), self)
+
+    def preflight(self, tree, q_max):
+        """Token systems build no finite group, so nothing to refuse."""
 
     def rhs_group(self, token, i):
         return self.group_for(token)
@@ -306,50 +308,34 @@ class TokenProvider:
 # concrete systems over a finite field
 
 
-# The finite group behind each role token, looked up when called so that
-# rebinding a module-level name (as perfbench/traced.py does) reaches it.
-_ROLE_GROUPS = {
-    TOKEN_PGL2K: lambda field: pgl2(field),
-    TOKEN_UNITS: lambda field: unit_group(field),
-    TOKEN_QUAD: lambda field: quad_units_group(field)[0],
-    TOKEN_ADDITIVE: lambda field: additive_group(field),
+# The stabilizer kind (see groups.stabilizer) behind each role token.
+_KIND_OF_TOKEN = {
+    TOKEN_PGL2K: "pgl2",
+    TOKEN_UNITS: "units",
+    TOKEN_QUAD: "quad_units",
+    TOKEN_ADDITIVE: "additive",
 }
 
 
-def _identity_hom(group):
-    return GroupHom(group, group, range(group.order))
-
-
-def _concrete_vertex_group(vertex, case_of_line, field):
+def _vertex_stabilizer(vertex, case_of_line):
     if vertex.kind == "root":
-        return cyclic(1)
+        return ("trivial",)
     if vertex.kind == "line":
-        return _ROLE_GROUPS[_LINE_TOKEN_BY_CASE[case_of_line[vertex.line]]](field)
+        return (_KIND_OF_TOKEN[_LINE_TOKEN_BY_CASE[case_of_line[vertex.line]]],)
     if vertex.kind == "cusp":
-        return cusp_group(field, vertex.depth)[0]
-    return pgl2(field)
+        return ("cusp", vertex.depth)
+    return ("pgl2",)
 
 
-def _concrete_edge_data(edge, case_of_line, field):
-    """(edge group, hom toward tail, hom toward head) for a non-root edge."""
+def _edge_stabilizer(edge, case_of_line):
+    """The key of a non-root edge's group; it maps into both endpoints'."""
     if edge.kind == "line-cusp":
-        if case_of_line[edge.line] == 2:
-            g = additive_group(field)
-            return g, _identity_hom(g), additive_to_cusp(field)
-        g = unit_group(field)
-        return g, _identity_hom(g), units_to_cusp(field)
+        return ("additive",) if case_of_line[edge.line] == 2 else ("units",)
     if edge.kind == "cusp-cusp":
-        g = cusp_group(field, edge.depth)[0]
-        return g, _identity_hom(g), cusp_chain_inclusion(field, edge.depth)
-    # cusp-cap: the edge carries the depth-1 group; toward the cusp it
-    # includes up to the attachment depth, toward the cap it maps into
-    # the full projective group
-    g = cusp_group(field, 1)[0]
-    if edge.depth == 1:
-        to_tail = _identity_hom(g)
-    else:
-        to_tail = cusp_chain_inclusion(field, 1)
-    return g, to_tail, cusp_to_pgl2(field)
+        return ("cusp", edge.depth)
+    # cusp-cap: the depth-1 group, included up to the attachment depth
+    # toward the cusp and into the full projective group toward the cap
+    return ("cusp", 1)
 
 
 class ConcreteProvider:
@@ -366,10 +352,12 @@ class ConcreteProvider:
         self.case_of_line = {lc.label: lc.case for lc in tree.summary.lines}
         self.presented = {}
 
+    def _vertex_key(self, vid):
+        return _vertex_stabilizer(self.tree.vertices[vid], self.case_of_line)
+
     def vertex_group(self, vid):
         if vid not in self.presented:
-            group = _concrete_vertex_group(self.tree.vertices[vid], self.case_of_line, self.field)
-            self.presented[vid] = homology_presentation(group, self.q, self.limits)
+            self.presented[vid] = self._presentation(self._vertex_key(vid))
         return self.presented[vid]
 
     def edge_data(self, eid):
@@ -378,12 +366,45 @@ class ConcreteProvider:
             trivial = PresentedGroup(0)
             tail, head = self.vertex_group(e.tail), self.vertex_group(e.head)
             return trivial, AbHom.zero(trivial, tail), AbHom.zero(trivial, head)
-        group, to_tail, to_head = _concrete_edge_data(e, self.case_of_line, self.field)
+        key = _edge_stabilizer(e, self.case_of_line)
         return (
-            homology_presentation(group, self.q, self.limits),
-            induced_map(to_tail, self.q, self.limits),
-            induced_map(to_head, self.q, self.limits),
+            self._presentation(key),
+            self._induced(key, self._vertex_key(e.tail)),
+            self._induced(key, self._vertex_key(e.head)),
         )
+
+    def _presentation(self, key):
+        return homology_presentation(stabilizer(self.field, key), self.q, self.limits)
+
+    def _induced(self, source, target):
+        hom = stabilizer_inclusion(self.field, source, target)
+        return induced_map(hom, self.q, self.limits)
+
+
+class SizingProvider(ConcreteProvider):
+    """ConcreteProvider's ceiling checks on closed-form sizes; builds nothing.
+
+    Every group it hands out is 0, so assembling its system walks and tags
+    the simplices as the real system would, at almost no cost.
+    """
+
+    def _presentation(self, key):
+        check_ceilings(*stabilizer_size(self.field, key), self.q, self.limits, PRESENTATION)
+        return PresentedGroup(0)
+
+    def _induced(self, source, target):
+        for key in (source, target):
+            check_ceilings(*stabilizer_size(self.field, key), self.q, self.limits, CHAIN_DATA)
+        return AbHom.zero(PresentedGroup(0), PresentedGroup(0))
+
+
+@dataclass(frozen=True)
+class _Sizing:
+    field: object
+    limits: object
+
+    def provider(self, tree, q):
+        return SizingProvider(tree, self.field, q, self.limits)
 
 
 @dataclass(frozen=True)
@@ -399,8 +420,18 @@ class ConcreteSpec:
     def provider(self, tree, q):
         return ConcreteProvider(tree, self.field, q, self.limits)
 
+    def preflight(self, tree, q_max):
+        """Refuse as the run up to q_max would, from closed-form sizes only.
+
+        Degrees 1..q_max, branches in line order, each through the real
+        assembler, so the first refusal and its tags are the run's own.
+        """
+        sizing = _Sizing(self.field, self.limits)
+        for q in range(1, q_max + 1):
+            _system_e2(tree, sizing, q, _branch_system_e2)
+
     def rhs_group(self, token, i):
-        return bar_homology(_ROLE_GROUPS[token](self.field), i, self.limits)
+        return bar_homology(stabilizer(self.field, (_KIND_OF_TOKEN[token],)), i, self.limits)
 
     def report_fields(self, depth, q_max):
         diagonal = measure_diagonal_reduction(self.field, depth, q_max, self.limits)
@@ -529,8 +560,7 @@ def _branch_tree(case, depth, attach):
     return build_domain(summary, depth, attach if case == 2 else 1)
 
 
-@lru_cache(maxsize=None)
-def _branch_e2(spec, case, depth, attach, q):
+def _branch_system_e2(spec, case, depth, attach, q):
     """(H0, H1) of one branch of a system that _system names, and for the
     unit system also the class c of its root edge (rooted_branch_e2)."""
     tree = _branch_tree(case, depth, attach)
@@ -541,10 +571,15 @@ def _branch_e2(spec, case, depth, attach, q):
     return e2_pair(assemble_system(tree, provider, view.vertex_ids, view.edge_ids))
 
 
-def _system_e2(tree, spec, q):
+_branch_e2 = lru_cache(maxsize=None)(_branch_system_e2)
+
+
+def _system_e2(tree, spec, q, branch_e2=None):
+    """E2 glued from branch_e2 per branch, by default the cached _branch_e2."""
+    branch_e2 = branch_e2 or _branch_e2
     return assemble_over_branches(
         tree,
-        lambda v: _branch_e2(spec, v.line_class.case, tree.depth, tree.attach, q),
+        lambda v: branch_e2(spec, v.line_class.case, tree.depth, tree.attach, q),
         root_carries_z=spec is UNIT_SYSTEM,
     )
 
@@ -618,13 +653,16 @@ def measure_diagonal_reduction(field, depth, q_max, limits=DEFAULT_LIMITS):
     Measured on the matrix-level groups (before the central quotient):
     the inclusion (a, d) -> (a, d, 0) of the diagonal into the depth-n
     triangular group.  Entries that exceed the ceilings are recorded as
-    skipped rather than guessed.
+    skipped rather than guessed, from the groups' closed-form sizes
+    before either is built.
     """
     out = []
     for n in range(1, depth + 1):
         for q in range(1, q_max + 1):
             entry = {"depth": n, "degree": q}
             try:
+                for name, order in (triangular_size(field, 0), triangular_size(field, n)):
+                    check_ceilings(name, order, q, limits, CHAIN_DATA)
                 f = induced_map(diagonal_to_triangular(field, n), q, limits)
                 entry["isomorphism"] = f.is_isomorphism()
             except TooLargeError as exc:
@@ -636,11 +674,14 @@ def measure_diagonal_reduction(field, depth, q_max, limits=DEFAULT_LIMITS):
 def report(tree, spec, q_max, curve=None):
     """Per-degree comparison of spec's assembled homology with the prediction.
 
-    E2 and the prediction are computed once per distinct system, and E2
-    of every degree 0..q_max before any prediction, so a refusal comes
-    from the tree's stabilizers first.  Degrees whose extension part is
-    nonzero are flagged instead of asserted.
+    The spec's preflight first refuses what the run would refuse, before
+    anything is built.  E2 and the prediction are computed once per
+    distinct system, and E2 of every degree 0..q_max before any
+    prediction, so a refusal comes from the tree's stabilizers first.
+    Degrees whose extension part is nonzero are flagged instead of
+    asserted.
     """
+    spec.preflight(tree, q_max)
     system = [_system(spec, q) for q in range(q_max + 1)]
     e2_of = {s: _system_e2(tree, *s) for s in dict.fromkeys(system)}
     predicted_of = {s: predicted(tree.summary, spec, s[1]) for s in dict.fromkeys(system[1:])}

@@ -11,6 +11,12 @@ free complex is reduced with the exact integer machinery from the abelian
 module.  Ceilings keep tuple counts bounded; beyond the size where the
 change-of-basis data is retained (needed for induced maps) the invariants
 are still computed from the rank of d_q and the Smith divisors of d_{q+1}.
+
+Every stabilizer constructor has a closed form beside it, *_size(...) ->
+(name, order), which builds nothing; the constructor takes its name from
+it.  check_ceilings is the one ceiling test on (name, order, degree):
+callers size a run from the closed forms and refuse before any table is
+built, and the homology routines apply it again to the groups they get.
 """
 
 from dataclasses import dataclass
@@ -28,7 +34,7 @@ from .abelian import (
     invariant_factors,
 )
 from .errors import TooLargeError
-from .field import quadratic_extension
+from .field import make_field, quadratic_extension
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,37 @@ class BarLimits:
 
 
 DEFAULT_LIMITS = BarLimits()
+
+# What needs the chain data that dense_columns bounds, as check_ceilings
+# names it in a refusal.
+PRESENTATION = "homology presentation"
+CHAIN_DATA = "induced map chain data"
+
+
+def _tuple_count(order, q):
+    """Normalized bar generators in degree q of a group of this order."""
+    return max(order - 1, 1) ** q if order > 1 else (1 if q == 0 else 0)
+
+
+def check_ceilings(name, order, q, limits, dense=None):
+    """Refuse degree-q homology of a group of this name and order.
+
+    max_order is checked first, then max_degree; with dense set to what
+    needs the chain data (PRESENTATION or CHAIN_DATA), also the tuple
+    count (|G|-1)^(q+1) against dense_columns.
+
+    >>> check_ceilings("PGL2(GF(5))", 120, 1, DEFAULT_LIMITS)
+    Traceback (most recent call last):
+    ...
+    elltree.errors.TooLargeError: bar homology of PGL2(GF(5)): size 120 exceeds ceiling 24
+    """
+    if order > limits.max_order:
+        raise TooLargeError(f"bar homology of {name}", order, limits.max_order)
+    if q > limits.max_degree:
+        raise TooLargeError(f"homology degree for {name}", q, limits.max_degree)
+    count = _tuple_count(order, q + 1)
+    if dense is not None and count > limits.dense_columns:
+        raise TooLargeError(f"{dense} for {name}", count, limits.dense_columns)
 
 
 class FiniteGroup:
@@ -158,8 +195,12 @@ def hom_from_function(source, target, fn):
 # constructors
 
 
+def cyclic_size(n):
+    return f"C{n}", n
+
+
 def cyclic(n):
-    return group_from_elements(range(n), lambda a, b: (a + b) % n, name=f"C{n}")
+    return group_from_elements(range(n), lambda a, b: (a + b) % n, name=cyclic_size(n)[0])
 
 
 def direct_product(g, h):
@@ -171,12 +212,24 @@ def direct_product(g, h):
     )
 
 
+def unit_group_size(field):
+    return f"{field!r}^*", field.order - 1
+
+
+@lru_cache(maxsize=None)
 def unit_group(field):
-    return group_from_elements(field.units(), lambda a, b: a * b, name=f"{field!r}^*")
+    return group_from_elements(field.units(), lambda a, b: a * b, name=unit_group_size(field)[0])
 
 
+def additive_group_size(field):
+    return f"{field!r}+", field.order
+
+
+@lru_cache(maxsize=None)
 def additive_group(field):
-    return group_from_elements(field.elements(), lambda a, b: a + b, name=f"{field!r}+")
+    return group_from_elements(
+        field.elements(), lambda a, b: a + b, name=additive_group_size(field)[0]
+    )
 
 
 def _det2(m):
@@ -207,6 +260,12 @@ def pgl2_canonical(m):
     return tuple(v * inv for v in m)
 
 
+def pgl2_size(field):
+    q = field.order
+    return f"PGL2({field!r})", q * (q * q - 1)
+
+
+@lru_cache(maxsize=None)
 def pgl2(field):
     """GL2 modulo scalars; elements are the scaled canonical representatives."""
     seen = {}
@@ -221,9 +280,15 @@ def pgl2(field):
         e, f, g, h = y
         return pgl2_canonical((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
 
-    return group_from_elements(els, mul, name=f"PGL2({field!r})")
+    return group_from_elements(els, mul, name=pgl2_size(field)[0])
 
 
+def triangular_size(field, n):
+    q = field.order
+    return f"Tri({field!r},{n})", (q - 1) ** 2 * q ** n
+
+
+@lru_cache(maxsize=None)
 def triangular_group(field, n):
     """Matrices [[p, q], [0, s]] with units p, s and q an n-vector entry.
 
@@ -240,7 +305,7 @@ def triangular_group(field, n):
         p2, s2, q2 = y
         return (p1 * p2, s1 * s2, tuple(p1 * b + a * s2 for a, b in zip(q1, q2)))
 
-    return group_from_elements(els, mul, name=f"Tri({field!r},{n})")
+    return group_from_elements(els, mul, name=triangular_size(field, n)[0])
 
 
 def scalar_subgroup_indices(tri):
@@ -283,11 +348,12 @@ def commutator_subgroup(group):
     return subgroup_closure(group, comms)
 
 
-def quotient_by_normal(group, subgroup_indices):
+def quotient_by_normal(group, subgroup_indices, name=None):
     """(quotient group, projection hom) for a normal subgroup.
 
     Coset representatives are the least member of each coset, so the
-    construction is deterministic.
+    construction is deterministic.  The quotient is named G/N|N| unless
+    a name is given.
     """
     sub = set(subgroup_indices)
     if group.identity not in sub:
@@ -315,18 +381,18 @@ def quotient_by_normal(group, subgroup_indices):
         for a in reps
     ]
     quotient = FiniteGroup([group.elements[r] for r in reps], table,
-                           name=f"{group.name}/N{len(sub)}")
+                           name=name or f"{group.name}/N{len(sub)}")
     proj = GroupHom(group, quotient, [coset_of[g] for g in range(group.order)])
     return quotient, proj
 
 
-def quotient_by_central(group, subgroup_indices):
+def quotient_by_central(group, subgroup_indices, name=None):
     """Quotient by a subgroup required to be central."""
     for n in subgroup_indices:
         for g in range(group.order):
             if group.table[n][g] != group.table[g][n]:
                 raise ValueError("subgroup is not central")
-    return quotient_by_normal(group, subgroup_indices)
+    return quotient_by_normal(group, subgroup_indices, name)
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +467,6 @@ def _bar_data(group, q):
     return BarHomology(group, q)
 
 
-def _check_limits(group, q, limits):
-    if group.order > limits.max_order:
-        raise TooLargeError(f"bar homology of {group.name}", group.order, limits.max_order)
-    if q > limits.max_degree:
-        raise TooLargeError(f"homology degree for {group.name}", q, limits.max_degree)
-
-
-def _tuple_count(group, q):
-    return max(group.order - 1, 1) ** q if group.order > 1 else (1 if q == 0 else 0)
-
-
 @lru_cache(maxsize=None)
 def _bar_invariants_large(group, q):
     """Rank-nullity route for sizes where the cycle basis is not kept."""
@@ -445,8 +500,8 @@ def bar_homology(group, q, limits=DEFAULT_LIMITS):
         return TRIVIAL_GROUP
     if q == 0:
         return FgAbGroup(1, ())
-    _check_limits(group, q, limits)
-    if _tuple_count(group, q + 1) <= limits.dense_columns:
+    check_ceilings(group.name, group.order, q, limits)
+    if _tuple_count(group.order, q + 1) <= limits.dense_columns:
         return _bar_data(group, q).canonical()
     return _bar_invariants_large(group, q)
 
@@ -459,10 +514,7 @@ def induced_map(hom, q, limits=DEFAULT_LIMITS):
     normalized bar complexes (tuples hitting the identity are dropped).
     """
     for g in (hom.source, hom.target):
-        _check_limits(g, q, limits)
-        if _tuple_count(g, q + 1) > limits.dense_columns:
-            raise TooLargeError(f"induced map chain data for {g.name}",
-                                _tuple_count(g, q + 1), limits.dense_columns)
+        check_ceilings(g.name, g.order, q, limits, CHAIN_DATA)
     src = _bar_data(hom.source, q)
     tgt = _bar_data(hom.target, q)
     if q == 0:
@@ -489,10 +541,7 @@ def induced_map(hom, q, limits=DEFAULT_LIMITS):
 
 def homology_presentation(group, q, limits=DEFAULT_LIMITS):
     """The presented homology group in degree q (dense path only)."""
-    _check_limits(group, q, limits)
-    if _tuple_count(group, q + 1) > limits.dense_columns:
-        raise TooLargeError(f"homology presentation for {group.name}",
-                            _tuple_count(group, q + 1), limits.dense_columns)
+    check_ceilings(group.name, group.order, q, limits, PRESENTATION)
     return _bar_data(group, q).presented
 
 
@@ -533,6 +582,11 @@ def abelianization(group):
 # stabilizer-flavored constructions tied to a field
 
 
+def cusp_group_size(field, n):
+    q = field.order
+    return f"{triangular_size(field, n)[0]}/N{q - 1}", (q - 1) * q ** n
+
+
 @lru_cache(maxsize=None)
 def cusp_group(field, n):
     """(quotient, projection, triangular parent) of the depth-n cusp group.
@@ -542,7 +596,9 @@ def cusp_group(field, n):
     projective action.
     """
     tri = triangular_group(field, n)
-    quotient, proj = quotient_by_central(tri, scalar_subgroup_indices(tri))
+    quotient, proj = quotient_by_central(
+        tri, scalar_subgroup_indices(tri), cusp_group_size(field, n)[0]
+    )
     return quotient, proj, tri
 
 
@@ -597,14 +653,20 @@ def cusp_to_pgl2(field):
     return hom_from_function(q1, target, fn)
 
 
+def quad_units_size(field):
+    """Builds only the extension field, which refuses as quad_units_group does."""
+    q = field.order
+    ext = make_field(field.p, 2 * field.k)
+    return f"{unit_group_size(ext)[0]}/N{q - 1}", q + 1
+
+
 @lru_cache(maxsize=None)
 def quad_units_group(field):
     """Units of the quadratic extension modulo the embedded base units."""
     ext, emb = quadratic_extension(field)
     big = unit_group(ext)
     embedded = sorted(big.index[emb(u)] for u in field.units())
-    quotient, proj = quotient_by_central(big, embedded)
-    return quotient, proj
+    return quotient_by_central(big, embedded, quad_units_size(field)[0])
 
 
 @lru_cache(maxsize=None)
@@ -619,3 +681,52 @@ def diagonal_to_triangular(field, n):
         return (p, s, zero_vec)
 
     return hom_from_function(torus, tri, fn)
+
+
+# ---------------------------------------------------------------------------
+# the tree's stabilizers by key: (kind, *arguments after the field)
+
+
+# kind -> (constructor, closed form).  Constructors are looked up when
+# called so that rebinding a module-level name (as perfbench/traced.py
+# does) reaches them.
+_STABILIZERS = {
+    "trivial": (lambda field: cyclic(1), lambda field: cyclic_size(1)),
+    "pgl2": (lambda field: pgl2(field), pgl2_size),
+    "units": (lambda field: unit_group(field), unit_group_size),
+    "quad_units": (lambda field: quad_units_group(field)[0], quad_units_size),
+    "additive": (lambda field: additive_group(field), additive_group_size),
+    "cusp": (lambda field, n: cusp_group(field, n)[0], cusp_group_size),
+}
+
+# (source kind, target kind) -> the inclusion along a tree edge, called
+# with the field and the source key
+_INCLUSIONS = {
+    ("additive", "cusp"): lambda field, source: additive_to_cusp(field),
+    ("units", "cusp"): lambda field, source: units_to_cusp(field),
+    ("cusp", "cusp"): lambda field, source: cusp_chain_inclusion(field, source[1]),
+    ("cusp", "pgl2"): lambda field, source: cusp_to_pgl2(field),
+}
+
+
+def stabilizer(field, key):
+    """The group a key names, such as ("pgl2",) or ("cusp", 2)."""
+    return _STABILIZERS[key[0]][0](field, *key[1:])
+
+
+def stabilizer_size(field, key):
+    """(name, order) of stabilizer(field, key), in closed form."""
+    return _STABILIZERS[key[0]][1](field, *key[1:])
+
+
+def stabilizer_inclusion(field, source, target):
+    """The hom from one stabilizer into another along a tree edge.
+
+    The identity when the keys are equal; otherwise the inclusion of k or
+    k^* as a depth-1 cusp group, of one cusp group into the next deeper
+    one, or of the depth-1 cusp group into PGL2.
+    """
+    if source == target:
+        group = stabilizer(field, source)
+        return GroupHom(group, group, range(group.order))
+    return _INCLUSIONS[source[0], target[0]](field, source)

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from elltree import cli
 from elltree.abelian import FgAbGroup, TRIVIAL_GROUP
 from elltree.coefficients import (
     BATTERIES,
@@ -183,3 +184,21 @@ def test_reach_symbolic_p251_depth_50():
         rep = report(build_domain(summary, 50), BATTERIES["A"], 5, curve)
         assert [d["i"] for d in rep["degrees"]] == [1, 2, 3, 4, 5]
         assert all(d["verdict"] != "mismatch" for d in rep["degrees"])
+
+
+def test_refusals_before_building(capsys, cold_caches):
+    # item 5: a refusal is decided from closed-form sizes, so it costs
+    # classification and a walk of the tree, never a group table
+    e5 = "0,0,0,-1,0"
+    depth1 = ["--depth", "1", "--q-max", "1"]
+    runs = [
+        ["concrete", "--p", "5", "--curve", e5] + depth1,
+        ["concrete", "--p", "7", "--curve", e5] + depth1,
+        ["concrete", "--p", "2", "--k", "3", "--curve", "0,0,1,0,0"] + depth1,
+        ["concrete", "--p", "3", "--k", "2", "--curve", e5] + depth1,
+        ["concrete", "--p", "3", "--curve", e5, "--depth", "2", "--q-max", "2", "--allow-large"],
+    ]
+    with _Clock(1.0, "refusals: five concrete runs refused before building"):
+        for argv in runs:
+            assert cli.main(argv) == 3
+            assert capsys.readouterr().err.startswith("too large: ")

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from elltree import groups
 from elltree.cli import main, parse_curve_coefficients, CliError
 from elltree.coefficients import REPORT_SCHEMA
 
@@ -264,7 +265,9 @@ def test_unwritable_out_exit_one(tmp_path, capsys):
 
 
 # Refusal texts captured from the CLI before the symbolic and concrete
-# systems shared one assembler; the bracketed tags name the simplex and line.
+# systems shared one assembler (GF(5), GF(7)), and before refusals were
+# decided from closed-form sizes (the rest); the bracketed tags name the
+# simplex and line.
 GF5_REFUSAL = (
     "too large: bar homology of PGL2(GF(5)) [vertex cap[pt2.0]] [line x=0]: "
     "size 120 exceeds ceiling 24\n"
@@ -273,17 +276,69 @@ GF7_REFUSAL = (
     "too large: bar homology of Tri(GF(7),1)/N6 [vertex cusp[pt2.0,1]] [line x=0]: "
     "size 42 exceeds ceiling 24\n"
 )
-
-
-@pytest.mark.parametrize(
-    "mode,p,text",
-    [("concrete", "5", GF5_REFUSAL), ("concrete", "7", GF7_REFUSAL), ("compare", "5", GF5_REFUSAL)],
-    ids=["concrete-gf5", "concrete-gf7", "compare-gf5"],
+GF8_REFUSAL = (
+    "too large: bar homology of Tri(GF(2^3),1)/N7 [vertex cusp[pt3.0+,1]] [line x=0:0:0]: "
+    "size 56 exceeds ceiling 24\n"
 )
-def test_refusal_text_is_pinned(capsys, mode, p, text):
-    code, out, err = run_cli(
-        capsys, mode, "--p", p, "--curve", "0,0,0,-1,0", "--depth", "1", "--q-max", "1"
-    )
+GF9_REFUSAL = (
+    "too large: bar homology of Tri(GF(3^2),1)/N8 [vertex cusp[pt2.0,1]] [line x=0:0]: "
+    "size 72 exceeds ceiling 24\n"
+)
+GF3_LARGE_REFUSAL = (
+    "too large: homology presentation for PGL2(GF(3)) [vertex cap[pt2.0]] [line x=0]: "
+    "size 12167 exceeds ceiling 9000\n"
+)
+GF2_Q4_REFUSAL = (
+    "too large: homology presentation for PGL2(GF(2)) [vertex cap[pt2.0]] [line x=inf]: "
+    "size 625 exceeds ceiling 600\n"
+)
+
+E5 = "0,0,0,-1,0"
+DEPTH1 = ("--depth", "1", "--q-max", "1")
+# (argv, stderr, ceiling on group order in force)
+REFUSALS = {
+    "concrete-gf5": (("concrete", "--p", "5", "--curve", E5) + DEPTH1, GF5_REFUSAL, 24),
+    "concrete-gf7": (("concrete", "--p", "7", "--curve", E5) + DEPTH1, GF7_REFUSAL, 24),
+    "compare-gf5": (("compare", "--p", "5", "--curve", E5) + DEPTH1, GF5_REFUSAL, 24),
+    "concrete-gf8": (
+        ("concrete", "--p", "2", "--k", "3", "--curve", "0,0,1,0,0") + DEPTH1, GF8_REFUSAL, 24,
+    ),
+    "concrete-gf9": (
+        ("concrete", "--p", "3", "--k", "2", "--curve", E5) + DEPTH1, GF9_REFUSAL, 24,
+    ),
+    "concrete-gf3-large": (
+        ("concrete", "--p", "3", "--curve", E5, "--depth", "2", "--q-max", "2", "--allow-large"),
+        GF3_LARGE_REFUSAL,
+        360,
+    ),
+    "concrete-gf2-q4": (
+        ("concrete", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "1", "--q-max", "4"),
+        GF2_Q4_REFUSAL,
+        24,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,text", [r[:2] for r in REFUSALS.values()], ids=list(REFUSALS))
+def test_refusal_text_is_pinned(capsys, argv, text):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", text)
+
+
+@pytest.mark.parametrize("argv,text,max_order", REFUSALS.values(), ids=list(REFUSALS))
+def test_refusal_builds_no_refused_group(capsys, monkeypatch, cold_caches, argv, text, max_order):
+    # a group over the order ceiling, or the group the refusal names, may
+    # not even get a multiplication table
+    build = groups.group_from_elements
+
+    def guarded(elements, mul, name="", **kwargs):
+        elements = list(elements)
+        if len(elements) > max_order or f" {name} [" in text:
+            raise AssertionError(f"built {name} ({len(elements)} elements) before refusing")
+        return build(elements, mul, name=name, **kwargs)
+
+    monkeypatch.setattr(groups, "group_from_elements", guarded)
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (3, "", text)
 
 

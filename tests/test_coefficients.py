@@ -46,11 +46,13 @@ from elltree.coefficients import (
     rooted_branch_e2,
     symbolic_tokens,
 )
+from elltree import groups
+from elltree.cli import LARGE_LIMITS
 from elltree.coefficients import _branch_e2
 from elltree.curve import ClassificationSummary, WeierstrassCurve, synthetic_summary
 from elltree.errors import TooLargeError
 from elltree.field import make_field
-from elltree.groups import BarLimits
+from elltree.groups import DEFAULT_LIMITS, BarLimits
 from elltree.selftest import corpus_curves
 from elltree.tree import build_domain
 
@@ -530,6 +532,79 @@ def test_too_large_names_offending_line():
     msg = str(exc.value)
     assert "PGL2" in msg
     assert "[line x=" in msg
+
+
+def _first_refusal(run):
+    try:
+        run()
+    except TooLargeError as exc:
+        return str(exc)
+    return None
+
+
+# (curve, depth, q_max, limits, refuses): at a cap, at a cusp, in degree 3
+# after two degrees of work, in degree 2 with raised ceilings; then runs
+# that complete
+PREFLIGHT_CASES = [
+    (corpus()[1], 1, 1, DEFAULT_LIMITS, True),
+    (corpus()[2], 1, 1, DEFAULT_LIMITS, True),
+    (CURVE_F2_A, 1, 4, DEFAULT_LIMITS, True),
+    (corpus()[0], 2, 2, LARGE_LIMITS, True),
+    (CURVE_F2_B, 2, 2, DEFAULT_LIMITS, False),
+    (corpus()[0], 1, 1, DEFAULT_LIMITS, False),
+]
+
+
+@pytest.mark.parametrize(
+    "curve,depth,q_max,limits,refuses",
+    PREFLIGHT_CASES,
+    ids=["gf5-cap", "gf7-cusp", "gf2-degree3", "gf3-large-degree2", "gf2-completes",
+         "gf3-completes"],
+)
+def test_preflight_refuses_exactly_as_the_run(curve, depth, q_max, limits, refuses):
+    # the closed-form walk against the built groups' own checks, which
+    # e2 applies as it meets the stabilizers
+    tree = build_domain(curve.classify_all(), depth)
+    spec = ConcreteSpec(curve.field, limits)
+    sized = _first_refusal(lambda: spec.preflight(tree, q_max))
+    built = _first_refusal(lambda: [e2(tree, spec, q) for q in range(1, q_max + 1)])
+    assert sized == built
+    assert (sized is not None) == refuses
+
+
+def test_diagonal_skip_builds_nothing(monkeypatch, cold_caches):
+    build = groups.group_from_elements
+
+    def guarded(elements, mul, name="", **kwargs):
+        elements = list(elements)
+        assert len(elements) <= 24, f"built {name} for a skipped entry"
+        return build(elements, mul, name=name, **kwargs)
+
+    monkeypatch.setattr(groups, "group_from_elements", guarded)
+    entries = measure_diagonal_reduction(make_field(3, 1), 2, 1)
+    assert entries[1] == {
+        "depth": 2,
+        "degree": 1,
+        "skipped": "bar homology of Tri(GF(3),2): size 36 exceeds ceiling 24",
+    }
+
+
+def test_report_builds_each_group_once(monkeypatch, cold_caches):
+    # the table constructors are cached, so a GF(4) run builds PGL2(GF(4))
+    # once for the cap and the prediction's factors alike
+    build = groups.group_from_elements
+    names = []
+
+    def counted(elements, mul, name="", **kwargs):
+        names.append(name)
+        return build(elements, mul, name=name, **kwargs)
+
+    monkeypatch.setattr(groups, "group_from_elements", counted)
+    curve = WeierstrassCurve(make_field(2, 2), 0, 0, 1, 0, 0)
+    tree = build_domain(curve.classify_all(), 1)
+    report(tree, ConcreteSpec(curve.field, LARGE_LIMITS), 1, curve)
+    assert "PGL2(GF(2^2))" in names
+    assert sorted(names) == sorted(set(names))
 
 
 def test_larger_ceiling_admits_larger_fields():

@@ -3,10 +3,12 @@
 The files under tests/golden/ were written by the CLI before the
 refactors they guard: the symbolic and first concrete and classify cases
 before the degree-zero row was split over line branches, the compare,
-degree-3, GF(3) and GF(4) cases before IntMatrix became sparse, and the
+degree-3, GF(3) and GF(4) cases before IntMatrix became sparse, the
 two cap-attachment-2 cases before symbolic and concrete systems shared
-one assembler.  Any later change must reproduce them byte for byte, exit
-code included.  A second
+one assembler, and the GF(3) depth-2 case, whose diagonal reduction has
+a skipped entry, before refusals were decided from closed-form sizes.
+Any later change must reproduce them byte for byte, exit code included.
+A second
 test runs the CLI in fresh interpreters under several hash seeds, since
 determinism within one process says nothing about set or dict ordering
 that depends on PYTHONHASHSEED.
@@ -52,6 +54,8 @@ CASES = [
     ("concrete_p2_d2_attach2_q2.json", 2,
      ["concrete", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "2", "--attach", "2",
       "--q-max", "2"]),
+    ("concrete_p3_e5_d2_q1.json", 0,
+     ["concrete", "--p", "3", "--curve", E5, "--depth", "2", "--q-max", "1"]),
 ]
 
 

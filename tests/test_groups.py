@@ -21,17 +21,24 @@ from elltree.abelian import (
 from elltree.errors import TooLargeError
 from elltree.field import make_field, quadratic_extension
 from elltree.groups import (
+    CHAIN_DATA,
+    DEFAULT_LIMITS,
+    PRESENTATION,
     BarLimits,
     FiniteGroup,
     abelianization,
     additive_group,
+    additive_group_size,
     additive_to_cusp,
     bar_homology,
+    check_ceilings,
     commutator_subgroup,
     cusp_chain_inclusion,
     cusp_group,
+    cusp_group_size,
     cusp_to_pgl2,
     cyclic,
+    cyclic_size,
     diagonal_to_triangular,
     direct_product,
     gl2,
@@ -41,13 +48,17 @@ from elltree.groups import (
     induced_map,
     pgl2,
     pgl2_canonical,
+    pgl2_size,
     quad_units_group,
+    quad_units_size,
     quotient_by_central,
     quotient_by_normal,
     scalar_subgroup_indices,
     subgroup_closure,
     triangular_group,
+    triangular_size,
     unit_group,
+    unit_group_size,
     units_to_cusp,
 )
 
@@ -390,6 +401,63 @@ def test_too_large_guards():
     with pytest.raises(TooLargeError):
         induced_map(hom_from_function(cyclic(3), cyclic(3), lambda a: a), 1,
                     BarLimits(max_order=24, max_degree=3, dense_columns=1))
+
+
+def test_check_ceilings_order_of_checks():
+    # max_order before max_degree before the tuple count; the dense check
+    # only when asked for, under the name of what needs the chain data
+    small = BarLimits(max_order=24, max_degree=3, dense_columns=600)
+    cases = [
+        ((25, 9, None), "bar homology of G: size 25 exceeds ceiling 24"),
+        ((24, 4, PRESENTATION), "homology degree for G: size 4 exceeds ceiling 3"),
+        ((6, 3, PRESENTATION), "homology presentation for G: size 625 exceeds ceiling 600"),
+        ((6, 3, CHAIN_DATA), "induced map chain data for G: size 625 exceeds ceiling 600"),
+    ]
+    for (order, q, dense), text in cases:
+        with pytest.raises(TooLargeError) as info:
+            check_ceilings("G", order, q, small, dense)
+        assert str(info.value) == text
+    check_ceilings("G", 6, 3, small)
+    check_ceilings("G", 6, 2, small, PRESENTATION)
+
+
+def test_too_large_guards_apply_check_ceilings():
+    # the built-group routines refuse with the texts of check_ceilings
+    g = cyclic(30)
+    for call in (lambda: bar_homology(g, 1), lambda: homology_presentation(g, 1),
+                 lambda: induced_map(hom_from_function(g, g, lambda a: a), 1)):
+        with pytest.raises(TooLargeError) as info:
+            call()
+        with pytest.raises(TooLargeError) as expected:
+            check_ceilings(g.name, g.order, 1, DEFAULT_LIMITS)
+        assert str(info.value) == str(expected.value)
+
+
+# (p, k, largest vector depth n); GF(5) stops at n = 1 because Tri(GF(5),2)
+# has 400 elements and its table alone takes seconds
+CLOSED_FORM_FIELDS = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 1)]
+
+
+@pytest.mark.parametrize("p,k,depth", CLOSED_FORM_FIELDS, ids=lambda v: str(v))
+def test_closed_forms_match_built_groups(p, k, depth):
+    f = make_field(p, k)
+    pairs = [
+        (pgl2_size(f), pgl2(f)),
+        (unit_group_size(f), unit_group(f)),
+        (additive_group_size(f), additive_group(f)),
+        (quad_units_size(f), quad_units_group(f)[0]),
+    ]
+    for n in range(depth + 1):
+        pairs.append((triangular_size(f, n), triangular_group(f, n)))
+        if n:
+            pairs.append((cusp_group_size(f, n), cusp_group(f, n)[0]))
+    for closed, built in pairs:
+        assert closed == (built.name, built.order)
+
+
+def test_cyclic_closed_form_size():
+    for n in (1, 2, 7):
+        assert cyclic_size(n) == (cyclic(n).name, cyclic(n).order)
 
 
 # ---------------------------------------------------------------------------
