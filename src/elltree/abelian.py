@@ -176,7 +176,9 @@ class _SmithEngine:
     Maintains U * M * V = S throughout, where U and V are products of
     elementary row and column operations.  U and Vinv are stored row-major,
     V column-major, so each update touches one vector.  The row dicts of M
-    are taken over and reduced in place.
+    are taken over and reduced in place.  After run(), u_matrix() and
+    vinv_matrix() are column-major copies, so applying one to a sparse
+    vector costs only the nonzeros it touches.
     """
 
     def __init__(self, row_dicts, nrows, ncols, want_u=False, want_v=False, want_vinv=False):
@@ -343,6 +345,10 @@ class _SmithEngine:
             else:
                 i += 1
         self.diag = [self.rows[i].get(i, 0) for i in range(limit)]
+        if self.U is not None:
+            self._u = IntMatrix.from_sparse_cols(_transpose_dicts(self.U, self.m), self.m)
+        if self.Vinv is not None:
+            self._vinv = IntMatrix.from_sparse_cols(_transpose_dicts(self.Vinv, self.n), self.n)
         return self
 
     # exports
@@ -352,7 +358,10 @@ class _SmithEngine:
         return IntMatrix.from_sparse_cols(cols + [{}] * (self.n - len(cols)), self.m)
 
     def u_matrix(self):
-        return IntMatrix.from_sparse_cols(_transpose_dicts(self.U, self.m), self.m)
+        return self._u
+
+    def vinv_matrix(self):
+        return self._vinv
 
     def v_matrix(self):
         return IntMatrix.from_sparse_cols(self.V, self.n)
@@ -360,20 +369,6 @@ class _SmithEngine:
     def kernel_cols(self):
         """Sparse basis columns of the integer kernel (needs V tracking)."""
         return [dict(self.V[j]) for j in range(self.rank, self.n)]
-
-
-def _rows_matvec(rows, col_dict):
-    """A row-major transform (the engine's U or Vinv) applied to a sparse column."""
-    out = {}
-    for i, row in enumerate(rows):
-        acc = 0
-        for j, v in col_dict.items():
-            w = row.get(j)
-            if w:
-                acc += w * v
-        if acc:
-            out[i] = acc
-    return out
 
 
 def _engine_for(mat, **want):
@@ -452,14 +447,42 @@ class FgAbGroup:
 TRIVIAL_GROUP = FgAbGroup(0, ())
 
 
+@lru_cache(maxsize=None)
+def prime_powers(n):
+    """The prime powers r^e exactly dividing n >= 1, as (r, r^e) pairs."""
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            power = 1
+            while n % r == 0:
+                n //= r
+                power *= r
+            out.append((r, power))
+        r += 1
+    if n > 1:
+        out.append((n, n))
+    return tuple(out)
+
+
 def direct_sum_groups(groups):
-    """Canonical form of a direct sum, recomputed through Smith reduction."""
+    """Canonical form of a direct sum, from elementary divisors.
+
+    Each torsion order splits into prime powers; per prime they are sorted
+    ascending and right-aligned, and the invariant factors are the products
+    across primes at each position (Cohen, GTM 138, 2.4).  No elimination.
+    """
     rank = sum(g.rank for g in groups)
-    orders = [d for g in groups for d in g.torsion]
-    if not orders:
-        return FgAbGroup(rank, ())
-    diag = IntMatrix.from_sparse_cols([{i: d} for i, d in enumerate(orders)], len(orders))
-    factors = [d for d in invariant_factors(diag) if d > 1]
+    by_prime = {}
+    for g in groups:
+        for d in g.torsion:
+            for r, power in prime_powers(d):
+                by_prime.setdefault(r, []).append(power)
+    n = max(map(len, by_prime.values()), default=0)
+    factors = [1] * n
+    for powers in by_prime.values():
+        powers.sort()
+        for i, power in enumerate(powers, n - len(powers)):
+            factors[i] *= power
     return FgAbGroup(rank, tuple(factors))
 
 
@@ -522,7 +545,7 @@ def canonical_with_class(presented, chain):
     reduced into [0, d).  Unit invariant factors carry no coordinate.
     """
     eng = _engine_for(presented.relations, want_u=True)
-    y = _rows_matvec(eng.U, chain)
+    y = eng.u_matrix().matvec(chain)
     torsion = [i for i in range(eng.rank) if eng.diag[i] > 1]
     group = FgAbGroup(presented.gens - eng.rank, tuple(eng.diag[i] for i in torsion))
     coords = [y.get(i, 0) for i in range(eng.rank, presented.gens)]
@@ -540,7 +563,7 @@ class _Lattice:
     def contains(self, col_dict):
         if not col_dict:
             return True
-        y = _rows_matvec(self._eng.U, col_dict)
+        y = self._eng.u_matrix().matvec(col_dict)
         for i, v in y.items():
             if i >= self._eng.rank:
                 return False
@@ -659,7 +682,7 @@ class CyclePresentation:
 
     def coords_of_cycle(self, chain_dict):
         """Coordinates of a cycle in the kernel basis, as a sparse dict."""
-        y = _rows_matvec(self._eng.Vinv, chain_dict)
+        y = self._eng.vinv_matrix().matvec(chain_dict)
         if any(i < self.rank for i in y):
             raise AssertionError("chain is not a cycle")
         return {i - self.rank: v for i, v in y.items()}
@@ -713,8 +736,9 @@ def homology_at(complex_, n):
     # the cycle lattice; both lie inside it, so the division is exact
     mod_cols = (d_next.cols if d_next is not None else ()) + group.relations.cols
     rel_cols = []
+    u = eng2.u_matrix()
     for m in mod_cols:
-        y = _rows_matvec(eng2.U, m)
+        y = u.matvec(m)
         col = {}
         for i, v in y.items():
             if i >= s or v % eng2.diag[i]:

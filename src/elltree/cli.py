@@ -18,7 +18,7 @@ import json
 import sys
 
 from .coefficients import BATTERIES, ConcreteSpec, report, report_to_json_text
-from .curve import SingularCurveError, WeierstrassCurve
+from .curve import ClassificationSummary, SingularCurveError, WeierstrassCurve
 from .errors import TooLargeError
 from .field import make_field
 from .groups import BarLimits, DEFAULT_LIMITS
@@ -205,8 +205,23 @@ def _spec(mode, args, field):
     return ConcreteSpec(field, LARGE_LIMITS if args.allow_large else DEFAULT_LIMITS)
 
 
+def _preflight_first_line(args, field, curve):
+    """The concrete preflight's first check, on the line x = 0 alone.
+
+    The preflight runs degrees in its outer loop and lines in element
+    order in its inner one, so its first check is degree 1 on this line,
+    and a refusal here is exactly the one the full preflight would give.
+    It comes before every line is classified.
+    """
+    first = ClassificationSummary((curve.classify_line(field.zero),))
+    tree = build_domain(first, args.depth, args.attach)
+    _spec("concrete", args, field).preflight(tree, 1)
+
+
 def _run_reports(args, field, curve):
     """One report; compare builds both over one tree and adds an agreement table."""
+    if args.mode != "symbolic":
+        _preflight_first_line(args, field, curve)
     tree = build_domain(curve.classify_all(), args.depth, args.attach)
     if args.mode != "compare":
         rep = report(tree, _spec(args.mode, args, field), args.q_max, curve)

@@ -41,6 +41,7 @@ one quadratic-units factor per line missing the curve entirely.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd
@@ -502,6 +503,12 @@ def assemble_over_branches(tree, branch_e2, root_carries_z=False):
     as rooted_branch_e2 does; the pair (tree, branches + root) then leaves
     Z_root + sum H0 <-- Z^(root edges), edge |-> c - root, whose H0 is the
     tree's and whose H1, free, splits off the tree's H1 beside sum H1.
+
+    That star complex is built for one branch of each distinct (H0, H1, c)
+    only.  For m branches with the same (A, H1, c), the basis change
+    (a1, ..., am) -> (a1 + ... + am, a2, ..., am) of A^m leaves one copy
+    on the root and m - 1 copies of A <-- Z, 1 |-> c, each adding A/<c> to
+    H0, and Z to H1 when c has finite order.
     """
     branches = []
     for view in tree.subtrees():
@@ -512,6 +519,18 @@ def assemble_over_branches(tree, branch_e2, root_carries_z=False):
     h1s = [b[1] for b in branches]
     if not root_carries_z:
         return direct_sum_groups([b[0] for b in branches]), direct_sum_groups(h1s)
+    copies = Counter(branches)  # in order of first appearance
+    h0, h1 = _star_glue(list(copies))
+    h0s, extra = [h0], [h1]
+    for (a, _, c), m in copies.items():
+        h0s += [_quotient_by_class(a, c)] * (m - 1)
+        if not any(c[: a.rank]):
+            extra += [FgAbGroup(1, ())] * (m - 1)
+    return direct_sum_groups(h0s), direct_sum_groups(h1s + extra)
+
+
+def _star_glue(branches):
+    """(H0, H1) of Z_root + sum H0 <-- Z^(branches), edge |-> c - root."""
     h0s = [PresentedGroup.free(1)] + [PresentedGroup.from_group(b[0]) for b in branches]
     cols, offset = [], 1
     for _, _, c in branches:
@@ -519,7 +538,14 @@ def assemble_over_branches(tree, branch_e2, root_carries_z=False):
         offset += len(c)
     c0, c1 = PresentedGroup.direct_sum(h0s), PresentedGroup.free(len(branches))
     glue = ChainComplexFg([c0, c1], [AbHom(c1, c0, IntMatrix.from_sparse_cols(cols, c0.gens))])
-    return homology_at(glue, 0), direct_sum_groups(h1s + [homology_at(glue, 1)])
+    return homology_at(glue, 0), homology_at(glue, 1)
+
+
+def _quotient_by_class(group, c):
+    """group / <c>, for c in the canonical presentation of group."""
+    presented = PresentedGroup.from_group(group)
+    col = IntMatrix.from_sparse_cols([{i: v for i, v in enumerate(c) if v}], presented.gens)
+    return PresentedGroup(presented.gens, presented.relations.hstack(col)).canonical()
 
 
 def rooted_branch_e2(tree, provider, view):

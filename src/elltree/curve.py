@@ -15,7 +15,7 @@ coefficient-system stages consume, so it can also be built synthetically.
 
 from dataclasses import dataclass
 
-from .field import solve_monic_quadratic
+from .field import coded_field, solve_monic_quadratic
 
 INFINITY = "inf"
 
@@ -59,9 +59,7 @@ INFINITY_POINT = CurvePoint()
 
 def line_label(l):
     """Canonical printable label for a vertical line x = l."""
-    if l == INFINITY:
-        return INFINITY
-    return repr(l)
+    return str(l)
 
 
 @dataclass(frozen=True)
@@ -212,8 +210,22 @@ class WeierstrassCurve:
         return LineClass(l, len(ys) + 1, points)
 
     def classify_all(self):
-        """Summary over every line, affine lines in element order, infinity last."""
-        lines = [self.classify_line(l) for l in self.field.elements()]
+        """Summary over every line, affine lines in element order, infinity last.
+
+        One pass over element codes (field.coded_field), so no field
+        element is built or multiplied per line; classify_line, line by
+        line, is the reference.
+        """
+        field = self.field
+        codes = coded_field(field)
+        add, mul, line_roots = codes.add, codes.mul, codes.line_roots
+        a1, a2, a3, a4, a6 = map(field.index, (self.a1, self.a2, self.a3, self.a4, self.a6))
+        elements = field.elements()
+        lines = []
+        for l, x in enumerate(elements):
+            # on x = l: y^2 + (a1*l + a3)*y = ((l + a2)*l + a4)*l + a6
+            ys = line_roots(add(mul(a1, l), a3), add(mul(add(mul(add(l, a2), l), a4), l), a6))
+            lines.append(LineClass(x, len(ys) + 1, tuple(CurvePoint(x, elements[y]) for y in ys)))
         lines.append(self.classify_line(INFINITY))
         return ClassificationSummary(tuple(lines))
 

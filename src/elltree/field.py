@@ -9,6 +9,7 @@ produce identical outputs.
 
 from itertools import product
 
+from .abelian import prime_powers
 from .errors import TooLargeError
 
 DEFAULT_ORDER_CEILING = 2 ** 16
@@ -202,7 +203,7 @@ class FiniteField:
         self.zero = FieldElement(self, (0,) * k)
         self.one = FieldElement(self, (1,) + (0,) * (k - 1))
         self._elements = None
-        self._sqrt_table = None
+        self._nonsquare_unit = None
 
     def __eq__(self, other):
         if not isinstance(other, FiniteField):
@@ -271,24 +272,50 @@ class FiniteField:
             b = b ** self.p
         return acc
 
+    def index(self, a):
+        """Position of a in elements(): its coefficients read as base-p digits."""
+        i = 0
+        for c in self(a).coeffs:
+            i = i * self.p + c
+        return i
+
     def sqrt(self, a):
         """A square root of a, or None.
 
         In odd characteristic the root with the lexicographically least
         coefficient vector is returned; in characteristic 2 squaring is a
-        bijection and the unique root is returned.
+        bijection and the unique root is returned.  Odd characteristic
+        goes through Tonelli-Shanks, so one root costs O(log q)
+        multiplications and no pass over the field.
         """
         a = self(a)
         if self.p == 2:
             return a ** (self.order // 2)
-        if self._sqrt_table is None:
-            table = {}
-            for x in self.elements():
-                sq = x * x
-                if sq.coeffs not in table:
-                    table[sq.coeffs] = x
-            self._sqrt_table = table
-        return self._sqrt_table.get(a.coeffs)
+        if a.is_zero():
+            return a
+        q1 = self.order - 1
+        if a ** (q1 // 2) != self.one:
+            return None
+        s, t = 0, q1  # q - 1 = 2^s * t with t odd
+        while t % 2 == 0:
+            s, t = s + 1, t // 2
+        c, x, b = self._nonsquare() ** t, a ** ((t + 1) // 2), a ** t
+        while b != self.one:
+            i, b2 = 0, b  # least i with b^(2^i) = 1
+            while b2 != self.one:
+                i, b2 = i + 1, b2 * b2
+            f = c ** (2 ** (s - i - 1))
+            x, c, s = x * f, f * f, i
+            b = b * c
+        return min(x, -x)
+
+    def _nonsquare(self):
+        """The first non-square unit in element order (odd characteristic)."""
+        if self._nonsquare_unit is None:
+            half = (self.order - 1) // 2
+            units = (self(c) for c in product(range(self.p), repeat=self.k) if any(c))
+            self._nonsquare_unit = next(z for z in units if z ** half != self.one)
+        return self._nonsquare_unit
 
     def to_json(self):
         return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
@@ -400,3 +427,188 @@ def solve_monic_quadratic(field, b, c):
     if s.is_zero():
         return [(-b) * half]
     return sorted([(-b + s) * half, (-b - s) * half])
+
+
+# ---------------------------------------------------------------------------
+# int-coded arithmetic for one pass over a whole field
+
+
+def _generator(field):
+    """The first unit in element order that generates the unit group.
+
+    g generates it exactly when g^((q-1)/r) != 1 for every prime r | q-1.
+    """
+    q1 = field.order - 1
+    exponents = [q1 // r for r, _ in prime_powers(q1)]
+    return next(
+        g for g in field.elements()[1:] if all(g ** e != field.one for e in exponents)
+    )
+
+
+def _power_codes(field, g):
+    """Codes of g^0, g^1, ..., g^(q-2), by repeated multiplication by g."""
+    p, k = field.p, field.k
+    g_terms = [(j, c) for j, c in enumerate(g.coeffs) if c]
+    mod_terms = [(i, c) for i, c in enumerate(field.modulus[:k]) if c]
+    v = [1] + [0] * (k - 1)
+    codes = []
+    for _ in range(field.order - 1):
+        code = 0
+        for c in v:
+            code = code * p + c
+        codes.append(code)
+        prod = [0] * (2 * k - 1)
+        for i, vi in enumerate(v):
+            if vi:
+                for j, gj in g_terms:
+                    prod[i + j] += vi * gj
+        for d in range(2 * k - 2, k - 1, -1):
+            c = prod[d] % p
+            if c:
+                for i, m in mod_terms:
+                    prod[d - k + i] -= c * m
+        v = [c % p for c in prod[:k]]
+    return codes
+
+
+def coded_field(field):
+    """Arithmetic on element codes: code i stands for field.elements()[i].
+
+    A code reads the coefficient vector as base-p digits, constant term
+    most significant, so codes sort as the elements do.  Each object
+    offers add, mul and line_roots(b, r), the sorted roots y of
+    y^2 + b*y = r.  Its tables cost O(q) to build, once per object.
+    """
+    if field.p == 2:
+        return _BinaryCodes(field)
+    if field.k == 1:
+        return _PrimeCodes(field.p)
+    return _ZechCodes(field)
+
+
+class _OddCodes:
+    """Roots through the discriminant, in odd characteristic."""
+
+    def _constants(self, p):
+        self._four = 4 % p * self.one
+        self._half = (p + 1) // 2 * self.one
+        self._minus_half = (p - 1) // 2 * self.one
+
+    def line_roots(self, b, r):
+        disc = self.add(self.mul(b, b), self.mul(self._four, r))
+        m = self.mul(b, self._minus_half)
+        if not disc:
+            return (m,)
+        s = self.sqrt(disc)
+        if s is None:
+            return ()
+        t = self.mul(s, self._half)
+        return tuple(sorted((self.add(m, t), self.add(m, self.neg(t)))))
+
+
+class _PrimeCodes(_OddCodes):
+    """GF(p) for odd p: codes are residues, square roots from one table."""
+
+    def __init__(self, p):
+        self.p, self.one = p, 1
+        self._constants(p)
+        root = [None] * p
+        for y in range(p):
+            sq = y * y % p
+            if root[sq] is None:
+                root[sq] = y
+        self._root = root
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def sqrt(self, a):
+        return self._root[a]
+
+
+class _LogCodes:
+    """Multiplication through log/antilog tables of a generator g."""
+
+    def __init__(self, field):
+        self.one = field.p ** (field.k - 1)
+        self._q1 = field.order - 1
+        exp = _power_codes(field, _generator(field))
+        log = [None] * field.order
+        for n, c in enumerate(exp):
+            log[c] = n
+        self._exp, self._log = exp + exp, log
+
+    def mul(self, a, b):
+        if a and b:
+            return self._exp[self._log[a] + self._log[b]]
+        return 0
+
+
+class _ZechCodes(_LogCodes, _OddCodes):
+    """GF(p^k), p odd, k > 1: addition through Zech logarithms.
+
+    zech[n] is the log of 1 + g^n (None when it is 0), so
+    g^a + g^b = g^(a + zech[b - a]).
+    """
+
+    def __init__(self, field):
+        super().__init__(field)
+        self._constants(field.p)
+        exp, log = self._exp[: self._q1], self._log
+        wrap = (field.p - 1) * self.one  # adding 1 steps the leading digit
+        self._zech = [log[c + self.one] if c < wrap else log[c - wrap] for c in exp]
+
+    def add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % self._q1]
+        return 0 if z is None else self._exp[la + z]
+
+    def neg(self, a):
+        return self._exp[self._log[a] + self._q1 // 2] if a else 0
+
+    def sqrt(self, a):
+        la = self._log[a]
+        return None if la % 2 else self._exp[la // 2]
+
+
+class _BinaryCodes(_LogCodes):
+    """GF(2^k): codes are bit vectors, addition is XOR.
+
+    y^2 + b*y = r has the root sqrt(r) when b = 0; otherwise y = b*z with
+    z^2 + z = r/b^2, solvable exactly when the trace of r/b^2 is 0, that
+    is when r/b^2 is in the image of z -> z^2 + z.
+    """
+
+    def __init__(self, field):
+        super().__init__(field)
+        q = field.order
+        self._sqrt, self._half_root = [None] * q, [None] * q
+        for z in range(q):
+            z2 = self.mul(z, z)
+            self._sqrt[z2] = z
+            if self._half_root[z2 ^ z] is None:
+                self._half_root[z2 ^ z] = z
+
+    @staticmethod
+    def add(a, b):
+        return a ^ b
+
+    def line_roots(self, b, r):
+        if not b:
+            return (self._sqrt[r],)
+        u = self._exp[(self._log[r] - 2 * self._log[b]) % self._q1] if r else 0
+        z = self._half_root[u]
+        if z is None:
+            return ()
+        y = self.mul(b, z)
+        return tuple(sorted((y, y ^ b)))

@@ -165,6 +165,22 @@ def test_direct_sum_crt_oracle():
             assert b % a == 0
 
 
+# small orders, units, and prime powers far beyond what the diagonal's
+# entries would reach by chance
+ORDERS = st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 25, 30, 36, 2 ** 40, 3 ** 25, 7 ** 12, 10007 ** 2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(orders=st.lists(ORDERS, max_size=8), ranks=st.lists(st.integers(0, 2), max_size=8))
+def test_direct_sum_against_smith_on_the_diagonal(orders, ranks):
+    groups = [FgAbGroup(r, (d,) if d > 1 else ()) for d, r in zip(orders, ranks + [0] * len(orders))]
+    diag = IntMatrix.from_sparse_cols([{i: d} for i, d in enumerate(orders)], len(orders))
+    want = FgAbGroup(sum(g.rank for g in groups), tuple(d for d in invariant_factors(diag) if d > 1))
+    assert direct_sum_groups(groups) == want
+    # splitting the summands differently gives the same sum
+    assert direct_sum_groups([direct_sum_groups(groups[:2]), *groups[2:]]) == want
+
+
 def test_canonical_with_class_against_lattice():
     """Class coordinates agree with relation-lattice membership and add up."""
     rng = random.Random(13)

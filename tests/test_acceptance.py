@@ -5,6 +5,7 @@ criterion fails its test outright.  Budgets are generous upper bounds,
 asserted so a performance regression cannot slip through silently.
 """
 
+import json
 import time
 
 import pytest
@@ -202,3 +203,24 @@ def test_refusals_before_building(capsys, cold_caches):
         for argv in runs:
             assert cli.main(argv) == 3
             assert capsys.readouterr().err.startswith("too large: ")
+
+
+def test_reach_symbolic_p16381_depth_2(tmp_path):
+    # item 2: classification, the elementary-divisor sums and the
+    # closed-form root glue make a field of 16381 lines cost its case counts
+    out = tmp_path / "report.json"
+    argv = ["symbolic", "--p", "16381", "--curve", "0,0,0,-1,0", "--depth", "2", "--out", str(out)]
+    with _Clock(20.0, "reach: symbolic p=16381, depth 2"):
+        assert cli.main(argv) == 0
+    degrees = json.loads(out.read_text())["degrees"]
+    assert [d["i"] for d in degrees] == [1, 2, 3, 4, 5]
+    assert all(d["verdict"] != "mismatch" for d in degrees)
+
+
+def test_large_field_refused_before_classifying(capsys, cold_caches):
+    # item 5: the line x = 0 alone settles the refusal, so 65521 lines are
+    # never classified
+    argv = ["concrete", "--p", "65521", "--curve", "0,0,0,-1,0", "--depth", "1", "--q-max", "1"]
+    with _Clock(0.05, "refusal: GF(65521) before classifying every line"):
+        assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("too large: bar homology of GF(65521)+ ")

@@ -292,6 +292,13 @@ GF2_Q4_REFUSAL = (
     "too large: homology presentation for PGL2(GF(2)) [vertex cap[pt2.0]] [line x=inf]: "
     "size 625 exceeds ceiling 600\n"
 )
+# Captured before the CLI checked the line x = 0 ahead of classifying every
+# line, with one edit: the vertex tag then read line['s2.0'], quoted by
+# line_label's repr of the synthetic branch label.
+GF65521_REFUSAL = (
+    "too large: bar homology of GF(65521)+ [vertex line[s2.0]] [line x=0]: "
+    "size 65521 exceeds ceiling 24\n"
+)
 
 E5 = "0,0,0,-1,0"
 DEPTH1 = ("--depth", "1", "--q-max", "1")
@@ -316,6 +323,8 @@ REFUSALS = {
         GF2_Q4_REFUSAL,
         24,
     ),
+    "concrete-gf65521": (("concrete", "--p", "65521", "--curve", E5) + DEPTH1, GF65521_REFUSAL, 24),
+    "compare-gf65521": (("compare", "--p", "65521", "--curve", E5) + DEPTH1, GF65521_REFUSAL, 24),
 }
 
 

@@ -8,10 +8,21 @@ once consecutive inclusions are glued.
 """
 
 import json
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from elltree.abelian import FgAbGroup, PresentedGroup, TRIVIAL_GROUP, direct_sum_groups
+from elltree.abelian import (
+    AbHom,
+    ChainComplexFg,
+    FgAbGroup,
+    IntMatrix,
+    PresentedGroup,
+    TRIVIAL_GROUP,
+    direct_sum_groups,
+    homology_at,
+)
 from elltree.coefficients import (
     BATTERIES,
     BATTERY_A,
@@ -26,6 +37,7 @@ from elltree.coefficients import (
     TOKEN_ZERO,
     UNCONSTRAINED,
     ZERO_MAP,
+    UNIT_SYSTEM,
     ConcreteSpec,
     EdgeTokens,
     Instantiation,
@@ -264,6 +276,90 @@ def test_root_gluing_needs_z_at_the_root():
     tokens.edge_tokens[view.root_edge_id] = EdgeTokens(TOKEN_QUAD, ZERO_MAP, ZERO_MAP)
     with pytest.raises(ValueError):
         rooted_branch_e2(tree, TokenProvider(tree, tokens, DESIGNED), view)
+
+
+# ---------------------------------------------------------------------------
+# closed-form root glue against one star complex over every branch
+
+
+def all_branch_glue(tree, branch_e2):
+    """Reference: Z_root + sum H0 <-- Z^(root edges), edge |-> c - root,
+    over every branch at once, beside the sum of the branch H1s."""
+    branches = [branch_e2(view) for view in tree.subtrees()]
+    h0s = [PresentedGroup.free(1)] + [PresentedGroup.from_group(b[0]) for b in branches]
+    cols, offset = [], 1
+    for _, _, c in branches:
+        cols.append({0: -1, **{offset + i: v for i, v in enumerate(c) if v}})
+        offset += len(c)
+    c0, c1 = PresentedGroup.direct_sum(h0s), PresentedGroup.free(len(branches))
+    glue = ChainComplexFg([c0, c1], [AbHom(c1, c0, IntMatrix.from_sparse_cols(cols, c0.gens))])
+    h1 = direct_sum_groups([b[1] for b in branches] + [homology_at(glue, 1)])
+    return homology_at(glue, 0), h1
+
+
+def glue_both_ways(triples):
+    """(closed form, reference) for branches carrying the given triples in order."""
+    tree = build_domain(synthetic_summary(case1=len(triples)), 1)
+    position = {v.root_edge_id: i for i, v in enumerate(tree.subtrees())}
+
+    def branch_e2(view):
+        return triples[position[view.root_edge_id]]
+
+    return assemble_over_branches(tree, branch_e2, root_carries_z=True), all_branch_glue(tree, branch_e2)
+
+
+SYNTHETIC_SHAPES = [
+    (counts, depth, attach)
+    for counts in product(range(5), repeat=3)
+    for depth in range(1, 5)
+    for attach in (1, 2)
+    if attach <= depth
+]
+
+
+def test_closed_form_glue_on_synthetic_trees():
+    for (n1, n2, n3), depth, attach in SYNTHETIC_SHAPES:
+        tree = build_domain(synthetic_summary(case1=n1, case2=n2, case3=n3), depth, attach)
+
+        def branch_e2(view):
+            return _branch_e2(UNIT_SYSTEM, view.line_class.case, depth, attach, 0)
+
+        want = all_branch_glue(tree, branch_e2)
+        assert assemble_over_branches(tree, branch_e2, root_carries_z=True) == want
+
+
+def test_closed_form_glue_on_a_torsion_class():
+    # A = Z + Z/4 with c = 2 in Z/4, three times: one copy meets the root,
+    # each other adds A/<c> = Z + Z/2 to H0 and, c being torsion, Z to H1
+    triple = (fg(1, 4), fg(0, 3), (0, 2))
+    closed, reference = glue_both_ways([triple] * 3)
+    assert closed == reference == (fg(3, 2, 2, 4), fg(2, 3, 3, 3))
+
+
+TORSION_CHAINS = [(), (2,), (4,), (2, 4), (3,), (6,), (2, 6), (4, 12)]
+
+
+@st.composite
+def branch_triples(draw):
+    """A branch's (H0, H1, c): c has free coordinates and torsion ones in [0, d)."""
+    rank, torsion = draw(st.integers(0, 2)), draw(st.sampled_from(TORSION_CHAINS))
+    free = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
+    tors = [draw(st.integers(0, d - 1)) for d in torsion]
+    h1 = FgAbGroup(draw(st.integers(0, 1)), draw(st.sampled_from(TORSION_CHAINS)))
+    return FgAbGroup(rank, torsion), h1, tuple(free + tors)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kinds=st.lists(branch_triples(), min_size=1, max_size=3, unique=True),
+    counts=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+    data=st.data(),
+)
+def test_closed_form_glue_on_designed_triples(kinds, counts, data):
+    triples = [t for t, m in zip(kinds, counts) for _ in range(m)]
+    triples = data.draw(st.permutations(triples))
+    closed, reference = glue_both_ways(triples)
+    assert closed == reference
 
 
 # ---------------------------------------------------------------------------

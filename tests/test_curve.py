@@ -7,14 +7,17 @@ Point counts are checked against brute-force enumeration of the equation
 import math
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from elltree.curve import (
     INFINITY,
     INFINITY_POINT,
+    ClassificationSummary,
     CurvePoint,
     SingularCurveError,
     WeierstrassCurve,
     curve_from_json,
+    line_label,
     synthetic_summary,
 )
 from elltree.field import make_field
@@ -219,3 +222,47 @@ def test_curve_json_round_trip():
     data = c.to_json()
     c2 = curve_from_json(F, data)
     assert c2.to_json() == data
+
+
+def test_line_label_of_synthetic_line_has_no_quotes():
+    assert line_label("s2.0") == "s2.0"
+    assert synthetic_summary(case2=1).lines[0].label == "s2.0"
+    assert line_label(INFINITY) == INFINITY
+    F = make_field(3, 2)
+    assert line_label(F([1, 2])) == "1:2"
+
+
+# ---------------------------------------------------------------------------
+# the int-coded classifier against classify_line, line by line
+
+
+ODD_PRIMES_BELOW_200 = [p for p in range(3, 200, 2) if all(p % d for d in range(3, p, 2))]
+CLASSIFY_FIELDS = (
+    [(p, 1) for p in ODD_PRIMES_BELOW_200]
+    + [(2, k) for k in range(1, 7)]
+    + [(3, k) for k in range(2, 5)]
+    + [(5, 2), (7, 2), (5, 3)]
+)
+
+
+def per_line_summary(curve):
+    """Oracle: classify_line on every line, in the order classify_all uses."""
+    lines = [curve.classify_line(l) for l in curve.field.elements()]
+    return ClassificationSummary(tuple(lines + [curve.classify_line(INFINITY)]))
+
+
+@pytest.mark.parametrize("p,k", CLASSIFY_FIELDS, ids=[f"{p}^{k}" for p, k in CLASSIFY_FIELDS])
+@settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_classify_all_matches_classify_line(p, k, data):
+    F = make_field(p, k)
+    units, elements = F.units(), F.elements()
+    a1, a3 = (data.draw(st.sampled_from(units)) for _ in "13")
+    a2, a4, a6 = (data.draw(st.sampled_from(elements)) for _ in "246")
+    try:
+        curve = WeierstrassCurve(F, a1, a2, a3, a4, a6)
+    except SingularCurveError:
+        assume(False)
+    got, want = curve.classify_all(), per_line_summary(curve)
+    assert got == want
+    assert got.to_json() == want.to_json()

@@ -100,7 +100,11 @@ def test_sqrt_examples():
     assert F5.sqrt(F5(2)) is None
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)])
+# 17, 97 and 3^4 have q - 1 divisible by 16 or more, so Tonelli-Shanks
+# takes several rounds there
+@pytest.mark.parametrize(
+    "p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (17, 1), (97, 1), (3, 4)]
+)
 def test_sqrt_agrees_with_exhaustive_search(p, k):
     F = make_field(p, k)
     for a in F.elements():

@@ -8,12 +8,14 @@ two cap-attachment-2 cases before symbolic and concrete systems shared
 one assembler, and the GF(3) depth-2 case, whose diagonal reduction has
 a skipped entry, before refusals were decided from closed-form sizes.
 Any later change must reproduce them byte for byte, exit code included.
+Two larger symbolic reports are pinned by digest instead.
 A second
 test runs the CLI in fresh interpreters under several hash seeds, since
 determinism within one process says nothing about set or dict ordering
 that depends on PYTHONHASHSEED.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -64,6 +66,24 @@ def test_report_matches_golden(name, code, argv, tmp_path):
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# Reports too large to keep as files, pinned by the sha256 of their bytes
+# as the CLI wrote them before the classifier became int-coded and before
+# the elementary-divisor sums and the closed-form root glue.
+DIGESTS = [
+    ("c192ff96e7a0e43aa5cf71e1796106bcf79010b53c987f081938d8e1caa7ea72",
+     ["symbolic", "--p", "1009", "--curve", E5, "--depth", "20"]),
+    ("6861641ecdac30aaae1428d0ffb18f940296dbb67c8808e0eaf2d7b685d868da",
+     ["symbolic", "--p", "4099", "--curve", E5, "--depth", "2"]),
+]
+
+
+@pytest.mark.parametrize("digest,argv", DIGESTS, ids=["symbolic-p1009-d20", "symbolic-p4099-d2"])
+def test_report_matches_pinned_digest(digest, argv, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
