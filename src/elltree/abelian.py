@@ -175,13 +175,14 @@ class _SmithEngine:
 
     Maintains U * M * V = S throughout, where U and V are products of
     elementary row and column operations.  U and Vinv are stored row-major,
-    V column-major, so each update touches one vector.  The row dicts of M
-    are taken over and reduced in place.  After run(), u_matrix() and
-    vinv_matrix() are column-major copies, so applying one to a sparse
+    V and Uinv column-major, so each update touches one vector.  The row
+    dicts of M are taken over and reduced in place.  After run(), u_matrix()
+    and vinv_matrix() are column-major copies, so applying one to a sparse
     vector costs only the nonzeros it touches.
     """
 
-    def __init__(self, row_dicts, nrows, ncols, want_u=False, want_v=False, want_vinv=False):
+    def __init__(self, row_dicts, nrows, ncols, want_u=False, want_v=False, want_vinv=False,
+                 want_uinv=False):
         self.m = nrows
         self.n = ncols
         self.rows = row_dicts
@@ -190,6 +191,7 @@ class _SmithEngine:
             for j in r:
                 self.colmap[j].add(i)
         self.U = [{i: 1} for i in range(nrows)] if want_u else None
+        self.Uinv = [{i: 1} for i in range(nrows)] if want_uinv else None
         self.V = [{j: 1} for j in range(ncols)] if want_v else None
         self.Vinv = [{j: 1} for j in range(ncols)] if want_vinv else None
         self.rank = 0
@@ -209,6 +211,8 @@ class _SmithEngine:
                 self.colmap[j].discard(dst)
         if self.U is not None:
             _dict_addmul(self.U[dst], self.U[src], c)
+        if self.Uinv is not None:
+            _dict_addmul(self.Uinv[src], self.Uinv[dst], -c)
 
     def _row_swap(self, i1, i2):
         if i1 == i2:
@@ -222,11 +226,15 @@ class _SmithEngine:
         self.rows[i1], self.rows[i2] = self.rows[i2], self.rows[i1]
         if self.U is not None:
             self.U[i1], self.U[i2] = self.U[i2], self.U[i1]
+        if self.Uinv is not None:
+            self.Uinv[i1], self.Uinv[i2] = self.Uinv[i2], self.Uinv[i1]
 
     def _row_negate(self, i):
         self.rows[i] = {j: -v for j, v in self.rows[i].items()}
         if self.U is not None:
             self.U[i] = {j: -v for j, v in self.U[i].items()}
+        if self.Uinv is not None:
+            self.Uinv[i] = {j: -v for j, v in self.Uinv[i].items()}
 
     def _col_add(self, dst, src, c):
         for i in list(self.colmap[src]):
@@ -363,6 +371,9 @@ class _SmithEngine:
     def vinv_matrix(self):
         return self._vinv
 
+    def uinv_matrix(self):
+        return IntMatrix.from_sparse_cols(self.Uinv, self.m)
+
     def v_matrix(self):
         return IntMatrix.from_sparse_cols(self.V, self.n)
 
@@ -396,10 +407,6 @@ def invariant_factors(mat):
     """Nonzero diagonal of the Smith form, in divisibility order."""
     eng = _engine_for(mat)
     return [d for d in eng.diag if d]
-
-
-def matrix_rank(mat):
-    return _engine_for(mat).rank
 
 
 def kernel_basis(mat):
@@ -510,7 +517,9 @@ class PresentedGroup:
         """Canonical presentation: free generators first, then torsion ones."""
         g = fg.rank + len(fg.torsion)
         cols = [{fg.rank + i: d} for i, d in enumerate(fg.torsion)]
-        return PresentedGroup(g, IntMatrix.from_sparse_cols(cols, g))
+        presented = PresentedGroup(g, IntMatrix.from_sparse_cols(cols, g))
+        presented._canonical = fg
+        return presented
 
     def canonical(self):
         if self._canonical is None:
@@ -536,6 +545,38 @@ class PresentedGroup:
         return f"PresentedGroup({self.gens} gens, {self.relations.ncols} relations)"
 
 
+class _SmithCoordinates:
+    """Coordinates on Z^m / (column lattice of rels) in its canonical basis.
+
+    From the Smith form U * rels * W = S, the generators are the free rows
+    of S, then the rows whose invariant factor d is > 1, as in
+    PresentedGroup.from_group; rows with d = 1 carry no coordinate.  A
+    vector's coordinates are those rows of U applied to it, each torsion
+    one reduced into [0, d) (Cohen, GTM 138, 2.4).  With want_uinv, Uinv
+    is kept too: its column for a generator's row lifts that generator.
+    """
+
+    def __init__(self, rels, want_uinv=False):
+        eng = _engine_for(rels, want_u=True, want_uinv=want_uinv)
+        free = list(range(eng.rank, rels.nrows))
+        torsion = [i for i in range(eng.rank) if eng.diag[i] > 1]
+        self.rows = free + torsion
+        self.moduli = [0] * len(free) + [eng.diag[i] for i in torsion]
+        self.group = FgAbGroup(len(free), tuple(eng.diag[i] for i in torsion))
+        self.u = eng.u_matrix()
+        self.uinv = eng.uinv_matrix() if want_uinv else None
+
+    def coords(self, vec):
+        """Coordinates of a sparse vector, as a sparse {generator: value} dict."""
+        y = self.u.matvec(vec)
+        out = {}
+        for k, (row, d) in enumerate(zip(self.rows, self.moduli)):
+            v = y.get(row, 0) % d if d else y.get(row, 0)
+            if v:
+                out[k] = v
+        return out
+
+
 def canonical_with_class(presented, chain):
     """Canonical form of a presented group and the class of one element.
 
@@ -544,13 +585,9 @@ def canonical_with_class(presented, chain):
     coordinate per free generator, then one per invariant factor d > 1,
     reduced into [0, d).  Unit invariant factors carry no coordinate.
     """
-    eng = _engine_for(presented.relations, want_u=True)
-    y = eng.u_matrix().matvec(chain)
-    torsion = [i for i in range(eng.rank) if eng.diag[i] > 1]
-    group = FgAbGroup(presented.gens - eng.rank, tuple(eng.diag[i] for i in torsion))
-    coords = [y.get(i, 0) for i in range(eng.rank, presented.gens)]
-    coords += [y.get(i, 0) % eng.diag[i] for i in torsion]
-    return group, tuple(coords)
+    basis = _SmithCoordinates(presented.relations)
+    coords = basis.coords(chain)
+    return basis.group, tuple(coords.get(k, 0) for k in range(len(basis.rows)))
 
 
 class _Lattice:
@@ -657,44 +694,61 @@ class ChainComplexFg:
                             raise ValueError(f"boundary composite at {i + 2} is nonzero")
 
 
-class CyclePresentation:
-    """Presentation of ker(d_n)/im(d_next) at a free position.
+def _cycle_relations(g, d_n, d_next, want_v):
+    """(Smith engine of d_n, im(d_next) in the basis of ker(d_n)).
 
-    Keeps the change-of-basis data so chains can be translated to and from
-    homology-class coordinates: generator i of the presented group is the
-    cycle given by column rank+i of V, and a cycle's coordinates are the
-    trailing entries of Vinv applied to it.
+    The kernel basis is columns rank.. of V; a cycle's coordinates in it
+    are the trailing entries of Vinv applied to the cycle.
+    """
+    eng = _engine_for(d_n, want_v=want_v, want_vinv=True)
+    vinv = eng.vinv_matrix()
+    relations = d_next.cols if d_next is not None else ()
+    cols = [_kernel_coords(vinv, eng.rank, col) for col in relations]
+    return eng, IntMatrix.from_sparse_cols(cols, g - eng.rank)
+
+
+def _kernel_coords(vinv, rank, chain_dict):
+    y = vinv.matvec(chain_dict)
+    if any(i < rank for i in y):
+        raise AssertionError("chain is not a cycle")
+    return {i - rank: v for i, v in y.items()}
+
+
+class CyclePresentation:
+    """Smith-reduced presentation of ker(d_n)/im(d_next) at a free position.
+
+    The relations, written in the kernel basis of d_n, are put into Smith
+    form once (_SmithCoordinates), so the presented group is the canonical
+    one that PresentedGroup.from_group builds.  Chains translate to class
+    coordinates through Vinv and U, and generators lift to chains through
+    Uinv and the kernel basis.
     """
 
-    __slots__ = ("gens", "rank", "presented", "_eng")
+    __slots__ = ("presented", "_vinv", "_rank", "_basis", "_smith")
 
     def __init__(self, g, d_n, d_next):
-        self._eng = _engine_for(d_n, want_v=True, want_vinv=True)
-        self.rank = self._eng.rank
-        self.gens = g - self.rank
-        rel_cols = []
-        if d_next is not None:
-            for col in d_next.cols:
-                rel_cols.append(self.coords_of_cycle(col))
-        self.presented = PresentedGroup(
-            self.gens, IntMatrix.from_sparse_cols(rel_cols, self.gens)
-        )
+        kernel, rels = _cycle_relations(g, d_n, d_next, want_v=True)
+        self._vinv, self._rank = kernel.vinv_matrix(), kernel.rank
+        self._basis = kernel.kernel_cols()
+        self._smith = _SmithCoordinates(rels, want_uinv=True)
+        self.presented = PresentedGroup.from_group(self._smith.group)
 
     def coords_of_cycle(self, chain_dict):
-        """Coordinates of a cycle in the kernel basis, as a sparse dict."""
-        y = self._eng.vinv_matrix().matvec(chain_dict)
-        if any(i < self.rank for i in y):
-            raise AssertionError("chain is not a cycle")
-        return {i - self.rank: v for i, v in y.items()}
+        """Class coordinates of a cycle, torsion ones reduced, as a sparse dict."""
+        return self._smith.coords(_kernel_coords(self._vinv, self._rank, chain_dict))
 
     def cycle_of_generator(self, i):
         """The chain representing presented generator i, as a sparse dict."""
-        return dict(self._eng.V[self.rank + i])
+        chain = {}
+        for j, c in self._smith.uinv.cols[self._smith.rows[i]].items():
+            _dict_addmul(chain, self._basis[j], c)
+        return chain
 
 
 def _free_homology(g, d_n, d_next):
     """Homology at a free position with a free predecessor."""
-    return CyclePresentation(g, d_n, d_next).presented.canonical()
+    _, rels = _cycle_relations(g, d_n, d_next, want_v=False)
+    return PresentedGroup(rels.nrows, rels).canonical()
 
 
 def homology_at(complex_, n):

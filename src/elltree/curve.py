@@ -183,17 +183,6 @@ class WeierstrassCurve:
             return point
         return CurvePoint(point.x, -point.y - self.a1 * point.x - self.a3)
 
-    def is_two_torsion(self, point):
-        return self.negate(point) == point
-
-    def enumerate_points(self):
-        """All rational points, infinity first, then affine in (x, y) order."""
-        points = [INFINITY_POINT]
-        for x in self.field.elements():
-            for y in self._ys_on_line(x):
-                points.append(CurvePoint(x, y))
-        return points
-
     def _ys_on_line(self, l):
         # on x = l the equation becomes y^2 + (a1*l + a3)*y - rhs(l) = 0
         b = self.a1 * l + self.a3
@@ -237,9 +226,3 @@ class WeierstrassCurve:
             "a4": list(self.a4.coeffs),
             "a6": list(self.a6.coeffs),
         }
-
-
-def curve_from_json(field, data):
-    return WeierstrassCurve(
-        field, data["a1"], data["a2"], data["a3"], data["a4"], data["a6"]
-    )

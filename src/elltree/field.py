@@ -260,9 +260,6 @@ class FiniteField:
     def units(self):
         return tuple(a for a in self.elements() if not a.is_zero())
 
-    def frobenius(self, a):
-        return a ** self.p
-
     def trace_to_prime(self, a):
         """Absolute trace down to F_p, returned as a field element."""
         acc = self.zero
@@ -400,7 +397,8 @@ def solve_monic_quadratic(field, b, c):
 
     Odd characteristic goes through the discriminant and a table-based
     square root; characteristic 2 uses the Frobenius inverse when b = 0
-    (one root) and the additive trace criterion otherwise (zero or two).
+    (one root) and the additive trace criterion otherwise (zero or two),
+    with the root in closed form (_artin_schreier_root).
 
     >>> F = make_field(5, 1)
     >>> solve_monic_quadratic(F, F(0), F(1))
@@ -416,9 +414,8 @@ def solve_monic_quadratic(field, b, c):
         u = c / (b * b)
         if not field.trace_to_prime(u).is_zero():
             return []
-        z = next(z for z in field.elements() if (z * z + z + u).is_zero())
-        roots = [b * z, b * z + b]
-        return sorted(roots)
+        z = _artin_schreier_root(field, u)
+        return sorted([b * z, b * z + b])
     disc = b * b - 4 * c
     s = field.sqrt(disc)
     if s is None:
@@ -427,6 +424,30 @@ def solve_monic_quadratic(field, b, c):
     if s.is_zero():
         return [(-b) * half]
     return sorted([(-b + s) * half, (-b - s) * half])
+
+
+def _artin_schreier_root(field, u):
+    """A root z of z^2 + z = u in GF(2^k), for u of trace 0.
+
+    With delta of trace 1, z = sum over i < k-1 of e_i * u^(2^i), where
+    e_i = sum over i < j < k of delta^(2^j); then z^2 + z = Tr(delta) * u.
+    delta is the first of 1, x, ..., x^(k-1) of trace 1: 1 when k is odd,
+    which makes z a half-trace.  O(k^2) multiplications, no field scan.
+    """
+    k = field.k
+    delta = next(
+        d for d in (field([0] * i + [1]) for i in range(k))
+        if not field.trace_to_prime(d).is_zero()
+    )
+    delta_powers, u_powers = [delta], [u]
+    for _ in range(k - 1):
+        delta_powers.append(delta_powers[-1] ** 2)
+        u_powers.append(u_powers[-1] ** 2)
+    z, e = field.zero, field.zero
+    for i in range(k - 2, -1, -1):
+        e = e + delta_powers[i + 1]
+        z = z + e * u_powers[i]
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -446,28 +467,45 @@ def _generator(field):
 
 
 def _power_codes(field, g):
-    """Codes of g^0, g^1, ..., g^(q-2), by repeated multiplication by g."""
+    """Codes of g^0, g^1, ..., g^(q-2), by repeated multiplication by g.
+
+    Multiplication by g is linear over GF(p), so a step combines the rows
+    g * x^j, j < k, computed once, by the current coefficients.  For p = 2
+    a code is a bit vector, coefficient j at bit k-1-j, and a step XORs
+    the rows of its set bits, looked up a byte at a time.
+    """
     p, k = field.p, field.k
-    g_terms = [(j, c) for j, c in enumerate(g.coeffs) if c]
-    mod_terms = [(i, c) for i, c in enumerate(field.modulus[:k]) if c]
-    v = [1] + [0] * (k - 1)
+    rows = [g * field([0] * j + [1]) for j in range(k)]
     codes = []
+    if p == 2:
+        bit_rows = [field.index(r) for r in reversed(rows)]
+        tables = []
+        for shift in range(0, k, 8):
+            table = [0]
+            for r in bit_rows[shift : shift + 8]:
+                table += [t ^ r for t in table]
+            tables.append((shift, table))
+        code = 1 << (k - 1)
+        for _ in range(field.order - 1):
+            codes.append(code)
+            step = 0
+            for shift, table in tables:
+                step ^= table[code >> shift & 255]
+            code = step
+        return codes
+    terms = [[(i, c) for i, c in enumerate(r.coeffs) if c] for r in rows]
+    v = [1] + [0] * (k - 1)
     for _ in range(field.order - 1):
         code = 0
         for c in v:
             code = code * p + c
         codes.append(code)
-        prod = [0] * (2 * k - 1)
-        for i, vi in enumerate(v):
-            if vi:
-                for j, gj in g_terms:
-                    prod[i + j] += vi * gj
-        for d in range(2 * k - 2, k - 1, -1):
-            c = prod[d] % p
-            if c:
-                for i, m in mod_terms:
-                    prod[d - k + i] -= c * m
-        v = [c % p for c in prod[:k]]
+        acc = [0] * k
+        for j, d in enumerate(v):
+            if d:
+                for i, c in terms[j]:
+                    acc[i] += d * c
+        v = [c % p for c in acc]
     return codes
 
 

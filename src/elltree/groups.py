@@ -237,22 +237,6 @@ def _det2(m):
     return a * d - b * c
 
 
-def gl2(field):
-    """Invertible 2x2 matrices as (a, b, c, d) row-major tuples."""
-    els = [
-        m
-        for m in product(field.elements(), repeat=4)
-        if not _det2(m).is_zero()
-    ]
-
-    def mul(x, y):
-        a, b, c, d = x
-        e, f, g, h = y
-        return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-    return group_from_elements(els, mul, name=f"GL2({field!r})")
-
-
 def pgl2_canonical(m):
     """Scale a nonzero 2x2 matrix so its first nonzero entry is 1."""
     lead = next(v for v in m if not v.is_zero())
@@ -444,14 +428,13 @@ class BarHomology:
         self.tuples = _bar_tuples(group, q)
         self.tuple_index = {t: i for i, t in enumerate(self.tuples)}
         n_q = len(self.tuples)
-        if n_q == 0:
-            self.cycles = None
-            self.presented = PresentedGroup(0)
-            return
-        prev = _bar_tuples(group, q - 1)
-        prev_index = {t: i for i, t in enumerate(prev)}
-        d_q_cols = _bar_boundary_cols(group, q, self.tuples, prev_index)
-        d_q = IntMatrix.from_sparse_cols(d_q_cols, len(prev))
+        if q == 0:
+            d_q = IntMatrix.zeros(0, 1)
+        else:
+            prev = _bar_tuples(group, q - 1)
+            prev_index = {t: i for i, t in enumerate(prev)}
+            d_q_cols = _bar_boundary_cols(group, q, self.tuples, prev_index)
+            d_q = IntMatrix.from_sparse_cols(d_q_cols, len(prev))
         nxt = _bar_tuples(group, q + 1)
         d_next_cols = _bar_boundary_cols(group, q + 1, nxt, self.tuple_index)
         d_next = IntMatrix.from_sparse_cols(d_next_cols, n_q)
@@ -517,8 +500,6 @@ def induced_map(hom, q, limits=DEFAULT_LIMITS):
         check_ceilings(g.name, g.order, q, limits, CHAIN_DATA)
     src = _bar_data(hom.source, q)
     tgt = _bar_data(hom.target, q)
-    if q == 0:
-        return AbHom(src.presented, tgt.presented, IntMatrix.identity(1), check=False)
     cols = []
     e = hom.target.identity
     for i in range(src.presented.gens):

@@ -159,35 +159,6 @@ class DomainTree:
     def subtrees(self):
         return [self._subtrees[lbl] for lbl in self.line_order]
 
-    def is_tree(self):
-        """Connected and |edges| = |vertices| - 1, by breadth-first search."""
-        n = len(self.vertices)
-        if len(self.edges) != n - 1:
-            return False
-        adjacency = {v.vid: [] for v in self.vertices}
-        for e in self.edges:
-            adjacency[e.tail].append(e.head)
-            adjacency[e.head].append(e.tail)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adjacency[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return len(seen) == n
-
-    def tag_edge_set(self):
-        """Edges as (tail tag, head tag) pairs; id-independent structure."""
-        tags = {v.vid: v.tag for v in self.vertices}
-        return {(tags[e.tail], tags[e.head]) for e in self.edges}
-
-    def tag_set(self):
-        return {v.tag for v in self.vertices}
-
     def graph_dump(self):
         """Line-oriented text dump: vertices then edges, creation order."""
         out = [f"vertex {v.vid} {v.tag}" for v in self.vertices]

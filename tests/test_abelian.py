@@ -26,10 +26,11 @@ from elltree.abelian import (
     homology_at,
     invariant_factors,
     kernel_basis,
-    matrix_rank,
     smith_normal_form,
+    _engine_for,
 )
 from elltree.selftest import _dense_product, _det_bareiss
+from helpers import matrix_rank
 
 
 def rational_rank(mat):
@@ -465,3 +466,18 @@ def test_hstack_and_block_diag_agree_with_dense_arithmetic(data):
     got = IntMatrix.block_diag([IntMatrix(rows, r, c) for r, c, rows in blocks])
     assert (got.nrows, got.ncols) == (len(want), total)
     assert got.rows == as_rows(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_tracked_uinv_inverts_u(data):
+    # Uinv is updated alongside U by the inverse of every row operation
+    m, n, rows = data.draw(dense(nrows=data.draw(st.integers(0, 7)),
+                                 ncols=data.draw(st.integers(0, 7))))
+    mat = IntMatrix(rows, m, n)
+    eng = _engine_for(mat, want_u=True, want_uinv=True)
+    u, uinv = eng.u_matrix(), eng.uinv_matrix()
+    ident = IntMatrix.identity(m).rows
+    assert _dense_product(u.rows, uinv.rows, m) == ident
+    assert _dense_product(uinv.rows, u.rows, m) == ident
+    assert u == _engine_for(mat, want_u=True).u_matrix()

@@ -8,10 +8,13 @@ import pytest
 
 from elltree.errors import TooLargeError
 from elltree.field import (
+    _generator,
+    _power_codes,
     make_field,
     quadratic_extension,
     solve_monic_quadratic,
 )
+from helpers import frobenius
 
 
 def exhaustive_roots(field, b, c):
@@ -86,10 +89,10 @@ def test_frobenius_is_automorphism_fixing_prime_field(p, k):
     F = make_field(p, k)
     for a in F.elements():
         for b in F.elements():
-            assert F.frobenius(a * b) == F.frobenius(a) * F.frobenius(b)
-            assert F.frobenius(a + b) == F.frobenius(a) + F.frobenius(b)
+            assert frobenius(F, a * b) == frobenius(F, a) * frobenius(F, b)
+            assert frobenius(F, a + b) == frobenius(F, a) + frobenius(F, b)
     for n in range(p):
-        assert F.frobenius(F.from_int(n)) == F.from_int(n)
+        assert frobenius(F, F.from_int(n)) == F.from_int(n)
 
 
 def test_sqrt_examples():
@@ -131,6 +134,55 @@ def test_solve_quadratic_agrees_with_exhaustive_search(p, k):
     for b in F.elements():
         for c in F.elements():
             assert solve_monic_quadratic(F, b, c) == exhaustive_roots(F, b, c)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_artin_schreier_roots_agree_with_scan(k):
+    # y^2 + y = u, the case the closed-form root serves, for every u
+    F = make_field(2, k)
+    scan = {u: [] for u in F.elements()}
+    for z in F.elements():
+        scan[z * z + z].append(z)
+    for u, roots in scan.items():
+        assert solve_monic_quadratic(F, F.one, u) == sorted(roots)
+
+
+def power_codes_by_polynomial_product(field, g):
+    """Oracle: g^n as coefficient vectors, multiplied and reduced generically."""
+    p, k = field.p, field.k
+    g_terms = [(j, c) for j, c in enumerate(g.coeffs) if c]
+    mod_terms = [(i, c) for i, c in enumerate(field.modulus[:k]) if c]
+    v = [1] + [0] * (k - 1)
+    codes = []
+    for _ in range(field.order - 1):
+        code = 0
+        for c in v:
+            code = code * p + c
+        codes.append(code)
+        prod = [0] * (2 * k - 1)
+        for i, vi in enumerate(v):
+            if vi:
+                for j, gj in g_terms:
+                    prod[i + j] += vi * gj
+        for d in range(2 * k - 2, k - 1, -1):
+            c = prod[d] % p
+            if c:
+                for i, m in mod_terms:
+                    prod[d - k + i] -= c * m
+        v = [c % p for c in prod[:k]]
+    return codes
+
+
+@pytest.mark.parametrize(
+    "p,k", [(2, k) for k in range(1, 11)] + [(3, k) for k in range(1, 6)] + [(101, 2)]
+)
+def test_power_codes_match_polynomial_products(p, k):
+    F = make_field(p, k)
+    g = _generator(F)
+    assert _power_codes(F, g) == power_codes_by_polynomial_product(F, g)
+    # any unit, not only the generator: its powers cycle with its order
+    h = F.elements()[-1]
+    assert _power_codes(F, h) == power_codes_by_polynomial_product(F, h)
 
 
 def test_quadratic_extension_embedding_is_homomorphism():

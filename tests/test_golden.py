@@ -8,8 +8,7 @@ two cap-attachment-2 cases before symbolic and concrete systems shared
 one assembler, and the GF(3) depth-2 case, whose diagonal reduction has
 a skipped entry, before refusals were decided from closed-form sizes.
 Any later change must reproduce them byte for byte, exit code included.
-Two larger symbolic reports are pinned by digest instead.
-A second
+Larger reports are pinned by digest and exit code instead.  A second
 test runs the CLI in fresh interpreters under several hash seeds, since
 determinism within one process says nothing about set or dict ordering
 that depends on PYTHONHASHSEED.
@@ -69,20 +68,36 @@ def test_report_matches_golden(name, code, argv, tmp_path):
 
 
 # Reports too large to keep as files, pinned by the sha256 of their bytes
-# as the CLI wrote them before the classifier became int-coded and before
-# the elementary-divisor sums and the closed-form root glue.
+# and the exit code.  The symbolic ones were written before the classifier
+# became int-coded and before the elementary-divisor sums and the
+# closed-form root glue; the concrete and compare ones before bar homology
+# presentations were Smith-reduced.
 DIGESTS = [
-    ("c192ff96e7a0e43aa5cf71e1796106bcf79010b53c987f081938d8e1caa7ea72",
+    ("symbolic-p1009-d20", 0,
+     "c192ff96e7a0e43aa5cf71e1796106bcf79010b53c987f081938d8e1caa7ea72",
      ["symbolic", "--p", "1009", "--curve", E5, "--depth", "20"]),
-    ("6861641ecdac30aaae1428d0ffb18f940296dbb67c8808e0eaf2d7b685d868da",
+    ("symbolic-p4099-d2", 0,
+     "6861641ecdac30aaae1428d0ffb18f940296dbb67c8808e0eaf2d7b685d868da",
      ["symbolic", "--p", "4099", "--curve", E5, "--depth", "2"]),
+    ("concrete-p2-d3-q3-large", 2,
+     "424a4790b68832f47a7f043dc68b278d7ec1c47d160df85170fbdfc8b7347366",
+     ["concrete", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "3", "--q-max", "3",
+      "--allow-large"]),
+    ("concrete-p2-k2-d1-q1-large", 0,
+     "b8ceda65a91a0e08be6a87e5d2b0d1fdcf50990e533fe46651ce0e88b9e498e4",
+     ["concrete", "--p", "2", "--k", "2", "--curve", "0:0,0:0,1:0,0:0,1:0", "--depth", "1",
+      "--q-max", "1", "--allow-large"]),
+    ("compare-p2-d3-q2", 2,
+     "4cead3b56ae0f0ee50b27831fc0d533726af0c243bbb9f5be8ee002a1ba53a31",
+     ["compare", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "3", "--q-max", "2"]),
 ]
 
 
-@pytest.mark.parametrize("digest,argv", DIGESTS, ids=["symbolic-p1009-d20", "symbolic-p4099-d2"])
-def test_report_matches_pinned_digest(digest, argv, tmp_path):
+@pytest.mark.parametrize("code,digest,argv", [d[1:] for d in DIGESTS],
+                         ids=[d[0] for d in DIGESTS])
+def test_report_matches_pinned_digest(code, digest, argv, tmp_path):
     out = tmp_path / "report.json"
-    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv + ["--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -10,11 +10,13 @@ scalar-action identities on cyclic groups.
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elltree.abelian import (
     AbHom,
     FgAbGroup,
     IntMatrix,
+    PresentedGroup,
     TRIVIAL_GROUP,
     cyclic_group_homology,
 )
@@ -26,6 +28,10 @@ from elltree.groups import (
     PRESENTATION,
     BarLimits,
     FiniteGroup,
+    GroupHom,
+    _bar_data,
+    _bar_invariants_large,
+    _tuple_count,
     abelianization,
     additive_group,
     additive_group_size,
@@ -41,7 +47,6 @@ from elltree.groups import (
     cyclic_size,
     diagonal_to_triangular,
     direct_product,
-    gl2,
     group_from_elements,
     hom_from_function,
     homology_presentation,
@@ -61,6 +66,8 @@ from elltree.groups import (
     unit_group_size,
     units_to_cusp,
 )
+from elltree.selftest import _stabilizer_zoo
+from helpers import gl2
 
 
 def symmetric_group(n):
@@ -539,6 +546,95 @@ def test_inversion_acts_trivially_on_h3_of_c5():
     assert homs_equal(f3, AbHom.identity(f3.source))
     f1 = induced_map(inv, 1)
     assert not homs_equal(f1, AbHom.identity(f1.source))
+
+
+# ---------------------------------------------------------------------------
+# Smith-reduced presentations and functoriality
+
+ROOMY = BarLimits(max_order=24, max_degree=3, dense_columns=10**4)
+
+
+def _reduced_cases():
+    """(group, q, oracle): every cyclic n <= 8 in degrees 0..3 against the
+    closed form, and every zoo group within the dense ceiling against the
+    rank-nullity route, which never builds a presentation."""
+    for n in range(1, 9):
+        for q in range(4):
+            yield cyclic(n), q, cyclic_group_homology(n, q)
+    for g in _stabilizer_zoo():
+        for q in range(1, 4):
+            if _tuple_count(g.order, q + 1) <= DEFAULT_LIMITS.dense_columns:
+                yield g, q, _bar_invariants_large(g, q)
+
+
+def test_reduced_presentations_are_canonical_and_invert():
+    count = 0
+    for g, q, oracle in _reduced_cases():
+        presented = homology_presentation(g, q, ROOMY)
+        want = PresentedGroup.from_group(oracle)
+        assert (presented.gens, presented.relations) == (want.gens, want.relations), (g, q)
+        cycles = _bar_data(g, q).cycles
+        for i in range(presented.gens):
+            assert cycles.coords_of_cycle(cycles.cycle_of_generator(i)) == {i: 1}, (g, q, i)
+        count += 1
+    assert count > 32
+
+
+def test_coords_of_cycle_reduces_torsion_and_rejects_non_cycles():
+    cycles = _bar_data(cyclic(4), 1).cycles
+    chain = cycles.cycle_of_generator(0)
+    assert cycles.coords_of_cycle({k: 5 * v for k, v in chain.items()}) == {0: 1}
+    assert cycles.coords_of_cycle({k: 4 * v for k, v in chain.items()}) == {}
+    # a bar 1-chain is a cycle (d_1 = 0); a 2-chain boundary is a relation
+    d2 = _bar_data(cyclic(4), 2).cycles
+    with pytest.raises(AssertionError):
+        d2.coords_of_cycle({0: 1})
+
+
+def _compose(f, g):
+    """The group hom f after g."""
+    return GroupHom(g.source, f.target, [f.mapping[g.mapping[i]] for i in range(g.source.order)])
+
+
+def _identity(group):
+    return GroupHom(group, group, range(group.order))
+
+
+def _check_functor(f, g, q):
+    """id_* = id exactly, and (f g)_* = f_* g_* as maps of quotient groups."""
+    for group in (g.source, g.target, f.target):
+        ident = induced_map(_identity(group), q, ROOMY)
+        assert ident.matrix == IntMatrix.identity(ident.source.gens)
+    lhs = induced_map(_compose(f, g), q, ROOMY)
+    rhs = induced_map(f, q, ROOMY).compose(induced_map(g, q, ROOMY))
+    assert homs_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
+def test_functoriality_along_the_gf2_cusp_chain(q):
+    f2 = make_field(2, 1)
+    _check_functor(cusp_chain_inclusion(f2, 2), cusp_chain_inclusion(f2, 1), q)
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_functoriality_diagonal_into_triangular(q):
+    # torus -> Tri(GF(3),1) -> its central quotient, the depth-1 cusp group
+    f3 = make_field(3, 1)
+    _, proj, _ = cusp_group(f3, 1)
+    _check_functor(proj, diagonal_to_triangular(f3, 1), q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_functoriality_of_cyclic_homs(data):
+    # a -> s*a is a hom C_n -> C_m exactly when m | s*n
+    def hom(n, m):
+        s = data.draw(st.sampled_from([s for s in range(m) if s * n % m == 0]))
+        return hom_from_function(cyclic(n), cyclic(m), lambda a: s * a % m)
+
+    n, m, k = (data.draw(st.integers(1, 6)) for _ in range(3))
+    q = data.draw(st.integers(0, 3))
+    _check_functor(hom(m, k), hom(n, m), q)
 
 
 # ---------------------------------------------------------------------------

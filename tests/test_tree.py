@@ -13,6 +13,7 @@ from elltree.curve import (
 )
 from elltree.field import make_field
 from elltree.tree import DomainTree, build_domain
+from helpers import enumerate_points, is_tree, tag_edge_set, tag_set
 
 
 def curve_f3():
@@ -40,7 +41,7 @@ def test_f3_counts_frozen():
     assert len(tree.vertices) == 17
     assert len(tree.edges) == 16
     assert tree.cusp_count == 4
-    assert tree.is_tree()
+    assert is_tree(tree)
 
 
 def test_counts_formula():
@@ -51,7 +52,7 @@ def test_counts_formula():
             v, e = expected_counts(n1, n2, n3, depth)
             assert len(tree.vertices) == v, (n1, n2, n3, depth)
             assert len(tree.edges) == e
-            assert tree.is_tree()
+            assert is_tree(tree)
 
 
 def test_all_case1_star():
@@ -67,14 +68,14 @@ def test_empty_summary_single_vertex():
     assert len(tree.vertices) == 1
     assert len(tree.edges) == 0
     assert tree.cusp_count == 0
-    assert tree.is_tree()
+    assert is_tree(tree)
 
 
 def test_f5_cusp_count_matches_points():
     curve = curve_f5()
     summary = curve.classify_all()
     tree = build_domain(summary, 1)
-    assert tree.cusp_count == len(curve.enumerate_points()) == 8
+    assert tree.cusp_count == len(enumerate_points(curve)) == 8
 
 
 def test_orientation_away_from_root():
@@ -147,7 +148,7 @@ def test_attach_variant():
     assert cap2.depth == 2
     tail2 = t2.vertices[cap2.tail]
     assert tail2.kind == "cusp" and tail2.depth == 2
-    assert t2.is_tree()
+    assert is_tree(t2)
 
 
 def test_attach_requires_depth():
@@ -172,10 +173,10 @@ def test_truncation_prefix():
 
         return all(depth_of(t) <= limit for t in tag_pair)
 
-    truncated = {e for e in large.tag_edge_set() if within(e, 2)}
-    assert truncated == small.tag_edge_set()
-    small_tags = {t for t in large.tag_set() if within((t,), 2)}
-    assert small_tags == small.tag_set()
+    truncated = {e for e in tag_edge_set(large) if within(e, 2)}
+    assert truncated == tag_edge_set(small)
+    small_tags = {t for t in tag_set(large) if within((t,), 2)}
+    assert small_tags == tag_set(small)
 
 
 def test_graph_dump_deterministic():
@@ -193,5 +194,5 @@ def test_graph_dump_deterministic():
 def test_infinity_line_tagged():
     summary = curve_f3().classify_all()
     tree = build_domain(summary, 1)
-    assert f"line[{INFINITY}]" in tree.tag_set()
-    assert f"cap[{INFINITY}]" in tree.tag_set()
+    assert f"line[{INFINITY}]" in tag_set(tree)
+    assert f"cap[{INFINITY}]" in tag_set(tree)
