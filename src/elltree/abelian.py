@@ -531,7 +531,7 @@ class PresentedGroup:
 
     def lattice(self):
         if self._lattice is None:
-            self._lattice = _Lattice(self.relations)
+            self._lattice = _SmithCoordinates(self.relations)
         return self._lattice
 
     @staticmethod
@@ -552,29 +552,35 @@ class _SmithCoordinates:
     of S, then the rows whose invariant factor d is > 1, as in
     PresentedGroup.from_group; rows with d = 1 carry no coordinate.  A
     vector's coordinates are those rows of U applied to it, each torsion
-    one reduced into [0, d) (Cohen, GTM 138, 2.4).  With want_uinv, Uinv
-    is kept too: its column for a generator's row lifts that generator.
+    one reduced into [0, d) (Cohen, GTM 138, 2.4), so the vector lies in
+    the lattice exactly when it has none.  With want_uinv, Uinv is kept
+    too: its column for a generator's row lifts that generator.
     """
 
     def __init__(self, rels, want_uinv=False):
         eng = _engine_for(rels, want_u=True, want_uinv=want_uinv)
-        free = list(range(eng.rank, rels.nrows))
         torsion = [i for i in range(eng.rank) if eng.diag[i] > 1]
-        self.rows = free + torsion
-        self.moduli = [0] * len(free) + [eng.diag[i] for i in torsion]
-        self.group = FgAbGroup(len(free), tuple(eng.diag[i] for i in torsion))
+        self.rows = list(range(eng.rank, rels.nrows)) + torsion
+        self.group = FgAbGroup(rels.nrows - eng.rank, tuple(eng.diag[i] for i in torsion))
+        self._slot = {row: (k, eng.diag[row] if row < eng.rank else 0)
+                      for k, row in enumerate(self.rows)}
         self.u = eng.u_matrix()
         self.uinv = eng.uinv_matrix() if want_uinv else None
 
     def coords(self, vec):
         """Coordinates of a sparse vector, as a sparse {generator: value} dict."""
-        y = self.u.matvec(vec)
         out = {}
-        for k, (row, d) in enumerate(zip(self.rows, self.moduli)):
-            v = y.get(row, 0) % d if d else y.get(row, 0)
-            if v:
-                out[k] = v
+        for i, v in self.u.matvec(vec).items():
+            if i in self._slot:
+                k, d = self._slot[i]
+                if d:
+                    v %= d
+                if v:
+                    out[k] = v
         return out
+
+    def contains(self, vec):
+        return not self.coords(vec)
 
 
 def canonical_with_class(presented, chain):
@@ -585,28 +591,9 @@ def canonical_with_class(presented, chain):
     coordinate per free generator, then one per invariant factor d > 1,
     reduced into [0, d).  Unit invariant factors carry no coordinate.
     """
-    basis = _SmithCoordinates(presented.relations)
+    basis = presented.lattice()
     coords = basis.coords(chain)
     return basis.group, tuple(coords.get(k, 0) for k in range(len(basis.rows)))
-
-
-class _Lattice:
-    """Column lattice of an integer matrix, supporting membership tests."""
-
-    def __init__(self, mat):
-        self.mat = mat
-        self._eng = _engine_for(mat, want_u=True)
-
-    def contains(self, col_dict):
-        if not col_dict:
-            return True
-        y = self._eng.u_matrix().matvec(col_dict)
-        for i, v in y.items():
-            if i >= self._eng.rank:
-                return False
-            if v % self._eng.diag[i]:
-                return False
-        return True
 
 
 class AbHom:
