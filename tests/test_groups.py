@@ -585,10 +585,10 @@ def test_coords_of_cycle_reduces_torsion_and_rejects_non_cycles():
     chain = cycles.cycle_of_generator(0)
     assert cycles.coords_of_cycle({k: 5 * v for k, v in chain.items()}) == {0: 1}
     assert cycles.coords_of_cycle({k: 4 * v for k, v in chain.items()}) == {}
-    # a bar 1-chain is a cycle (d_1 = 0); a 2-chain boundary is a relation
-    d2 = _bar_data(cyclic(4), 2).cycles
+    # one bar 2-tuple of C4 has a nonzero boundary, so it is no cycle
+    h2 = _bar_data(cyclic(4), 2).cycles
     with pytest.raises(AssertionError):
-        d2.coords_of_cycle({0: 1})
+        h2.coords_of_cycle({0: 1})
 
 
 def _compose(f, g):
