@@ -470,31 +470,12 @@ def _power_codes(field, g):
     """Codes of g^0, g^1, ..., g^(q-2), by repeated multiplication by g.
 
     Multiplication by g is linear over GF(p), so a step combines the rows
-    g * x^j, j < k, computed once, by the current coefficients.  For p = 2
-    a code is a bit vector, coefficient j at bit k-1-j, and a step XORs
-    the rows of its set bits, looked up a byte at a time.
+    g * x^j, j < k, computed once, by the current coefficients.
     """
     p, k = field.p, field.k
     rows = [g * field([0] * j + [1]) for j in range(k)]
-    codes = []
-    if p == 2:
-        bit_rows = [field.index(r) for r in reversed(rows)]
-        tables = []
-        for shift in range(0, k, 8):
-            table = [0]
-            for r in bit_rows[shift : shift + 8]:
-                table += [t ^ r for t in table]
-            tables.append((shift, table))
-        code = 1 << (k - 1)
-        for _ in range(field.order - 1):
-            codes.append(code)
-            step = 0
-            for shift, table in tables:
-                step ^= table[code >> shift & 255]
-            code = step
-        return codes
     terms = [[(i, c) for i, c in enumerate(r.coeffs) if c] for r in rows]
-    v = [1] + [0] * (k - 1)
+    codes, v = [], [1] + [0] * (k - 1)
     for _ in range(field.order - 1):
         code = 0
         for c in v:
