@@ -40,10 +40,10 @@ fixed by negation, one units factor per line meeting the curve twice, and
 one quadratic-units factor per line missing the curve entirely.
 """
 
-import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from .abelian import (
@@ -727,8 +727,60 @@ def report(tree, spec, q_max, curve=None):
 
 
 def report_to_json_text(report):
-    """Canonical serialization: sorted keys, two-space indent, newline."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Canonical serialization: sorted keys, two-space indent, newline.
+
+    The text is json.dumps(report, sort_keys=True, indent=2) plus a
+    newline, written directly: json.dumps falls back to its pure-Python
+    encoder whenever indent is set.  Reports hold dicts with str keys,
+    lists, tuples, str, int, bool and None; any other type raises
+    TypeError.
+    """
+    out = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline, out):
+    """Append the indented JSON of value to out; newline ends its lines."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report key {key!r} is not a str")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} to a report")
 
 
 _GROUP_SCHEMA = {

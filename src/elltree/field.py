@@ -49,27 +49,64 @@ def _poly_divmod(a, b, p):
     return q, _poly_trim(a)
 
 
+def _poly_mulmod(a, b, f, p):
+    """a * b modulo the monic f over F_p; a, b and the result have len(f) - 1 coefficients."""
+    k = len(f) - 1
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for d in range(2 * k - 2, k - 1, -1):
+        c = prod[d] % p
+        if c:
+            for i in range(k):
+                prod[d - k + i] -= c * f[i]
+    return [c % p for c in prod[:k]]
+
+
 def _poly_is_irreducible(c, p):
-    """Trial division test for a monic polynomial over F_p, constant first."""
+    """Rabin's test for a monic polynomial over F_p, constant term first.
+
+    f of degree k is irreducible exactly when x^(p^k) = x mod f and
+    gcd(x^(p^(k/r)) - x, f) = 1 for every prime r dividing k (Rabin
+    1980).  The powers x^(p^i) come from k Frobenius steps, each a
+    power-by-p modulo f.  Candidates with a root are rejected first.
+    """
     deg = len(c) - 1
     if deg <= 0:
         return False
     if deg == 1:
         return True
-    # a root gives a linear factor
-    for r in range(p):
+    # a root gives a linear factor; this cheap test rejects most candidates
+    if not c[0]:
+        return False
+    for r in range(1, p):
         acc = 0
         for coef in reversed(c):
             acc = (acc * r + coef) % p
         if acc == 0:
             return False
-    # remaining candidate factors have degree 2 .. deg//2
-    for d in range(2, deg // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            g = list(tail) + [1]
-            _, rem = _poly_divmod(c, g, p)
-            if not rem:
-                return False
+    x = [0, 1] + [0] * (deg - 2)
+    frob = [x]  # frob[i] = x^(p^i) mod f
+    for _ in range(deg):
+        base, acc, n = frob[-1], None, p
+        while n:
+            if n & 1:
+                acc = base if acc is None else _poly_mulmod(acc, base, c, p)
+            n >>= 1
+            if n:
+                base = _poly_mulmod(base, base, c, p)
+        frob.append(acc)
+    if frob[deg] != x:
+        return False
+    for r, _ in prime_powers(deg):
+        h = [(a - b) % p for a, b in zip(frob[deg // r], x)]
+        g = list(c)
+        while _poly_trim(h):
+            g, h = h, _poly_divmod(g, h, p)[1]
+        if len(_poly_trim(g)) > 1:
+            return False
     return True
 
 

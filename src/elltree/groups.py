@@ -17,6 +17,10 @@ Every stabilizer constructor has a closed form beside it, *_size(...) ->
 it.  check_ceilings is the one ceiling test on (name, order, degree):
 callers size a run from the closed forms and refuse before any table is
 built, and the homology routines apply it again to the groups they get.
+
+The stabilizers over a field build their tables on element codes, code i
+standing for field.elements()[i], through q x q add and mul tables; each
+group still publishes field elements (or tuples of them) as its keys.
 """
 
 from dataclasses import dataclass
@@ -34,7 +38,7 @@ from .abelian import (
     invariant_factors,
 )
 from .errors import TooLargeError
-from .field import make_field, quadratic_extension
+from .field import coded_field, make_field, quadratic_extension
 
 
 @dataclass(frozen=True)
@@ -112,21 +116,21 @@ class FiniteGroup:
         if len(ident) != 1:
             raise ValueError("group must have exactly one identity")
         self.identity = ident[0]
+        e = self.identity
         self.inverses = []
-        for i in range(self.order):
-            inv = [j for j in range(self.order) if self.table[i][j] == self.identity]
-            if len(inv) != 1 or self.table[inv[0]][i] != self.identity:
+        for i, row in enumerate(self.table):
+            if row.count(e) != 1 or self.table[row.index(e)][i] != e:
                 raise ValueError(f"element {i} has no two-sided inverse")
-            self.inverses.append(inv[0])
+            self.inverses.append(row.index(e))
         self.inverses = tuple(self.inverses)
         if self.order <= assoc_ceiling:
+            # row ab of the table must be row b read through row a
             t = self.table
-            for a in range(self.order):
-                for b in range(self.order):
-                    ab = t[a][b]
-                    for c in range(self.order):
-                        if t[ab][c] != t[a][t[b][c]]:
-                            raise ValueError("multiplication is not associative")
+            for ta in t:
+                through_a = ta.__getitem__
+                for ab, tb in zip(ta, t):
+                    if t[ab] != tuple(map(through_a, tb)):
+                        raise ValueError("multiplication is not associative")
 
     def mul(self, i, j):
         return self.table[i][j]
@@ -147,20 +151,23 @@ class FiniteGroup:
         return f"{self.name}[order {self.order}]"
 
 
-def group_from_elements(elements, mul, name="", assoc_ceiling=64):
-    """Build a FiniteGroup from element keys and a multiplication function."""
+def group_from_elements(elements, mul, name="", assoc_ceiling=64, key=None):
+    """Build a FiniteGroup from elements and a multiplication function.
+
+    The table is built on the elements as given; with key set, the group
+    publishes key(e) in place of each element e.
+    """
     elements = list(elements)
     index = {e: i for i, e in enumerate(elements)}
     table = []
     for a in elements:
-        row = []
-        for b in elements:
-            c = mul(a, b)
-            if c not in index:
-                raise ValueError(f"product {c!r} escapes the element set")
-            row.append(index[c])
+        row = [index.get(mul(a, b)) for b in elements]
+        if None in row:
+            c = mul(a, elements[row.index(None)])
+            raise ValueError(f"product {c!r} escapes the element set")
         table.append(row)
-    return FiniteGroup(elements, table, name=name, assoc_ceiling=assoc_ceiling)
+    keys = elements if key is None else map(key, elements)
+    return FiniteGroup(keys, table, name=name, assoc_ceiling=assoc_ceiling)
 
 
 class GroupHom:
@@ -212,13 +219,34 @@ def direct_product(g, h):
     )
 
 
+@lru_cache(maxsize=None)
+def _code_tables(field):
+    """(add, mul, inverse) on element codes, from coded_field's arithmetic.
+
+    Code i stands for field.elements()[i], so code 0 is zero and codes
+    sort as the elements do: a table built on codes lists its elements in
+    the order of one built on field elements.  add and mul are q x q
+    tables; inverse[0] is None.
+    """
+    arith = coded_field(field)
+    codes = range(field.order)
+    add = [[arith.add(a, b) for b in codes] for a in codes]
+    mul = [[arith.mul(a, b) for b in codes] for a in codes]
+    inverse = [None] + [row.index(arith.one) for row in mul[1:]]
+    return add, mul, inverse
+
+
 def unit_group_size(field):
     return f"{field!r}^*", field.order - 1
 
 
 @lru_cache(maxsize=None)
 def unit_group(field):
-    return group_from_elements(field.units(), lambda a, b: a * b, name=unit_group_size(field)[0])
+    mul = _code_tables(field)[1]
+    return group_from_elements(
+        range(1, field.order), lambda a, b: mul[a][b],
+        name=unit_group_size(field)[0], key=field.elements().__getitem__,
+    )
 
 
 def additive_group_size(field):
@@ -227,14 +255,11 @@ def additive_group_size(field):
 
 @lru_cache(maxsize=None)
 def additive_group(field):
+    add = _code_tables(field)[0]
     return group_from_elements(
-        field.elements(), lambda a, b: a + b, name=additive_group_size(field)[0]
+        range(field.order), lambda a, b: add[a][b],
+        name=additive_group_size(field)[0], key=field.elements().__getitem__,
     )
-
-
-def _det2(m):
-    a, b, c, d = m
-    return a * d - b * c
 
 
 def pgl2_canonical(m):
@@ -251,20 +276,32 @@ def pgl2_size(field):
 
 @lru_cache(maxsize=None)
 def pgl2(field):
-    """GL2 modulo scalars; elements are the scaled canonical representatives."""
-    seen = {}
-    for m in product(field.elements(), repeat=4):
-        if _det2(m).is_zero():
-            continue
-        seen.setdefault(pgl2_canonical(m), None)
-    els = sorted(seen, key=lambda m: tuple(v.coeffs for v in m))
+    """GL2 modulo scalars; elements are the scaled canonical representatives.
 
-    def mul(x, y):
+    The table is built on 4-tuples of codes whose first nonzero entry is
+    the code of 1 (a or b, as the top row of an invertible matrix is not
+    zero); the group publishes the same tuples of field elements.
+    """
+    add, mul, inverse = _code_tables(field)
+    one = field.index(field.one)
+    els = [
+        m for m in product(range(field.order), repeat=4)
+        if (m[0] or m[1]) == one and mul[m[0]][m[3]] != mul[m[1]][m[2]]
+    ]
+
+    def mat_mul(x, y):
         a, b, c, d = x
         e, f, g, h = y
-        return pgl2_canonical((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+        ra, rb, rc, rd = mul[a], mul[b], mul[c], mul[d]
+        r0, r1 = add[ra[e]][rb[g]], add[ra[f]][rb[h]]
+        r2, r3 = add[rc[e]][rd[g]], add[rc[f]][rd[h]]
+        scale = mul[inverse[r0 or r1]]
+        return scale[r0], scale[r1], scale[r2], scale[r3]
 
-    return group_from_elements(els, mul, name=pgl2_size(field)[0])
+    decode = field.elements().__getitem__
+    return group_from_elements(
+        els, mat_mul, name=pgl2_size(field)[0], key=lambda m: tuple(map(decode, m))
+    )
 
 
 def triangular_size(field, n):
@@ -279,17 +316,24 @@ def triangular_group(field, n):
     Multiplication follows the 2x2 pattern with the vector slot acted on
     coordinatewise: (p1,s1,q1)(p2,s2,q2) = (p1p2, s1s2, p1*q2 + q1*s2).
     For n = 0 this is the diagonal torus, a product of two unit groups.
+    The table is built on codes; the group publishes field elements.
     """
-    units = field.units()
-    vectors = list(product(field.elements(), repeat=n))
+    add, mul, _ = _code_tables(field)
+    units = range(1, field.order)
+    vectors = list(product(range(field.order), repeat=n))
     els = [(p, s, q) for p in units for s in units for q in vectors]
 
-    def mul(x, y):
+    def tri_mul(x, y):
         p1, s1, q1 = x
         p2, s2, q2 = y
-        return (p1 * p2, s1 * s2, tuple(p1 * b + a * s2 for a, b in zip(q1, q2)))
+        row = mul[p1]
+        return row[p2], mul[s1][s2], tuple(add[row[b]][mul[a][s2]] for a, b in zip(q1, q2))
 
-    return group_from_elements(els, mul, name=triangular_size(field, n)[0])
+    decode = field.elements().__getitem__
+    return group_from_elements(
+        els, tri_mul, name=triangular_size(field, n)[0],
+        key=lambda x: (decode(x[0]), decode(x[1]), tuple(map(decode, x[2]))),
+    )
 
 
 def scalar_subgroup_indices(tri):

@@ -3,11 +3,13 @@
 The package never calls these; they live beside the tests that need them.
 """
 
+from functools import lru_cache
 from itertools import product
 
 from elltree.abelian import invariant_factors
 from elltree.curve import INFINITY_POINT, WeierstrassCurve
-from elltree.groups import group_from_elements
+from elltree.field import _poly_divmod
+from elltree.groups import group_from_elements, pgl2_canonical, pgl2_size, triangular_size, unit_group_size, additive_group_size
 
 
 def matrix_rank(mat):
@@ -32,6 +34,86 @@ def gl2(field):
         return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     return group_from_elements(els, mul, name=f"GL2({field!r})")
+
+
+def is_irreducible_by_trial_division(c, p):
+    """Trial division test for a monic polynomial over F_p, constant first."""
+    deg = len(c) - 1
+    if deg <= 0:
+        return False
+    if deg == 1:
+        return True
+    # a root gives a linear factor
+    for r in range(p):
+        acc = 0
+        for coef in reversed(c):
+            acc = (acc * r + coef) % p
+        if acc == 0:
+            return False
+    # remaining candidate factors have degree 2 .. deg//2
+    for d in range(2, deg // 2 + 1):
+        for tail in product(range(p), repeat=d):
+            g = list(tail) + [1]
+            _, rem = _poly_divmod(c, g, p)
+            if not rem:
+                return False
+    return True
+
+
+def first_irreducible_by_trial_division(p, k):
+    """make_field's modulus: the first irreducible monic candidate in its order."""
+    return next(
+        tuple(tail) + (1,) for tail in product(range(p), repeat=k)
+        if is_irreducible_by_trial_division(list(tail) + [1], p)
+    )
+
+
+# Stabilizer tables built on FieldElement arithmetic, the oracles for the
+# int-coded constructors in elltree.groups: same names, same elements in
+# the same order, so the groups must come out equal table for table.
+# Cached, as the package's constructors are, since several tests share them.
+
+
+@lru_cache(maxsize=None)
+def unit_group_by_elements(field):
+    return group_from_elements(field.units(), lambda a, b: a * b, name=unit_group_size(field)[0])
+
+
+@lru_cache(maxsize=None)
+def additive_group_by_elements(field):
+    return group_from_elements(
+        field.elements(), lambda a, b: a + b, name=additive_group_size(field)[0]
+    )
+
+
+@lru_cache(maxsize=None)
+def pgl2_by_elements(field):
+    seen = {}
+    for m in product(field.elements(), repeat=4):
+        if not (m[0] * m[3] - m[1] * m[2]).is_zero():
+            seen.setdefault(pgl2_canonical(m), None)
+    els = sorted(seen, key=lambda m: tuple(v.coeffs for v in m))
+
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return pgl2_canonical((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+
+    return group_from_elements(els, mul, name=pgl2_size(field)[0])
+
+
+@lru_cache(maxsize=None)
+def triangular_by_elements(field, n):
+    units = field.units()
+    vectors = list(product(field.elements(), repeat=n))
+    els = [(p, s, q) for p in units for s in units for q in vectors]
+
+    def mul(x, y):
+        p1, s1, q1 = x
+        p2, s2, q2 = y
+        return (p1 * p2, s1 * s2, tuple(p1 * b + a * s2 for a, b in zip(q1, q2)))
+
+    return group_from_elements(els, mul, name=triangular_size(field, n)[0])
 
 
 def curve_from_json(field, data):

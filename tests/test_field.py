@@ -4,17 +4,25 @@ Root-finding is checked against exhaustive search, which is the oracle for
 every frozen value below.
 """
 
+from itertools import product
+
 import pytest
 
 from elltree.errors import TooLargeError
 from elltree.field import (
     _generator,
+    _is_prime,
+    _poly_is_irreducible,
     _power_codes,
     make_field,
     quadratic_extension,
     solve_monic_quadratic,
 )
-from helpers import frobenius
+from helpers import (
+    first_irreducible_by_trial_division,
+    frobenius,
+    is_irreducible_by_trial_division,
+)
 
 
 def exhaustive_roots(field, b, c):
@@ -62,6 +70,23 @@ def test_gf4_modulus_is_the_only_irreducible_quadratic():
 def test_gf9_modulus():
     # x^2 + 1: candidates with smaller coefficient vectors all have roots
     assert make_field(3, 2).modulus == (1, 0, 1)
+
+
+def test_rabin_test_agrees_with_trial_division():
+    for p, max_k in [(2, 7), (3, 5), (5, 3), (7, 3)]:
+        for k in range(1, max_k + 1):
+            for tail in product(range(p), repeat=k):
+                c = list(tail) + [1]
+                assert _poly_is_irreducible(c, p) == is_irreducible_by_trial_division(c, p), c
+
+
+def test_modulus_is_the_trial_division_choice():
+    # every field up to order 4096, and two large ones where a slow test
+    # used to dominate a refusal
+    cases = [(p, k) for p in range(2, 4097) if _is_prime(p)
+             for k in range(1, 13) if p ** k <= 4096]
+    for p, k in cases + [(2, 16), (3, 10)]:
+        assert make_field(p, k).modulus == first_irreducible_by_trial_division(p, k), (p, k)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)])

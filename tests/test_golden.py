@@ -15,6 +15,7 @@ that depends on PYTHONHASHSEED.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -22,7 +23,9 @@ from pathlib import Path
 
 import pytest
 
+from elltree import cli
 from elltree.cli import main
+from elltree.coefficients import report_to_json_text
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -71,7 +74,8 @@ def test_report_matches_golden(name, code, argv, tmp_path):
 # and the exit code.  The symbolic ones were written before the classifier
 # became int-coded and before the elementary-divisor sums and the
 # closed-form root glue; the concrete and compare ones before bar homology
-# presentations were Smith-reduced.
+# presentations were Smith-reduced; the classify ones before reports were
+# written without json.dumps.
 DIGESTS = [
     ("symbolic-p1009-d20", 0,
      "c192ff96e7a0e43aa5cf71e1796106bcf79010b53c987f081938d8e1caa7ea72",
@@ -90,6 +94,12 @@ DIGESTS = [
     ("compare-p2-d3-q2", 2,
      "4cead3b56ae0f0ee50b27831fc0d533726af0c243bbb9f5be8ee002a1ba53a31",
      ["compare", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "3", "--q-max", "2"]),
+    ("classify-p16381", 0,
+     "a4c78ecc62784961ab15b629a39768786eeba5c8e95a88474eb94d90b382066e",
+     ["classify", "--p", "16381", "--curve", "0,0,0,14615,8137"]),
+    ("classify-p101-k2", 0,
+     "ede4bd1441489eb9f12dee25cad6453b067fca2db8c0854ba41e7a3daaa6362e",
+     ["classify", "--p", "101", "--k", "2", "--curve", "0:0,0:0,0:0,70:4,0:30"]),
 ]
 
 
@@ -124,3 +134,33 @@ def test_bytes_identical_across_hash_seeds(argv):
         assert proc.stdout
         outputs.add((proc.returncode, proc.stdout))
     assert len(outputs) == 1
+
+
+def _json_dumps_text(report):
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", [c[0] for c in CASES])
+def test_report_writer_matches_json_dumps_on_goldens(name):
+    report = json.loads((GOLDEN / name).read_text())
+    assert report_to_json_text(report) == _json_dumps_text(report)
+
+
+def test_report_writer_matches_json_dumps_on_a_classify_report(monkeypatch, tmp_path):
+    # the report object itself, tuples included, not its parsed copy
+    reports = []
+
+    def recorded(report):
+        reports.append(report)
+        return report_to_json_text(report)
+
+    monkeypatch.setattr(cli, "report_to_json_text", recorded)
+    argv = ["classify", "--p", "101", "--k", "2", "--curve", "0:0,0:0,0:0,70:4,0:30"]
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    assert report_to_json_text(reports[0]) == _json_dumps_text(reports[0])
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, {1: "a"}, b"x"], ids=repr)
+def test_report_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        report_to_json_text({"x": [value]})

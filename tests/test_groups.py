@@ -30,6 +30,7 @@ from elltree.groups import (
     FiniteGroup,
     GroupHom,
     _bar_data,
+    _code_tables,
     _bar_invariants_large,
     _tuple_count,
     abelianization,
@@ -67,7 +68,13 @@ from elltree.groups import (
     units_to_cusp,
 )
 from elltree.selftest import _stabilizer_zoo
-from helpers import gl2
+from helpers import (
+    additive_group_by_elements,
+    gl2,
+    pgl2_by_elements,
+    triangular_by_elements,
+    unit_group_by_elements,
+)
 
 
 def symmetric_group(n):
@@ -440,9 +447,8 @@ def test_too_large_guards_apply_check_ceilings():
         assert str(info.value) == str(expected.value)
 
 
-# (p, k, largest vector depth n); GF(5) stops at n = 1 because Tri(GF(5),2)
-# has 400 elements and its table alone takes seconds
-CLOSED_FORM_FIELDS = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 1)]
+# (p, k, largest vector depth n)
+CLOSED_FORM_FIELDS = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2)]
 
 
 @pytest.mark.parametrize("p,k,depth", CLOSED_FORM_FIELDS, ids=lambda v: str(v))
@@ -703,3 +709,112 @@ def test_quad_units_projection_kernel():
     kernel = [i for i in range(big.order) if proj.mapping[i] == qg.identity]
     assert len(kernel) == 2
     assert {big.elements[i] for i in kernel} == {emb(u) for u in f3.units()}
+
+
+# ---------------------------------------------------------------------------
+# int-coded tables against the FieldElement oracle
+
+
+def _oracle_cusp(field, n):
+    tri = triangular_by_elements(field, n)
+    quotient, proj = quotient_by_central(
+        tri, scalar_subgroup_indices(tri), cusp_group_size(field, n)[0]
+    )
+    return quotient, proj, tri
+
+
+def _oracle_quad_units(field):
+    ext, emb = quadratic_extension(field)
+    big = unit_group_by_elements(ext)
+    embedded = sorted(big.index[emb(u)] for u in field.units())
+    return quotient_by_central(big, embedded, quad_units_size(field)[0])
+
+
+def _table_data(group):
+    return group.elements, group.table, group.identity, group.name
+
+
+# (p, k, largest vector depth n of the triangular and cusp groups); GF(5)
+# stops at n = 1 because the oracle's Tri(GF(5),2) table takes seconds
+ORACLE_FIELDS = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 1)]
+
+
+@pytest.mark.parametrize("p,k,depth", ORACLE_FIELDS, ids=lambda v: str(v))
+def test_coded_tables_equal_the_field_element_oracle(p, k, depth):
+    f = make_field(p, k)
+    pairs = [
+        (pgl2(f), pgl2_by_elements(f)),
+        (unit_group(f), unit_group_by_elements(f)),
+        (additive_group(f), additive_group_by_elements(f)),
+    ]
+    for built, oracle in pairs:
+        assert _table_data(built) == _table_data(oracle)
+    quad, quad_proj = quad_units_group(f)
+    oracle, oracle_proj = _oracle_quad_units(f)
+    assert _table_data(quad) == _table_data(oracle)
+    assert quad_proj.mapping == oracle_proj.mapping
+    for n in range(depth + 1):
+        if p ** k <= 4:
+            assert _table_data(triangular_group(f, n)) == _table_data(
+                triangular_by_elements(f, n)
+            )
+        if n:
+            built, oracle = cusp_group(f, n), _oracle_cusp(f, n)
+            assert _table_data(built[0]) == _table_data(oracle[0])
+            assert _table_data(built[2]) == _table_data(oracle[2])
+            assert built[1].mapping == oracle[1].mapping
+
+
+def _mapping(source, target, fn):
+    return tuple(target.index[fn(key)] for key in source.elements)
+
+
+@pytest.mark.parametrize("p,k,depth", ORACLE_FIELDS, ids=lambda v: str(v))
+def test_inclusion_homs_are_unchanged(p, k, depth):
+    # each hom's mapping, recomputed from its definition on the oracle groups
+    f = make_field(p, k)
+    zero, one = f.zero, f.one
+    q1, proj1, tri1 = _oracle_cusp(f, 1)
+
+    def to_q1(p_, s, vec):
+        return q1.elements[proj1.mapping[tri1.index[(p_, s, vec)]]]
+
+    assert additive_to_cusp(f).mapping == _mapping(
+        additive_group_by_elements(f), q1, lambda u: to_q1(one, one, (u,))
+    )
+    assert units_to_cusp(f).mapping == _mapping(
+        unit_group_by_elements(f), q1, lambda u: to_q1(u, one, (zero,))
+    )
+    assert cusp_to_pgl2(f).mapping == _mapping(
+        q1, pgl2_by_elements(f), lambda key: pgl2_canonical((key[0], key[2][0], zero, key[1]))
+    )
+    for n in range(1, depth):
+        q_n = _oracle_cusp(f, n)[0]
+        q_next, proj_next, tri_next = _oracle_cusp(f, n + 1)
+        assert cusp_chain_inclusion(f, n).mapping == _mapping(
+            q_n, q_next,
+            lambda key: q_next.elements[
+                proj_next.mapping[tri_next.index[(key[0], key[1], key[2] + (zero,))]]
+            ],
+        )
+    for n in range(1, depth + 1):
+        if p ** k <= 4:
+            assert diagonal_to_triangular(f, n).mapping == _mapping(
+                triangular_by_elements(f, 0), triangular_by_elements(f, n),
+                lambda key: (key[0], key[1], (zero,) * n),
+            )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_code_tables_match_field_element_arithmetic(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    k = data.draw(st.integers(1, 3))
+    f = make_field(p, k)
+    add, mul, inverse = _code_tables(f)
+    els = f.elements()
+    a = data.draw(st.integers(0, f.order - 1))
+    b = data.draw(st.integers(0, f.order - 1))
+    assert add[a][b] == f.index(els[a] + els[b])
+    assert mul[a][b] == f.index(els[a] * els[b])
+    assert inverse[a] == (f.index(els[a].inverse()) if a else None)
