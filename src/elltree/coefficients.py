@@ -40,6 +40,7 @@ fixed by negation, one units factor per line meeting the curve twice, and
 one quadratic-units factor per line missing the curve entirely.
 """
 
+import io
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -731,54 +732,54 @@ def report_to_json_text(report):
 
     The text is json.dumps(report, sort_keys=True, indent=2) plus a
     newline, written directly: json.dumps falls back to its pure-Python
-    encoder whenever indent is set.  Reports hold dicts with str keys,
-    lists, tuples, str, int, bool and None; any other type raises
-    TypeError.
+    encoder whenever indent is set, and holds every piece of the text in
+    a list until the end.  Reports hold dicts with str keys, lists,
+    tuples, str, int, bool and None; any other type raises TypeError.
     """
-    out = []
-    _write_json(report, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    buf = io.StringIO()
+    _write_json(report, "\n", buf.write)
+    buf.write("\n")
+    return buf.getvalue()
 
 
-def _write_json(value, newline, out):
-    """Append the indented JSON of value to out; newline ends its lines."""
+def _write_json(value, newline, write):
+    """Write the indented JSON of value; newline ends each of its lines."""
     if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
+        write(encode_basestring_ascii(value))
     elif value is None:
-        out.append("null")
+        write("null")
     elif value is True:
-        out.append("true")
+        write("true")
     elif value is False:
-        out.append("false")
+        write("false")
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        write(int.__repr__(value))
     elif isinstance(value, dict):
         if not value:
-            out.append("{}")
+            write("{}")
             return
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"report key {key!r} is not a str")
-            out.append(sep)
-            out.append(encode_basestring_ascii(key))
-            out.append(": ")
-            _write_json(value[key], inner, out)
+            write(sep)
+            write(encode_basestring_ascii(key))
+            write(": ")
+            _write_json(value[key], inner, write)
             sep = "," + inner
-        out.append(newline + "}")
+        write(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
+            write("[]")
             return
         inner = newline + "  "
         sep = "[" + inner
         for item in value:
-            out.append(sep)
-            _write_json(item, inner, out)
+            write(sep)
+            _write_json(item, inner, write)
             sep = "," + inner
-        out.append(newline + "]")
+        write(newline + "]")
     else:
         raise TypeError(f"cannot write {type(value).__name__} to a report")
 

@@ -65,13 +65,24 @@ def _poly_mulmod(a, b, f, p):
     return [c % p for c in prod[:k]]
 
 
+def _poly_powmod(a, n, f, p):
+    """a^n modulo the monic f over F_p, by repeated squaring."""
+    result = [1] + [0] * (len(f) - 2)
+    while n:
+        if n & 1:
+            result = _poly_mulmod(result, a, f, p)
+        a = _poly_mulmod(a, a, f, p)
+        n >>= 1
+    return result
+
+
 def _poly_is_irreducible(c, p):
     """Rabin's test for a monic polynomial over F_p, constant term first.
 
     f of degree k is irreducible exactly when x^(p^k) = x mod f and
     gcd(x^(p^(k/r)) - x, f) = 1 for every prime r dividing k (Rabin
-    1980).  The powers x^(p^i) come from k Frobenius steps, each a
-    power-by-p modulo f.  Candidates with a root are rejected first.
+    1980).  The powers x^(p^i) come from k Frobenius steps, each a p-th
+    power modulo f.  Candidates with a root are rejected first.
     """
     deg = len(c) - 1
     if deg <= 0:
@@ -90,14 +101,7 @@ def _poly_is_irreducible(c, p):
     x = [0, 1] + [0] * (deg - 2)
     frob = [x]  # frob[i] = x^(p^i) mod f
     for _ in range(deg):
-        base, acc, n = frob[-1], None, p
-        while n:
-            if n & 1:
-                acc = base if acc is None else _poly_mulmod(acc, base, c, p)
-            n >>= 1
-            if n:
-                base = _poly_mulmod(base, base, c, p)
-        frob.append(acc)
+        frob.append(_poly_powmod(frob[-1], p, c, p))
     if frob[deg] != x:
         return False
     for r, _ in prime_powers(deg):
@@ -373,7 +377,10 @@ def make_field(p, k, ceiling=DEFAULT_ORDER_CEILING):
         raise ValueError("k must be positive")
     if p ** k > ceiling:
         raise TooLargeError(f"field F_{p}^{k}", p ** k, ceiling)
-    for tail in product(range(p), repeat=k):
+    # for k > 1 a zero constant term makes x a factor, so the search
+    # starts at the first candidate with a nonzero one
+    constants = range(1, p) if k > 1 else range(p)
+    for tail in product(constants, *[range(p)] * (k - 1)):
         candidate = list(tail) + [1]
         if _poly_is_irreducible(candidate, p):
             return FiniteField(p, k, candidate)

@@ -9,7 +9,14 @@ from itertools import product
 from elltree.abelian import invariant_factors
 from elltree.curve import INFINITY_POINT, WeierstrassCurve
 from elltree.field import _poly_divmod
-from elltree.groups import group_from_elements, pgl2_canonical, pgl2_size, triangular_size, unit_group_size, additive_group_size
+from elltree.groups import (
+    additive_group_size,
+    group_from_elements,
+    pgl2_canonical,
+    pgl2_size,
+    triangular_size,
+    unit_group_size,
+)
 
 
 def matrix_rank(mat):
