@@ -226,13 +226,13 @@ def _code_tables(field):
     Code i stands for field.elements()[i], so code 0 is zero and codes
     sort as the elements do: a table built on codes lists its elements in
     the order of one built on field elements.  add and mul are q x q
-    tables; inverse[0] is None.
+    tuples, cached and shared; inverse[0] is None.
     """
     arith = coded_field(field)
     codes = range(field.order)
-    add = [[arith.add(a, b) for b in codes] for a in codes]
-    mul = [[arith.mul(a, b) for b in codes] for a in codes]
-    inverse = [None] + [row.index(arith.one) for row in mul[1:]]
+    add = tuple(tuple(arith.add(a, b) for b in codes) for a in codes)
+    mul = tuple(tuple(arith.mul(a, b) for b in codes) for a in codes)
+    inverse = (None,) + tuple(row.index(arith.one) for row in mul[1:])
     return add, mul, inverse
 
 

@@ -448,7 +448,7 @@ def test_too_large_guards_apply_check_ceilings():
 
 
 # (p, k, largest vector depth n)
-CLOSED_FORM_FIELDS = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2)]
+CLOSED_FORM_FIELDS = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 1)]
 
 
 @pytest.mark.parametrize("p,k,depth", CLOSED_FORM_FIELDS, ids=lambda v: str(v))
