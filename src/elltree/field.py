@@ -371,12 +371,15 @@ def make_field(p, k, ceiling=DEFAULT_ORDER_CEILING):
     >>> make_field(3, 2).modulus
     (1, 0, 1)
     """
-    if not isinstance(p, int) or not _is_prime(p):
+    if not isinstance(p, int) or p < 2:
         raise ValueError(f"p = {p} is not prime")
     if k < 1:
         raise ValueError("k must be positive")
+    # the ceiling comes first: trial division of a huge p would not end
     if p ** k > ceiling:
         raise TooLargeError(f"field F_{p}^{k}", p ** k, ceiling)
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     # for k > 1 a zero constant term makes x a factor, so the search
     # starts at the first candidate with a nonzero one
     constants = range(1, p) if k > 1 else range(p)

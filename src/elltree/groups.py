@@ -8,9 +8,11 @@ Homology is computed from the normalized inhomogeneous bar complex: chains
 in degree q are spanned by q-tuples of non-identity elements, tuples that
 acquire an identity entry under face maps are dropped, and the resulting
 free complex is reduced with the exact integer machinery from the abelian
-module.  Ceilings keep tuple counts bounded; beyond the size where the
-change-of-basis data is retained (needed for induced maps) the invariants
-are still computed from the rank of d_q and the Smith divisors of d_{q+1}.
+module.  Each H_q(G; Z) is built once, as a Smith-reduced presentation
+with its cycle basis (_bar_data), and bar_homology, homology_presentation
+and induced_map all read that one build.  Ceilings keep group order and
+degree bounded, and the tuple count bounds what the chain-level entry
+points may ask for.
 
 Every stabilizer constructor has a closed form beside it, *_size(...) ->
 (name, order), which builds nothing; the constructor takes its name from
@@ -34,8 +36,6 @@ from .abelian import (
     PresentedGroup,
     AbHom,
     TRIVIAL_GROUP,
-    _engine_for,
-    invariant_factors,
 )
 from .errors import TooLargeError
 from .field import coded_field, make_field, quadratic_extension
@@ -45,9 +45,9 @@ from .field import coded_field, make_field, quadratic_extension
 class BarLimits:
     """Size ceilings for homology computations.
 
-    max_order and max_degree bound what bar_homology accepts at all;
-    dense_columns bounds the tuple count (|G|-1)^(q+1) up to which the
-    cycle basis is kept, which induced_map requires.
+    max_order and max_degree bound every homology computation;
+    dense_columns bounds the tuple count (|G|-1)^(q+1) only for
+    homology_presentation and induced_map.
     """
 
     max_order: int = 24
@@ -494,43 +494,25 @@ def _bar_data(group, q):
     return BarHomology(group, q)
 
 
-@lru_cache(maxsize=None)
-def _bar_invariants_large(group, q):
-    """Rank-nullity route for sizes where the cycle basis is not kept."""
-    tuples_q = _bar_tuples(group, q)
-    n_q = len(tuples_q)
-    if n_q == 0:
-        return TRIVIAL_GROUP
-    tuple_index = {t: i for i, t in enumerate(tuples_q)}
-    prev = _bar_tuples(group, q - 1)
-    prev_index = {t: i for i, t in enumerate(prev)}
-    d_q = IntMatrix.from_sparse_cols(
-        _bar_boundary_cols(group, q, tuples_q, prev_index), len(prev)
-    )
-    rank_dq = _engine_for(d_q).rank
-    nxt = _bar_tuples(group, q + 1)
-    d_next_cols = _bar_boundary_cols(group, q + 1, nxt, tuple_index)
-    factors = invariant_factors(IntMatrix.from_sparse_cols(d_next_cols, n_q))
-    betti = n_q - rank_dq - len(factors)
-    return FgAbGroup(betti, tuple(d for d in factors if d > 1))
-
-
 def bar_homology(group, q, limits=DEFAULT_LIMITS):
     """H_q(G; Z) from the normalized bar complex.
+
+    Only max_order and max_degree apply; degree q >= 1 reads the same
+    cached presentation that homology_presentation returns.
 
     >>> bar_homology(cyclic(4), 1)
     Z/4
     >>> bar_homology(cyclic(4), 0)
     Z
+    >>> bar_homology(cyclic(8), 3)
+    Z/8
     """
     if q < 0:
         return TRIVIAL_GROUP
     if q == 0:
         return FgAbGroup(1, ())
     check_ceilings(group.name, group.order, q, limits)
-    if _tuple_count(group.order, q + 1) <= limits.dense_columns:
-        return _bar_data(group, q).canonical()
-    return _bar_invariants_large(group, q)
+    return _bar_data(group, q).canonical()
 
 
 def induced_map(hom, q, limits=DEFAULT_LIMITS):
@@ -565,7 +547,7 @@ def induced_map(hom, q, limits=DEFAULT_LIMITS):
 
 
 def homology_presentation(group, q, limits=DEFAULT_LIMITS):
-    """The presented homology group in degree q (dense path only)."""
+    """The presented homology group in degree q, within dense_columns."""
     check_ceilings(group.name, group.order, q, limits, PRESENTATION)
     return _bar_data(group, q).presented
 

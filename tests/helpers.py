@@ -6,10 +6,12 @@ The package never calls these; they live beside the tests that need them.
 from functools import lru_cache
 from itertools import product
 
-from elltree.abelian import invariant_factors
+from elltree.abelian import TRIVIAL_GROUP, FgAbGroup, IntMatrix, invariant_factors
 from elltree.curve import INFINITY_POINT, WeierstrassCurve
 from elltree.field import _poly_divmod
 from elltree.groups import (
+    _bar_boundary_cols,
+    _bar_tuples,
     additive_group_size,
     group_from_elements,
     pgl2_canonical,
@@ -22,6 +24,26 @@ from elltree.groups import (
 def matrix_rank(mat):
     """Rank over Z (and Q): the number of nonzero invariant factors."""
     return len(invariant_factors(mat))
+
+
+@lru_cache(maxsize=None)
+def rank_nullity_bar_homology(group, q):
+    """H_q(G; Z) for q >= 1 from the rank of d_q and the Smith divisors of
+    d_{q+1} of the normalized bar complex, with no cycle basis and no
+    presentation: the oracle for groups.bar_homology."""
+    tuples_q = _bar_tuples(group, q)
+    if not tuples_q:
+        return TRIVIAL_GROUP
+    prev = _bar_tuples(group, q - 1)
+    prev_index = {t: i for i, t in enumerate(prev)}
+    d_q = IntMatrix.from_sparse_cols(
+        _bar_boundary_cols(group, q, tuples_q, prev_index), len(prev)
+    )
+    tuple_index = {t: i for i, t in enumerate(tuples_q)}
+    d_next_cols = _bar_boundary_cols(group, q + 1, _bar_tuples(group, q + 1), tuple_index)
+    factors = invariant_factors(IntMatrix.from_sparse_cols(d_next_cols, len(tuples_q)))
+    betti = len(tuples_q) - matrix_rank(d_q) - len(factors)
+    return FgAbGroup(betti, tuple(d for d in factors if d > 1))
 
 
 def frobenius(field, a):

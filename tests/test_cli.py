@@ -218,6 +218,17 @@ def test_too_large_exit_three(capsys):
     assert "PGL2" in err
 
 
+def test_huge_prime_refused_by_size_exit_three(capsys):
+    code, out, err = run_cli(
+        capsys, "classify", "--p", "2305843009213693951", "--curve", "0,0,0,-1,0"
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "too large: field F_2305843009213693951^1: "
+        "size 2305843009213693951 exceeds ceiling 65536\n"
+    )
+
+
 def test_bad_config_exit_one(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     code, _, err = run_cli(capsys, "selftest", "--config", str(missing))

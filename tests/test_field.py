@@ -44,14 +44,21 @@ def test_prime_field_arithmetic_matches_ints():
 
 
 def test_make_field_rejects_composite_p():
-    with pytest.raises(ValueError):
-        make_field(6, 1)
+    for p in (6, 65535, 1, 0, -7):
+        with pytest.raises(ValueError, match=f"p = {p} is not prime"):
+            make_field(p, 1)
 
 
 def test_make_field_ceiling():
     with pytest.raises(TooLargeError):
         make_field(2, 17)
     make_field(2, 16)  # exactly at the default ceiling
+    # the size is checked before primality: trial division of the prime
+    # 2^61 - 1 would not finish, and a composite this large is refused too
+    with pytest.raises(TooLargeError, match="size 2305843009213693951 exceeds ceiling 65536"):
+        make_field(2**61 - 1, 1)
+    with pytest.raises(TooLargeError):
+        make_field(3 * 65537, 1)
 
 
 def test_gf4_modulus_is_the_only_irreducible_quadratic():

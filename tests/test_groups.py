@@ -31,7 +31,6 @@ from elltree.groups import (
     GroupHom,
     _bar_data,
     _code_tables,
-    _bar_invariants_large,
     _tuple_count,
     abelianization,
     additive_group,
@@ -72,6 +71,7 @@ from helpers import (
     additive_group_by_elements,
     gl2,
     pgl2_by_elements,
+    rank_nullity_bar_homology,
     triangular_by_elements,
     unit_group_by_elements,
 )
@@ -399,12 +399,16 @@ def test_klein_four_degree_two():
     assert bar_homology(v4, 2) == FgAbGroup(0, (2,))
 
 
-def test_dense_and_large_paths_agree():
+def test_bar_homology_agrees_with_rank_nullity():
+    # dense_columns bounds only the chain-level entry points; C6 in degree
+    # 3 has 5^4 = 625 tuples, over the default 600
     tight = BarLimits(max_order=24, max_degree=3, dense_columns=1)
-    roomy = BarLimits(max_order=24, max_degree=3, dense_columns=10**6)
-    for g in [cyclic(4), cyclic(6), symmetric_group(3)]:
-        for q in (1, 2):
-            assert bar_homology(g, q, tight) == bar_homology(g, q, roomy), (g.name, q)
+    cases = [(g, q) for g in [cyclic(4), cyclic(6), symmetric_group(3)] for q in (1, 2)]
+    assert _tuple_count(6, 4) > DEFAULT_LIMITS.dense_columns
+    for g, q in cases + [(cyclic(6), 3)]:
+        want = rank_nullity_bar_homology(g, q)
+        assert bar_homology(g, q) == want, (g.name, q)
+        assert bar_homology(g, q, tight) == want, (g.name, q)
 
 
 def test_too_large_guards():
@@ -563,14 +567,14 @@ ROOMY = BarLimits(max_order=24, max_degree=3, dense_columns=10**4)
 def _reduced_cases():
     """(group, q, oracle): every cyclic n <= 8 in degrees 0..3 against the
     closed form, and every zoo group within the dense ceiling against the
-    rank-nullity route, which never builds a presentation."""
+    rank-nullity oracle, which never builds a presentation."""
     for n in range(1, 9):
         for q in range(4):
             yield cyclic(n), q, cyclic_group_homology(n, q)
     for g in _stabilizer_zoo():
         for q in range(1, 4):
             if _tuple_count(g.order, q + 1) <= DEFAULT_LIMITS.dense_columns:
-                yield g, q, _bar_invariants_large(g, q)
+                yield g, q, rank_nullity_bar_homology(g, q)
 
 
 def test_reduced_presentations_are_canonical_and_invert():
@@ -584,6 +588,14 @@ def test_reduced_presentations_are_canonical_and_invert():
             assert cycles.coords_of_cycle(cycles.cycle_of_generator(i)) == {i: 1}, (g, q, i)
         count += 1
     assert count > 32
+
+
+def test_bar_homology_and_presentation_share_one_build(cold_caches):
+    assert bar_homology(cyclic(6), 3) == FgAbGroup(0, (6,))
+    presented = homology_presentation(cyclic(6), 3, ROOMY)
+    assert presented.canonical() == FgAbGroup(0, (6,))
+    info = _bar_data.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_coords_of_cycle_reduces_torsion_and_rejects_non_cycles():
