@@ -7,6 +7,7 @@ embeddings) are made deterministically so that identical inputs always
 produce identical outputs.
 """
 
+import math
 from itertools import product
 
 from .abelian import prime_powers
@@ -359,6 +360,26 @@ class FiniteField:
         return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
 
 
+def _power_exceeds(p, k, ceiling):
+    """Whether p**k > ceiling for p >= 2, without forming a huge p**k."""
+    size = 1
+    for _ in range(k):
+        size *= p
+        if size > ceiling:
+            return True
+    return False
+
+
+def _power_text(p, k):
+    """p**k, or the text p^k when p**k has more than the 4300 digits
+    Python converts to text by default.
+
+    >>> _power_text(3, 4), _power_text(3, 10**12)
+    (81, '3^1000000000000')
+    """
+    return p ** k if k * math.log10(p) < 4300 else f"{p}^{k}"
+
+
 def make_field(p, k, ceiling=DEFAULT_ORDER_CEILING):
     """Construct F_{p^k} with the canonical modulus.
 
@@ -376,8 +397,8 @@ def make_field(p, k, ceiling=DEFAULT_ORDER_CEILING):
     if k < 1:
         raise ValueError("k must be positive")
     # the ceiling comes first: trial division of a huge p would not end
-    if p ** k > ceiling:
-        raise TooLargeError(f"field F_{p}^{k}", p ** k, ceiling)
+    if _power_exceeds(p, k, ceiling):
+        raise TooLargeError(f"field F_{p}^{k}", _power_text(p, k), ceiling)
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     # for k > 1 a zero constant term makes x a factor, so the search

@@ -12,7 +12,8 @@ from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from elltree.abelian import (
     AbHom,
@@ -27,8 +28,11 @@ from elltree.abelian import (
     invariant_factors,
     kernel_basis,
     smith_normal_form,
+    _SmithEngine,
     _engine_for,
+    _transpose_dicts,
 )
+from elltree.groups import _bar_boundary_cols, _bar_tuples, cyclic
 from elltree.selftest import _dense_product, _det_bareiss
 from helpers import matrix_rank
 
@@ -481,3 +485,79 @@ def test_tracked_uinv_inverts_u(data):
     assert _dense_product(u.rows, uinv.rows, m) == ident
     assert _dense_product(uinv.rows, u.rows, m) == ident
     assert u == _engine_for(mat, want_u=True).u_matrix()
+
+
+# ---------------------------------------------------------------------------
+# the Smith engine on sparse, mostly unit matrices like bar boundaries
+
+
+@st.composite
+def bar_like(draw):
+    """A wide sparse matrix: up to 12 x 40, few entries per column, mostly +-1."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 40))
+    entry = st.sampled_from([1, -1, 1, -1, 1, -1, 2, -2, 3])
+    cols = draw(st.lists(st.dictionaries(st.integers(0, m - 1), entry, max_size=4),
+                         min_size=n, max_size=n))
+    return IntMatrix.from_sparse_cols(cols, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bar_like())
+def test_smith_on_bar_like_matrices(mat):
+    nz = check_snf(mat)
+    want = sympy_invariant_factors(sympy.Matrix(mat.rows), domain=sympy.ZZ)
+    assert nz == [int(d) for d in want if d]
+    assert invariant_factors(mat) == nz  # tracks no transform
+
+
+def _bar_boundary(group, q):
+    prev = {t: i for i, t in enumerate(_bar_tuples(group, q - 1))}
+    return IntMatrix.from_sparse_cols(
+        _bar_boundary_cols(group, q, _bar_tuples(group, q), prev), len(prev))
+
+
+@settings(max_examples=100, deadline=None)
+@given(bar_like())
+@example(_bar_boundary(cyclic(4), 3))
+@example(_bar_boundary(cyclic(5), 2))
+@example(_bar_boundary(cyclic(6), 2))
+def test_u_does_not_depend_on_column_tracking(mat):
+    # without V or Vinv a pivot row is cleared in one step; the row
+    # operations, and so U and the diagonal, are those of a tracked run
+    light = _engine_for(mat, want_u=True)
+    full = _engine_for(mat, want_u=True, want_v=True, want_vinv=True)
+    assert light.diag == full.diag
+    assert light.u_matrix() == full.u_matrix()
+
+
+def test_pivot_choice_does_not_depend_on_dict_order():
+    # the pivots follow row and column lengths and indices only, so column
+    # dicts with the same entries in another key order give the same U and V
+    for mat in (_bar_boundary(cyclic(4), 3), _bar_boundary(cyclic(3), 2),
+                IntMatrix([[2, 1, 0, -1], [1, 0, 1, 1], [0, -1, 1, 2]])):
+        shuffled = IntMatrix.from_sparse_cols(
+            [dict(sorted(col.items(), reverse=True)) for col in mat.cols], mat.nrows)
+        assert [list(c) for c in shuffled.cols] != [list(c) for c in mat.cols]
+        a = _engine_for(mat, want_u=True, want_v=True)
+        b = _engine_for(shuffled, want_u=True, want_v=True)
+        # the engine's own row dicts, in reversed key order too
+        rows = [dict(sorted(r.items(), reverse=True))
+                for r in _transpose_dicts(mat.cols, mat.nrows)]
+        c = _SmithEngine(rows, mat.nrows, mat.ncols, want_u=True, want_v=True).run()
+        for eng in (b, c):
+            assert eng.diag == a.diag
+            assert eng.u_matrix() == a.u_matrix()
+            assert eng.v_matrix() == a.v_matrix()
+
+
+def test_unit_pivot_from_the_shortest_row_and_column():
+    # row 2 is shorter but holds no unit, so row 1 is the shortest row
+    # holding one; of its units, column 2 is shorter than column 0
+    mat = IntMatrix([[2, 1, 1, 1], [-1, 0, 1, 3], [2, 0, 0, 2]])
+    eng = _SmithEngine(_transpose_dicts(mat.cols, mat.nrows), mat.nrows, mat.ncols)
+    assert eng._find_pivot(0) == (1, 2)
+    # without a unit, the least |value|, lowest row then column first
+    mat = IntMatrix([[4, 6], [3, 2], [2, 5]])
+    eng = _SmithEngine(_transpose_dicts(mat.cols, mat.nrows), mat.nrows, mat.ncols)
+    assert eng._find_pivot(0) == (1, 1)

@@ -229,6 +229,14 @@ def test_huge_prime_refused_by_size_exit_three(capsys):
     )
 
 
+@pytest.mark.parametrize("k", [10000, 10**12])
+def test_unprintable_field_size_refused_exit_three(capsys, k):
+    code, out, err = run_cli(capsys, "classify", "--p", "3", "--k", str(k),
+                             "--curve", "0,0,0,-1,0")
+    assert (code, out) == (3, "")
+    assert err == f"too large: field F_3^{k}: size 3^{k} exceeds ceiling 65536\n"
+
+
 def test_bad_config_exit_one(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     code, _, err = run_cli(capsys, "selftest", "--config", str(missing))

@@ -61,6 +61,24 @@ def test_make_field_ceiling():
         make_field(3 * 65537, 1)
 
 
+def test_make_field_refuses_huge_powers_without_forming_them():
+    # 3^10000 has 4772 digits, more than Python converts to text by
+    # default, and 3^(10^12) could not be built at all: both sizes print
+    # as p^k, while the largest printable size still prints in full
+    with pytest.raises(TooLargeError) as info:
+        make_field(3, 10000)
+    assert str(info.value) == "field F_3^10000: size 3^10000 exceeds ceiling 65536"
+    with pytest.raises(TooLargeError) as info:
+        make_field(3, 10**12)
+    assert str(info.value) == (
+        "field F_3^1000000000000: size 3^1000000000000 exceeds ceiling 65536")
+    with pytest.raises(TooLargeError) as info:
+        make_field(3, 9012)
+    assert info.value.size == 3**9012 and len(str(3**9012)) == 4300
+    with pytest.raises(TooLargeError, match=r"size 3\^9013 exceeds"):
+        make_field(3, 9013)
+
+
 def test_gf4_modulus_is_the_only_irreducible_quadratic():
     # oracle: list every monic quadratic over F_2 and test irreducibility
     # by exhaustive root search; only x^2 + x + 1 survives
