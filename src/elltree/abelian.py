@@ -438,12 +438,6 @@ def invariant_factors(mat):
     return [d for d in eng.diag if d]
 
 
-def kernel_basis(mat):
-    """Columns forming a basis of {x : mat @ x == 0}, as an IntMatrix."""
-    eng = _engine_for(mat, want_v=True)
-    return IntMatrix.from_sparse_cols(eng.kernel_cols(), mat.ncols)
-
-
 # ---------------------------------------------------------------------------
 # finitely generated abelian groups
 

@@ -25,7 +25,7 @@ from .groups import BarLimits, DEFAULT_LIMITS
 from .selftest import run_selftest
 from .tree import build_domain
 
-LARGE_LIMITS = BarLimits(max_order=360, max_degree=3, dense_columns=9000)
+LARGE_LIMITS = BarLimits(max_order=360, dense_columns=9000)
 
 MODES = ("classify", "domain", "symbolic", "concrete", "compare", "selftest")
 
@@ -214,21 +214,25 @@ def _preflight_first_line(args, field, curve):
     It comes before every line is classified.
     """
     first = ClassificationSummary((curve.classify_line(field.zero),))
-    tree = build_domain(first, args.depth, args.attach)
-    _spec("concrete", args, field).preflight(tree, 1)
+    _spec("concrete", args, field).preflight(first, args.depth, args.attach, 1)
 
 
 def _run_reports(args, field, curve):
-    """One report; compare builds both over one tree and adds an agreement table."""
+    """One report; compare builds both from one classification and adds an
+    agreement table."""
     if args.mode != "symbolic":
         _preflight_first_line(args, field, curve)
-    tree = build_domain(curve.classify_all(), args.depth, args.attach)
+    summary = curve.classify_all()
+
+    def run(mode):
+        spec = _spec(mode, args, field)
+        return report(summary, args.depth, args.attach, spec, args.q_max, curve)
+
     if args.mode != "compare":
-        rep = report(tree, _spec(args.mode, args, field), args.q_max, curve)
+        rep = run(args.mode)
         _emit(report_to_json_text(rep), args.out)
         return 2 if "mismatch" in _verdicts(rep) else 0
-    sym = report(tree, _spec("symbolic", args, field), args.q_max, curve)
-    con = report(tree, _spec("concrete", args, field), args.q_max, curve)
+    sym, con = run("symbolic"), run("concrete")
     agreement = [
         {
             "i": s["i"],

@@ -6,10 +6,11 @@ them out per simplex, vertex_group(vid) and edge_data(eid) -> (edge group,
 map toward tail, map toward head), and assemble_system builds the complex
 below from them.  A spec names a system and the report about it:
 provider(tree, q) makes its degree-q provider, system_degree(q) names the
-degree q' whose system stands for q >= 1, preflight(tree, q_max) refuses
-what a report up to q_max would refuse before anything is built,
-rhs_group(token, i) is the predicted degree-i group of a role token, and
-report_fields(depth, q_max) gives its own report fields.  Two specs:
+degree q' whose system stands for q >= 1, preflight(summary, depth,
+attach, q_max) refuses what a report up to q_max would refuse before
+anything is built, rhs_group(token, i) is the predicted degree-i group of
+a role token, and report_fields(depth, q_max) gives its own report
+fields.  Two specs:
 
   symbolic (Instantiation): groups are role tokens (one per stabilizer
     type) and maps are tags (iso / zero / unconstrained), instantiated
@@ -32,8 +33,10 @@ E1(q) for its two homology groups in degree q, the assembled group in
 degree i >= 1 is E0(i) + E1(i-1), flagged when E1(i-1) is nonzero because
 the direct sum is then only one resolution of an extension problem.
 
-E2 is computed once per branch shape (line case, depth, cap attachment,
-spec, q) and glued at the root; e2_whole_tree cross-checks this.
+Reports never build the whole tree.  They read the line classification
+and compute E2 once per branch shape (line case, depth, cap attachment,
+spec, q), on one one-line tree per case, glued at the root;
+e2_whole_tree, on the whole tree, cross-checks this.
 
 The predicted decomposition has one projective-linear factor per point
 fixed by negation, one units factor per line meeting the curve twice, and
@@ -74,7 +77,7 @@ from .groups import (
     stabilizer_size,
     triangular_size,
 )
-from .tree import build_domain, point_label
+from .tree import branch_tree, point_label
 
 TOKEN_PGL2K = "pgl2k"
 TOKEN_UNITS = "units"
@@ -133,7 +136,7 @@ class Instantiation:
     def provider(self, tree, q):
         return TokenProvider(tree, symbolic_tokens(tree), self)
 
-    def preflight(self, tree, q_max):
+    def preflight(self, summary, depth, attach, q_max):
         """Token systems build no finite group, so nothing to refuse."""
 
     def rhs_group(self, token, i):
@@ -422,15 +425,18 @@ class ConcreteSpec:
     def provider(self, tree, q):
         return ConcreteProvider(tree, self.field, q, self.limits)
 
-    def preflight(self, tree, q_max):
+    def preflight(self, summary, depth, attach, q_max):
         """Refuse as the run up to q_max would, from closed-form sizes only.
 
-        Degrees 1..q_max, branches in line order, each through the real
-        assembler, so the first refusal and its tags are the run's own.
+        Degrees 1..q_max, lines in order, each line's own branch through
+        the real assembler, so the first refusal is the run's own and its
+        tags name the line's own points.
         """
         sizing = _Sizing(self.field, self.limits)
         for q in range(1, q_max + 1):
-            _system_e2(tree, sizing, q, _branch_system_e2)
+            assemble_over_branches(
+                summary, lambda line: _branch_system_e2(sizing, line, depth, attach, q)
+            )
 
     def rhs_group(self, token, i):
         return bar_homology(stabilizer(self.field, (_KIND_OF_TOKEN[token],)), i, self.limits)
@@ -447,9 +453,10 @@ class ConcreteSpec:
 def assemble_system(tree, provider, vertex_ids=None, edge_ids=None):
     """The two-term complex (vertex sum) <- (edge sum) of a provider's system.
 
-    vertex_ids and edge_ids restrict to a subtree; default is the whole
-    tree.  The provider is asked for the vertices first, then the edges; a
-    TooLargeError it raises gains the tag of the simplex.
+    vertex_ids and edge_ids restrict to part of the tree, as
+    branch_complex does; default is the whole tree.  The provider is
+    asked for the vertices first, then the edges; a TooLargeError it
+    raises gains the tag of the simplex.
     """
     if vertex_ids is None:
         vertex_ids = [v.vid for v in tree.vertices]
@@ -496,8 +503,8 @@ def e2_pair(complex_):
 # E2 split over line branches, glued at the root
 
 
-def assemble_over_branches(tree, branch_e2, root_carries_z=False):
-    """(H0, H1) of the tree from branch_e2(view) of each line branch.
+def assemble_over_branches(summary, branch_e2, root_carries_z=False):
+    """(H0, H1) of the tree from branch_e2(line) of each line's branch.
 
     If the root and its edges carry 0 (degrees q >= 1), branch_e2 gives
     (H0, H1) and E2 is the direct sum.  If they carry Z, it gives (H0, H1, c)
@@ -512,11 +519,11 @@ def assemble_over_branches(tree, branch_e2, root_carries_z=False):
     H0, and Z to H1 when c has finite order.
     """
     branches = []
-    for view in tree.subtrees():
+    for line in summary.lines:
         try:
-            branches.append(branch_e2(view))
+            branches.append(branch_e2(line))
         except TooLargeError as exc:
-            raise exc.at(f"line x={view.line_class.label}") from exc
+            raise exc.at(f"line x={line.label}") from exc
     h1s = [b[1] for b in branches]
     if not root_carries_z:
         return direct_sum_groups([b[0] for b in branches]), direct_sum_groups(h1s)
@@ -549,17 +556,24 @@ def _quotient_by_class(group, c):
     return PresentedGroup(presented.gens, presented.relations.hstack(col)).canonical()
 
 
-def rooted_branch_e2(tree, provider, view):
-    """(H0, H1, c) of a branch; c is the class its root edge hits in H0.
+def branch_complex(tree, provider):
+    """The two-term complex of the branch of a one-line tree (see
+    tree.branch_tree): every simplex but the root and the root edge."""
+    return assemble_system(tree, provider, range(1, len(tree.vertices)), range(1, len(tree.edges)))
+
+
+def rooted_branch_e2(tree, provider):
+    """(H0, H1, c) of a one-line tree's branch; c is the class its root
+    edge hits in H0.
 
     The root and root edge must carry Z, the edge mapping identically to
     the root.  c is in the canonical presentation of H0.
     """
-    edge_group, to_root, to_line = provider.edge_data(view.root_edge_id)
+    edge_group, to_root, to_line = provider.edge_data(0)
     free = not (provider.vertex_group(0).relations.ncols or edge_group.relations.ncols)
     if not free or to_root.matrix != IntMatrix.identity(1):
         raise ValueError("the root and its edges must carry Z, mapped identically")
-    complex_ = assemble_system(tree, provider, view.vertex_ids, view.edge_ids)
+    complex_ = branch_complex(tree, provider)
     c0, d1 = complex_.groups[0], complex_.boundaries[0].matrix
     cokernel = PresentedGroup(c0.gens, d1.hstack(c0.relations))
     h0, c = canonical_with_class(cokernel, to_line.matrix.cols[0])
@@ -581,43 +595,43 @@ def _system(spec, q):
     return (UNIT_SYSTEM, 0) if q == 0 else (spec, spec.system_degree(q))
 
 
-def _branch_tree(case, depth, attach):
-    """A one-line tree whose branch stands for every line of that case."""
-    summary = synthetic_summary(**{f"case{case}": 1})
-    return build_domain(summary, depth, attach if case == 2 else 1)
-
-
-def _branch_system_e2(spec, case, depth, attach, q):
-    """(H0, H1) of one branch of a system that _system names, and for the
-    unit system also the class c of its root edge (rooted_branch_e2)."""
-    tree = _branch_tree(case, depth, attach)
-    view = tree.subtrees()[0]
+def _branch_system_e2(spec, line, depth, attach, q):
+    """(H0, H1) of the branch of a line in a system that _system names, and
+    for the unit system also the class c of its root edge (rooted_branch_e2)."""
+    tree = branch_tree(line, depth, attach)
     provider = spec.provider(tree, q)
     if spec is UNIT_SYSTEM:
-        return rooted_branch_e2(tree, provider, view)
-    return e2_pair(assemble_system(tree, provider, view.vertex_ids, view.edge_ids))
+        return rooted_branch_e2(tree, provider)
+    return e2_pair(branch_complex(tree, provider))
 
 
-_branch_e2 = lru_cache(maxsize=None)(_branch_system_e2)
+# One synthetic line per case stands for every line of that case.
+_CASE_LINES = {line.case: line for line in synthetic_summary(1, 1, 1).lines}
 
 
-def _system_e2(tree, spec, q, branch_e2=None):
-    """E2 glued from branch_e2 per branch, by default the cached _branch_e2."""
-    branch_e2 = branch_e2 or _branch_e2
+@lru_cache(maxsize=None)
+def _branch_e2(spec, case, depth, attach, q):
+    """_branch_system_e2 of every line of a case, computed once."""
+    return _branch_system_e2(spec, _CASE_LINES[case], depth, attach, q)
+
+
+def _system_e2(summary, depth, attach, spec, q):
+    """E2 glued from the cached _branch_e2 of each line's case."""
     return assemble_over_branches(
-        tree,
-        lambda v: branch_e2(spec, v.line_class.case, tree.depth, tree.attach, q),
+        summary,
+        lambda line: _branch_e2(spec, line.case, depth, attach, q),
         root_carries_z=spec is UNIT_SYSTEM,
     )
 
 
-def e2(tree, spec, q):
-    """(H0, H1) of spec's degree-q system, split over line branches.
+def e2(summary, depth, attach, spec, q):
+    """(H0, H1) of spec's degree-q system on the tree of a line
+    classification, split over line branches.
 
-    Branches are shared by every tree, and every degree, with the same
+    Branches are shared by every summary, and every degree, with the same
     system; degree 0 shares them between specs too.
     """
-    return _system_e2(tree, *_system(spec, q))
+    return _system_e2(summary, depth, attach, *_system(spec, q))
 
 
 def e2_whole_tree(tree, spec, q):
@@ -698,7 +712,7 @@ def measure_diagonal_reduction(field, depth, q_max, limits=DEFAULT_LIMITS):
     return out
 
 
-def report(tree, spec, q_max, curve=None):
+def report(summary, depth, attach, spec, q_max, curve=None):
     """Per-degree comparison of spec's assembled homology with the prediction.
 
     The spec's preflight first refuses what the run would refuse, before
@@ -708,11 +722,11 @@ def report(tree, spec, q_max, curve=None):
     Degrees whose extension part is nonzero are flagged instead of
     asserted.
     """
-    spec.preflight(tree, q_max)
+    spec.preflight(summary, depth, attach, q_max)
     system = [_system(spec, q) for q in range(q_max + 1)]
-    e2_of = {s: _system_e2(tree, *s) for s in dict.fromkeys(system)}
-    predicted_of = {s: predicted(tree.summary, spec, s[1]) for s in dict.fromkeys(system[1:])}
-    rhs = rhs_tokens(tree.summary)
+    e2_of = {s: _system_e2(summary, depth, attach, *s) for s in dict.fromkeys(system)}
+    predicted_of = {s: predicted(summary, spec, s[1]) for s in dict.fromkeys(system[1:])}
+    rhs = rhs_tokens(summary)
     degrees = [
         _degree_entry(i, e2_of[system[i]][0], e2_of[system[i - 1]][1], predicted_of[system[i]], rhs)
         for i in range(1, q_max + 1)
@@ -720,10 +734,10 @@ def report(tree, spec, q_max, curve=None):
     return {
         "curve": curve.to_json() if curve is not None else None,
         "field": curve.field.to_json() if curve is not None else None,
-        "depth": tree.depth,
-        "attach": tree.attach,
+        "depth": depth,
+        "attach": attach,
         "degrees": degrees,
-        **spec.report_fields(tree.depth, q_max),
+        **spec.report_fields(depth, q_max),
     }
 
 

@@ -41,17 +41,20 @@ from .errors import TooLargeError
 from .field import coded_field, make_field, quadratic_extension
 
 
+# The highest homology degree computed for any group, whatever its BarLimits.
+MAX_DEGREE = 3
+
+
 @dataclass(frozen=True)
 class BarLimits:
     """Size ceilings for homology computations.
 
-    max_order and max_degree bound every homology computation;
+    max_order and MAX_DEGREE bound every homology computation;
     dense_columns bounds the tuple count (|G|-1)^(q+1) only for
     homology_presentation and induced_map.
     """
 
     max_order: int = 24
-    max_degree: int = 3
     dense_columns: int = 600
 
 
@@ -71,7 +74,7 @@ def _tuple_count(order, q):
 def check_ceilings(name, order, q, limits, dense=None):
     """Refuse degree-q homology of a group of this name and order.
 
-    max_order is checked first, then max_degree; with dense set to what
+    max_order is checked first, then MAX_DEGREE; with dense set to what
     needs the chain data (PRESENTATION or CHAIN_DATA), also the tuple
     count (|G|-1)^(q+1) against dense_columns.
 
@@ -82,8 +85,8 @@ def check_ceilings(name, order, q, limits, dense=None):
     """
     if order > limits.max_order:
         raise TooLargeError(f"bar homology of {name}", order, limits.max_order)
-    if q > limits.max_degree:
-        raise TooLargeError(f"homology degree for {name}", q, limits.max_degree)
+    if q > MAX_DEGREE:
+        raise TooLargeError(f"homology degree for {name}", q, MAX_DEGREE)
     count = _tuple_count(order, q + 1)
     if dense is not None and count > limits.dense_columns:
         raise TooLargeError(f"{dense} for {name}", count, limits.dense_columns)
@@ -189,9 +192,6 @@ class GroupHom:
     def __call__(self, i):
         return self.mapping[i]
 
-    def is_injective(self):
-        return len(set(self.mapping)) == self.source.order
-
 
 def hom_from_function(source, target, fn):
     """Hom from a function on element keys."""
@@ -208,15 +208,6 @@ def cyclic_size(n):
 
 def cyclic(n):
     return group_from_elements(range(n), lambda a, b: (a + b) % n, name=cyclic_size(n)[0])
-
-
-def direct_product(g, h):
-    return group_from_elements(
-        [(a, b) for a in g.elements for b in h.elements],
-        lambda x, y: (g.elements[g.table[g.index[x[0]]][g.index[y[0]]]],
-                      h.elements[h.table[h.index[x[1]]][h.index[y[1]]]]),
-        name=f"{g.name}x{h.name}",
-    )
 
 
 @lru_cache(maxsize=None)
@@ -497,7 +488,7 @@ def _bar_data(group, q):
 def bar_homology(group, q, limits=DEFAULT_LIMITS):
     """H_q(G; Z) from the normalized bar complex.
 
-    Only max_order and max_degree apply; degree q >= 1 reads the same
+    Only max_order and MAX_DEGREE apply; degree q >= 1 reads the same
     cached presentation that homology_presentation returns.
 
     >>> bar_homology(cyclic(4), 1)

@@ -307,7 +307,7 @@ def abelianization_battery():
 
 
 def branch_battery():
-    """Single-line subtrees collapse to their predicted token group."""
+    """Single-line branches collapse to their predicted token group."""
     from .coefficients import _branch_e2
 
     expected = {1: TOKEN_QUAD, 2: TOKEN_PGL2K, 3: TOKEN_UNITS}
@@ -336,11 +336,11 @@ def degree_zero_battery():
     assembly of the same system must agree.
     """
     for curve in corpus_curves():
-        tree = build_domain(curve.classify_all(), 2)
-        split = e2(tree, None, 0)
+        summary = curve.classify_all()
+        split = e2(summary, 2, 1, None, 0)
         if split != (FgAbGroup(1, ()), TRIVIAL_GROUP):
             return False, f"degree-0 row wrong for {curve.to_json()}"
-        if split != e2_whole_tree(tree, None, 0):
+        if split != e2_whole_tree(build_domain(summary, 2), None, 0):
             return False, f"split and whole-tree degree-0 rows differ for {curve.to_json()}"
     return True, f"{len(corpus_curves())} corpus trees contractible, split = whole tree"
 
@@ -351,11 +351,11 @@ def invariance_battery():
         summary = curve.classify_all()
         for inst in BATTERIES.values():
             use = inst.with_resolution(ISO)
-            base = e2(build_domain(summary, 1), use, 1)
+            base = e2(summary, 1, 1, use, 1)
             for depth in (2, 5):
-                if e2(build_domain(summary, depth), use, 1) != base:
+                if e2(summary, depth, 1, use, 1) != base:
                     return False, f"truncation varied at depth {depth}"
-            if e2(build_domain(summary, 3, attach=2), use, 1) != base:
+            if e2(summary, 3, 2, use, 1) != base:
                 return False, "cap attachment varied the answer"
             if base != (predicted(summary, use, 1), TRIVIAL_GROUP):
                 return False, f"assembly missed the prediction for {inst.name}"

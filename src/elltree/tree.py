@@ -11,11 +11,16 @@ shaped by the line's case:
 Cusp paths are conceptually infinite; the tree stores a finite depth-N
 truncation.  Edges are oriented away from the root (tail is the endpoint
 nearer the root), which fixes the boundary sign convention downstream.
+
+The whole tree serves the domain dump and the whole-tree reference
+assembly.  Reports need only branch_tree: a branch depends on its line's
+case, the depth and the cap attachment, so one one-line tree stands for
+every line of a case.
 """
 
 from dataclasses import dataclass
 
-from .curve import CurvePoint
+from .curve import ClassificationSummary, CurvePoint
 
 
 def point_label(p):
@@ -64,20 +69,6 @@ class Edge:
     depth: int = 0
 
 
-@dataclass(frozen=True)
-class SubtreeView:
-    """The branch belonging to one line: its class, vertices, edges.
-
-    root_edge_id is the edge joining the root to the line vertex; it is
-    not part of the branch itself.
-    """
-
-    line_class: object
-    vertex_ids: tuple
-    edge_ids: tuple
-    root_edge_id: int
-
-
 class DomainTree:
     """The truncated tree for a classification summary.
 
@@ -98,8 +89,6 @@ class DomainTree:
         self.attach = attach
         vertices = [Vertex(0, "root")]
         edges = []
-        subtrees = {}
-        order = []
 
         def new_vertex(kind, line="", point="", d=0):
             v = Vertex(len(vertices), kind, line, point, d)
@@ -107,57 +96,23 @@ class DomainTree:
             return v
 
         def new_edge(tail, head, kind, line="", d=0):
-            e = Edge(len(edges), tail.vid, head.vid, kind, line, d)
-            edges.append(e)
-            return e
+            edges.append(Edge(len(edges), tail.vid, head.vid, kind, line, d))
 
         for lc in summary.lines:
             lbl = lc.label
-            sub_vertices = []
-            sub_edges = []
             v_line = new_vertex("line", line=lbl)
-            sub_vertices.append(v_line)
-            root_edge = new_edge(vertices[0], v_line, "root-line", line=lbl)
+            new_edge(vertices[0], v_line, "root-line", line=lbl)
             for p in lc.points:
                 plbl = point_label(p)
-                chain = []
-                for n in range(1, depth + 1):
-                    chain.append(new_vertex("cusp", line=lbl, point=plbl, d=n))
-                sub_vertices.extend(chain)
-                sub_edges.append(new_edge(v_line, chain[0], "line-cusp", line=lbl))
+                chain = [new_vertex("cusp", line=lbl, point=plbl, d=n) for n in range(1, depth + 1)]
+                new_edge(v_line, chain[0], "line-cusp", line=lbl)
                 for n in range(1, depth):
-                    sub_edges.append(
-                        new_edge(chain[n - 1], chain[n], "cusp-cusp", line=lbl, d=n)
-                    )
+                    new_edge(chain[n - 1], chain[n], "cusp-cusp", line=lbl, d=n)
                 if lc.case == 2:
                     cap = new_vertex("cap", line=lbl, point=plbl)
-                    sub_vertices.append(cap)
-                    sub_edges.append(
-                        new_edge(chain[attach - 1], cap, "cusp-cap", line=lbl, d=attach)
-                    )
-            subtrees[lbl] = SubtreeView(
-                lc,
-                tuple(v.vid for v in sub_vertices),
-                tuple(e.eid for e in sub_edges),
-                root_edge.eid,
-            )
-            order.append(lbl)
+                    new_edge(chain[attach - 1], cap, "cusp-cap", line=lbl, d=attach)
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
-        self._subtrees = subtrees
-        self.line_order = tuple(order)
-
-    @property
-    def cusp_count(self):
-        return self.summary.cusp_count
-
-    def subtree(self, label):
-        if label not in self._subtrees:
-            raise KeyError(f"no line with label {label!r}")
-        return self._subtrees[label]
-
-    def subtrees(self):
-        return [self._subtrees[lbl] for lbl in self.line_order]
 
     def graph_dump(self):
         """Line-oriented text dump: vertices then edges, creation order."""
@@ -168,3 +123,12 @@ class DomainTree:
 
 def build_domain(summary, depth, attach=1):
     return DomainTree(summary, depth, attach)
+
+
+def branch_tree(line_class, depth, attach=1):
+    """The one-line tree of a line's branch.
+
+    Its root is vertex 0 and its root edge is edge 0; every other simplex
+    belongs to the branch.
+    """
+    return DomainTree(ClassificationSummary((line_class,)), depth, attach)

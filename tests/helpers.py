@@ -6,7 +6,7 @@ The package never calls these; they live beside the tests that need them.
 from functools import lru_cache
 from itertools import product
 
-from elltree.abelian import TRIVIAL_GROUP, FgAbGroup, IntMatrix, invariant_factors
+from elltree.abelian import TRIVIAL_GROUP, FgAbGroup, IntMatrix, _engine_for, invariant_factors
 from elltree.curve import INFINITY_POINT, WeierstrassCurve
 from elltree.field import _poly_divmod
 from elltree.groups import (
@@ -24,6 +24,24 @@ from elltree.groups import (
 def matrix_rank(mat):
     """Rank over Z (and Q): the number of nonzero invariant factors."""
     return len(invariant_factors(mat))
+
+
+def kernel_basis(mat):
+    """Columns forming a basis of {x : mat @ x == 0}, as an IntMatrix."""
+    return IntMatrix.from_sparse_cols(_engine_for(mat, want_v=True).kernel_cols(), mat.ncols)
+
+
+def direct_product(g, h):
+    return group_from_elements(
+        [(a, b) for a in g.elements for b in h.elements],
+        lambda x, y: (g.elements[g.table[g.index[x[0]]][g.index[y[0]]]],
+                      h.elements[h.table[h.index[x[1]]][h.index[y[1]]]]),
+        name=f"{g.name}x{h.name}",
+    )
+
+
+def is_injective(hom):
+    return len(set(hom.mapping)) == hom.source.order
 
 
 @lru_cache(maxsize=None)

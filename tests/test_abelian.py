@@ -26,7 +26,6 @@ from elltree.abelian import (
     direct_sum_groups,
     homology_at,
     invariant_factors,
-    kernel_basis,
     smith_normal_form,
     _SmithEngine,
     _engine_for,
@@ -34,7 +33,7 @@ from elltree.abelian import (
 )
 from elltree.groups import _bar_boundary_cols, _bar_tuples, cyclic
 from elltree.selftest import _dense_product, _det_bareiss
-from helpers import matrix_rank
+from helpers import kernel_basis, matrix_rank
 
 
 def rational_rank(mat):

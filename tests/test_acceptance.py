@@ -23,6 +23,7 @@ from elltree.coefficients import (
     ConcreteSpec,
     TokenProvider,
     assemble_system,
+    branch_complex,
     e2,
     e2_pair,
     predicted,
@@ -40,7 +41,7 @@ from elltree.selftest import (
     cyclic_battery,
     snf_battery,
 )
-from elltree.tree import build_domain
+from elltree.tree import branch_tree, build_domain
 from helpers import enumerate_points, is_two_torsion
 
 
@@ -70,7 +71,7 @@ def test_criterion_1_symbolic_reproduction():
             for depth in (1, 2, 5, 10):
                 for inst in BATTERIES.values():
                     expected = predicted(summary, inst, 1)
-                    rep = report(build_domain(summary, depth), inst, 5, curve)
+                    rep = report(summary, depth, 1, inst, 5, curve)
                     for entry in rep["degrees"]:
                         assert entry["verdict"] == "match"
                         assert entry["assembled"] == expected.to_json()
@@ -80,15 +81,13 @@ def test_criterion_2_subtree_collapse():
     expected_token = {1: TOKEN_QUAD, 2: TOKEN_PGL2K, 3: TOKEN_UNITS}
     with _Clock(5.0, "criterion 2: per-subtree collapse, both resolutions"):
         for curve in corpus_curves():
-            tree = build_domain(curve.classify_all(), 2)
-            tokens = symbolic_tokens(tree)
-            for view in tree.subtrees():
-                token = expected_token[view.line_class.case]
+            for line in curve.classify_all().lines:
+                tree = branch_tree(line, 2)
+                tokens = symbolic_tokens(tree)
+                token = expected_token[line.case]
                 for resolution in (ZERO_MAP, ISO):
                     inst = BATTERIES["A"].with_resolution(resolution)
-                    provider = TokenProvider(tree, tokens, inst)
-                    complex_ = assemble_system(tree, provider, view.vertex_ids, view.edge_ids)
-                    h0, h1 = e2_pair(complex_)
+                    h0, h1 = e2_pair(branch_complex(tree, TokenProvider(tree, tokens, inst)))
                     assert h0 == inst.group_for(token)
                     assert h1 == TRIVIAL_GROUP
 
@@ -96,8 +95,7 @@ def test_criterion_2_subtree_collapse():
 def test_criterion_3_degree_zero_row():
     with _Clock(1.0, "criterion 3: degree-0 row is (Z, 0)"):
         for curve in corpus_curves():
-            tree = build_domain(curve.classify_all(), 2)
-            assert e2(tree, None, 0) == (FgAbGroup(1, ()), TRIVIAL_GROUP)
+            assert e2(curve.classify_all(), 2, 1, None, 0) == (FgAbGroup(1, ()), TRIVIAL_GROUP)
 
 
 def test_criterion_4_counting_identities():
@@ -148,15 +146,13 @@ def test_criterion_7_concrete_experiment():
     with _Clock(300.0, "criterion 7: concrete pipeline over GF(2)"):
         for curve in f2_curves:
             for depth in (1, 2, 3):
-                tree = build_domain(curve.classify_all(), depth)
-                rep = report(tree, ConcreteSpec(curve.field), 2, curve)
+                rep = report(curve.classify_all(), depth, 1, ConcreteSpec(curve.field), 2, curve)
                 jsonschema.validate(rep, REPORT_SCHEMA)
                 assert [d["i"] for d in rep["degrees"]] == [1, 2]
                 for entry in rep["degrees"]:
                     assert entry["verdict"] in ("match", "mismatch", "caveat-extension")
                 assert len(rep["diagonal_reduction"]) == 2 * depth
-                again_tree = build_domain(curve.classify_all(), depth)
-                again = report(again_tree, ConcreteSpec(curve.field), 2, curve)
+                again = report(curve.classify_all(), depth, 1, ConcreteSpec(curve.field), 2, curve)
                 assert report_to_json_text(rep) == report_to_json_text(again)
 
 
@@ -183,7 +179,7 @@ def test_reach_symbolic_p251_depth_50():
     curve = WeierstrassCurve(make_field(251, 1), 0, 0, 0, -1, 0)
     with _Clock(10.0, "reach: symbolic p=251, depth 50"):
         summary = curve.classify_all()
-        rep = report(build_domain(summary, 50), BATTERIES["A"], 5, curve)
+        rep = report(summary, 50, 1, BATTERIES["A"], 5, curve)
         assert [d["i"] for d in rep["degrees"]] == [1, 2, 3, 4, 5]
         assert all(d["verdict"] != "mismatch" for d in rep["degrees"])
 

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from elltree import groups
+from elltree import groups, tree
 from elltree.cli import main, parse_curve_coefficients, CliError
 from elltree.coefficients import REPORT_SCHEMA
 
@@ -129,6 +129,31 @@ def test_out_file_equals_stdout(tmp_path, capsys):
     assert main(args + ["--out", str(path)]) == 0
     capsys.readouterr()
     assert path.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("symbolic", "--p", "5", "--curve", "0,0,0,-1,0", "--depth", "3", "--q-max", "3"),
+        ("concrete", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "2", "--q-max", "2"),
+        ("compare", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "1", "--q-max", "1"),
+    ],
+    ids=["symbolic", "concrete", "compare"],
+)
+def test_reports_build_no_whole_tree(capsys, monkeypatch, cold_caches, argv):
+    # a report reads the line classification and one branch tree per case;
+    # only domain mode builds a tree of every line
+    lines_built = []
+    init = tree.DomainTree.__init__
+
+    def recorded(self, summary, *args, **kwargs):
+        lines_built.append(len(summary.lines))
+        init(self, summary, *args, **kwargs)
+
+    monkeypatch.setattr(tree.DomainTree, "__init__", recorded)
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2) and err == ""
+    assert lines_built and max(lines_built) == 1
 
 
 def test_selftest_passes(capsys):
@@ -284,38 +309,38 @@ def test_unwritable_out_exit_one(tmp_path, capsys):
 
 
 # Refusal texts captured from the CLI before the symbolic and concrete
-# systems shared one assembler (GF(5), GF(7)), and before refusals were
-# decided from closed-form sizes (the rest); the bracketed tags name the
-# simplex and line.
+# systems shared one assembler (GF(5), GF(7)), before refusals were decided
+# from closed-form sizes (GF(8), GF(9), the GF(3) and GF(2) cases) and
+# before the CLI checked the line x = 0 ahead of classifying every line
+# (GF(65521)).  Each was re-captured, changed only inside its vertex tag,
+# once the preflight walked each line's own branch: the bracketed tags name
+# the simplex, by the line's own points, and the line.
 GF5_REFUSAL = (
-    "too large: bar homology of PGL2(GF(5)) [vertex cap[pt2.0]] [line x=0]: "
+    "too large: bar homology of PGL2(GF(5)) [vertex cap[(0,0)]] [line x=0]: "
     "size 120 exceeds ceiling 24\n"
 )
 GF7_REFUSAL = (
-    "too large: bar homology of Tri(GF(7),1)/N6 [vertex cusp[pt2.0,1]] [line x=0]: "
+    "too large: bar homology of Tri(GF(7),1)/N6 [vertex cusp[(0,0),1]] [line x=0]: "
     "size 42 exceeds ceiling 24\n"
 )
 GF8_REFUSAL = (
-    "too large: bar homology of Tri(GF(2^3),1)/N7 [vertex cusp[pt3.0+,1]] [line x=0:0:0]: "
-    "size 56 exceeds ceiling 24\n"
+    "too large: bar homology of Tri(GF(2^3),1)/N7 [vertex cusp[(0:0:0,0:0:0),1]] "
+    "[line x=0:0:0]: size 56 exceeds ceiling 24\n"
 )
 GF9_REFUSAL = (
-    "too large: bar homology of Tri(GF(3^2),1)/N8 [vertex cusp[pt2.0,1]] [line x=0:0]: "
+    "too large: bar homology of Tri(GF(3^2),1)/N8 [vertex cusp[(0:0,0:0),1]] [line x=0:0]: "
     "size 72 exceeds ceiling 24\n"
 )
 GF3_LARGE_REFUSAL = (
-    "too large: homology presentation for PGL2(GF(3)) [vertex cap[pt2.0]] [line x=0]: "
+    "too large: homology presentation for PGL2(GF(3)) [vertex cap[(0,0)]] [line x=0]: "
     "size 12167 exceeds ceiling 9000\n"
 )
 GF2_Q4_REFUSAL = (
-    "too large: homology presentation for PGL2(GF(2)) [vertex cap[pt2.0]] [line x=inf]: "
+    "too large: homology presentation for PGL2(GF(2)) [vertex cap[inf]] [line x=inf]: "
     "size 625 exceeds ceiling 600\n"
 )
-# Captured before the CLI checked the line x = 0 ahead of classifying every
-# line, with one edit: the vertex tag then read line['s2.0'], quoted by
-# line_label's repr of the synthetic branch label.
 GF65521_REFUSAL = (
-    "too large: bar homology of GF(65521)+ [vertex line[s2.0]] [line x=0]: "
+    "too large: bar homology of GF(65521)+ [vertex line[0]] [line x=0]: "
     "size 65521 exceeds ceiling 24\n"
 )
 

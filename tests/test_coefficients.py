@@ -8,6 +8,7 @@ once consecutive inclusions are glued.
 """
 
 import json
+import re
 from itertools import product
 
 import pytest
@@ -42,7 +43,6 @@ from elltree.coefficients import (
     EdgeTokens,
     Instantiation,
     TokenProvider,
-    TokenSystem,
     assemble_over_branches,
     assemble_system,
     canonical_max_hom,
@@ -60,13 +60,13 @@ from elltree.coefficients import (
 )
 from elltree import groups
 from elltree.cli import LARGE_LIMITS
-from elltree.coefficients import _branch_e2
+from elltree.coefficients import _branch_e2, _branch_system_e2
 from elltree.curve import ClassificationSummary, WeierstrassCurve, synthetic_summary
 from elltree.errors import TooLargeError
 from elltree.field import make_field
 from elltree.groups import DEFAULT_LIMITS, BarLimits
 from elltree.selftest import corpus_curves
-from elltree.tree import build_domain
+from elltree.tree import branch_tree, build_domain
 
 
 def fg(rank, *torsion):
@@ -188,16 +188,16 @@ def test_degree_zero_row_is_contractible():
     shapes += [c.classify_all() for c in corpus()[:2]]
     for summary in shapes:
         for depth in (1, 3):
-            h0, h1 = e2(build_domain(summary, depth), None, 0)
+            h0, h1 = e2(summary, depth, 1, None, 0)
             assert h0 == fg(1)
             assert h1 == TRIVIAL_GROUP
 
 
 def test_empty_summary_degenerates():
-    tree = build_domain(ClassificationSummary(()), 1)
-    assert e2(tree, BATTERY_A, 1) == (TRIVIAL_GROUP, TRIVIAL_GROUP)
-    assert e2_whole_tree(tree, BATTERY_A, 1) == (TRIVIAL_GROUP, TRIVIAL_GROUP)
-    assert e2(tree, None, 0) == (fg(1), TRIVIAL_GROUP)
+    empty = ClassificationSummary(())
+    assert e2(empty, 1, 1, BATTERY_A, 1) == (TRIVIAL_GROUP, TRIVIAL_GROUP)
+    assert e2_whole_tree(build_domain(empty, 1), BATTERY_A, 1) == (TRIVIAL_GROUP, TRIVIAL_GROUP)
+    assert e2(empty, 1, 1, None, 0) == (fg(1), TRIVIAL_GROUP)
 
 
 @pytest.mark.parametrize("depth,attach", [(1, 1), (3, 1), (3, 2)])
@@ -209,7 +209,7 @@ def test_degree_zero_split_equals_monolithic(depth, attach):
     ]
     for summary in shapes:
         tree = build_domain(summary, depth, attach)
-        assert e2(tree, None, 0) == e2_whole_tree(tree, None, 0)
+        assert e2(summary, depth, attach, None, 0) == e2_whole_tree(tree, None, 0)
 
 
 # Pairwise distinct roles with free parts and torsion, so that branch H0s
@@ -219,73 +219,79 @@ DESIGNED = Instantiation(
 )
 
 
-def designed_tokens(tree):
-    """The constant unit system with two branches rewired by hand.
+# The constant unit system with three branches of
+# synthetic_summary(case1=3, case2=1, case3=2) rewired by hand, by tag.
+#
+# The line s1.0 carries Z/6, reached from the root at its generator; s1.1
+# carries Z^2 but its root edge maps to 0 there, so that edge bounds the
+# root alone and, together with the Z/6 line's edge (whose class is
+# torsion), adds a free cycle through the root.
+#
+# The branch of s3.0 (depth 2) has L - a1 - a2 and L - b1 - b2 with
+# L = Z + Z/4, a1 = b2 = Z, a2 = Z/6, b1 = Z^2: L-a1 glues a1 to the free
+# generator of L, a1-a2 kills a2, b1-b2 kills b1, and the L-b1 edge plus
+# b1-b2 then close a cycle, so H0 = Z^2 + Z/4 and H1 = Z.
+L, A1, A2 = "line[s3.0]", "cusp[pt3.0+,1]", "cusp[pt3.0+,2]"
+B1, B2 = "cusp[pt3.0-,1]", "cusp[pt3.0-,2]"
+DESIGNED_VERTICES = {
+    "line[s1.0]": TOKEN_UNITS, "line[s1.1]": TOKEN_QUAD,
+    L: TOKEN_PGL2K, A1: TOKEN_ADDITIVE, A2: TOKEN_UNITS, B1: TOKEN_QUAD, B2: TOKEN_ADDITIVE,
+}
+DESIGNED_EDGES = {
+    ("root", "line[s1.0]"): EdgeTokens(TOKEN_Z0, ISO, UNCONSTRAINED),
+    ("root", "line[s1.1]"): EdgeTokens(TOKEN_Z0, ISO, ZERO_MAP),
+    ("root", L): EdgeTokens(TOKEN_Z0, ISO, UNCONSTRAINED),
+    (L, A1): EdgeTokens(TOKEN_ADDITIVE, UNCONSTRAINED, ISO),
+    (A1, A2): EdgeTokens(TOKEN_UNITS, UNCONSTRAINED, ISO),
+    (L, B1): EdgeTokens(TOKEN_ADDITIVE, ZERO_MAP, UNCONSTRAINED),
+    (B1, B2): EdgeTokens(TOKEN_QUAD, ISO, ZERO_MAP),
+}
 
-    The first case-1 line vertex carries Z/6, reached from the root at its
-    generator; the second carries Z^2 but its root edge maps to 0 there, so
-    that edge bounds the root alone and, together with the Z/6 line's edge
-    (whose class is torsion), adds a free cycle through the root.
 
-    The first case-3 branch (depth 2) has L - a1 - a2 and L - b1 - b2 with
-    L = Z + Z/4, a1 = b2 = Z, a2 = Z/6, b1 = Z^2: L-a1 glues a1 to the free
-    generator of L, a1-a2 kills a2, b1-b2 kills b1, and the L-b1 edge plus
-    b1-b2 then close a cycle, so H0 = Z^2 + Z/4 and H1 = Z.
-    """
-    v = dict(degree_zero_tokens(tree).vertex_tokens)
-    e = dict(degree_zero_tokens(tree).edge_tokens)
-    lone, cut = [s for s in tree.subtrees() if s.line_class.case == 1][:2]
-    v[lone.vertex_ids[0]] = TOKEN_UNITS
-    e[lone.root_edge_id] = EdgeTokens(TOKEN_Z0, ISO, UNCONSTRAINED)
-    v[cut.vertex_ids[0]] = TOKEN_QUAD
-    e[cut.root_edge_id] = EdgeTokens(TOKEN_Z0, ISO, ZERO_MAP)
-    branch = next(s for s in tree.subtrees() if s.line_class.case == 3)
-    line, a1, a2, b1, b2 = branch.vertex_ids
-    la, aa, lb, bb = branch.edge_ids
-    v.update({line: TOKEN_PGL2K, a1: TOKEN_ADDITIVE, a2: TOKEN_UNITS,
-              b1: TOKEN_QUAD, b2: TOKEN_ADDITIVE})
-    e[branch.root_edge_id] = EdgeTokens(TOKEN_Z0, ISO, UNCONSTRAINED)
-    e[la] = EdgeTokens(TOKEN_ADDITIVE, UNCONSTRAINED, ISO)
-    e[aa] = EdgeTokens(TOKEN_UNITS, UNCONSTRAINED, ISO)
-    e[lb] = EdgeTokens(TOKEN_ADDITIVE, ZERO_MAP, UNCONSTRAINED)
-    e[bb] = EdgeTokens(TOKEN_QUAD, ISO, ZERO_MAP)
-    return TokenSystem(v, e), lone, cut, branch
+def designed_provider(tree):
+    """The designed system on the whole tree of that summary or on a branch tree."""
+    tokens = degree_zero_tokens(tree)
+    for v in tree.vertices:
+        tokens.vertex_tokens[v.vid] = DESIGNED_VERTICES.get(v.tag, tokens.vertex_tokens[v.vid])
+    for e in tree.edges:
+        key = (tree.vertices[e.tail].tag, tree.vertices[e.head].tag)
+        tokens.edge_tokens[e.eid] = DESIGNED_EDGES.get(key, tokens.edge_tokens[e.eid])
+    return TokenProvider(tree, tokens, DESIGNED)
 
 
 @pytest.mark.parametrize("attach", [1, 2])
 def test_root_gluing_on_designed_branches(attach):
-    tree = build_domain(synthetic_summary(case1=3, case2=1, case3=2), 2, attach)
-    tokens, lone, cut, branch = designed_tokens(tree)
-    views = tree.subtrees()
-    provider = TokenProvider(tree, tokens, DESIGNED)
-    branches = [rooted_branch_e2(tree, provider, view) for view in views]
-    assert branches[views.index(lone)] == (fg(0, 6), TRIVIAL_GROUP, (1,))
-    assert branches[views.index(cut)] == (fg(2), TRIVIAL_GROUP, (0, 0))
-    h0, h1, _ = branches[views.index(branch)]
-    assert (h0, h1) == (fg(2, 4), fg(1))
-    glued = assemble_over_branches(
-        tree, lambda view: rooted_branch_e2(tree, provider, view), root_carries_z=True
-    )
-    assert glued == e2_pair(assemble_system(tree, provider))
+    summary = synthetic_summary(case1=3, case2=1, case3=2)
+
+    def branch_e2(line):
+        tree = branch_tree(line, 2, attach)
+        return rooted_branch_e2(tree, designed_provider(tree))
+
+    branches = {lc.label: branch_e2(lc) for lc in summary.lines}
+    assert branches["s1.0"] == (fg(0, 6), TRIVIAL_GROUP, (1,))
+    assert branches["s1.1"] == (fg(2), TRIVIAL_GROUP, (0, 0))
+    assert branches["s3.0"][:2] == (fg(2, 4), fg(1))
+    glued = assemble_over_branches(summary, branch_e2, root_carries_z=True)
+    tree = build_domain(summary, 2, attach)
+    assert glued == e2_pair(assemble_system(tree, designed_provider(tree)))
 
 
 def test_root_gluing_needs_z_at_the_root():
-    tree = build_domain(synthetic_summary(case1=1), 1)
+    tree = branch_tree(synthetic_summary(case1=1).lines[0], 1)
     tokens = degree_zero_tokens(tree)
-    view = tree.subtrees()[0]
-    tokens.edge_tokens[view.root_edge_id] = EdgeTokens(TOKEN_QUAD, ZERO_MAP, ZERO_MAP)
+    tokens.edge_tokens[0] = EdgeTokens(TOKEN_QUAD, ZERO_MAP, ZERO_MAP)
     with pytest.raises(ValueError):
-        rooted_branch_e2(tree, TokenProvider(tree, tokens, DESIGNED), view)
+        rooted_branch_e2(tree, TokenProvider(tree, tokens, DESIGNED))
 
 
 # ---------------------------------------------------------------------------
 # closed-form root glue against one star complex over every branch
 
 
-def all_branch_glue(tree, branch_e2):
+def all_branch_glue(summary, branch_e2):
     """Reference: Z_root + sum H0 <-- Z^(root edges), edge |-> c - root,
     over every branch at once, beside the sum of the branch H1s."""
-    branches = [branch_e2(view) for view in tree.subtrees()]
+    branches = [branch_e2(line) for line in summary.lines]
     h0s = [PresentedGroup.free(1)] + [PresentedGroup.from_group(b[0]) for b in branches]
     cols, offset = [], 1
     for _, _, c in branches:
@@ -299,13 +305,14 @@ def all_branch_glue(tree, branch_e2):
 
 def glue_both_ways(triples):
     """(closed form, reference) for branches carrying the given triples in order."""
-    tree = build_domain(synthetic_summary(case1=len(triples)), 1)
-    position = {v.root_edge_id: i for i, v in enumerate(tree.subtrees())}
+    summary = synthetic_summary(case1=len(triples))
+    position = {line.label: i for i, line in enumerate(summary.lines)}
 
-    def branch_e2(view):
-        return triples[position[view.root_edge_id]]
+    def branch_e2(line):
+        return triples[position[line.label]]
 
-    return assemble_over_branches(tree, branch_e2, root_carries_z=True), all_branch_glue(tree, branch_e2)
+    closed = assemble_over_branches(summary, branch_e2, root_carries_z=True)
+    return closed, all_branch_glue(summary, branch_e2)
 
 
 SYNTHETIC_SHAPES = [
@@ -319,13 +326,13 @@ SYNTHETIC_SHAPES = [
 
 def test_closed_form_glue_on_synthetic_trees():
     for (n1, n2, n3), depth, attach in SYNTHETIC_SHAPES:
-        tree = build_domain(synthetic_summary(case1=n1, case2=n2, case3=n3), depth, attach)
+        summary = synthetic_summary(case1=n1, case2=n2, case3=n3)
 
-        def branch_e2(view):
-            return _branch_e2(UNIT_SYSTEM, view.line_class.case, depth, attach, 0)
+        def branch_e2(line):
+            return _branch_e2(UNIT_SYSTEM, line.case, depth, attach, 0)
 
-        want = all_branch_glue(tree, branch_e2)
-        assert assemble_over_branches(tree, branch_e2, root_carries_z=True) == want
+        want = all_branch_glue(summary, branch_e2)
+        assert assemble_over_branches(summary, branch_e2, root_carries_z=True) == want
 
 
 def test_closed_form_glue_on_a_torsion_class():
@@ -372,24 +379,24 @@ def test_symbolic_matches_prediction_on_corpus(battery, resolution):
     inst = BATTERIES[battery].with_resolution(resolution)
     for curve in corpus():
         summary = curve.classify_all()
-        tree = build_domain(summary, 2)
-        h0, h1 = e2(tree, inst, 1)
+        h0, h1 = e2(summary, 2, 1, inst, 1)
         assert h0 == predicted(summary, inst, 1)
         assert h1 == TRIVIAL_GROUP
 
 
 def test_split_equals_monolithic():
     for curve in corpus():
-        tree = build_domain(curve.classify_all(), 2)
+        summary = curve.classify_all()
+        tree = build_domain(summary, 2)
         for inst in (BATTERY_A, BATTERY_B.with_resolution(ISO)):
-            assert e2(tree, inst, 1) == e2_whole_tree(tree, inst, 1)
+            assert e2(summary, 2, 1, inst, 1) == e2_whole_tree(tree, inst, 1)
 
 
 def test_truncation_invariance():
     curve = corpus()[1]
     summary = curve.classify_all()
     reports = [
-        report(build_domain(summary, depth), BATTERY_A, 5, curve) for depth in (1, 2, 5, 10)
+        report(summary, depth, 1, BATTERY_A, 5, curve) for depth in (1, 2, 5, 10)
     ]
     for rep in reports[1:]:
         assert rep["degrees"] == reports[0]["degrees"]
@@ -398,19 +405,17 @@ def test_truncation_invariance():
 def test_attachment_invariance():
     for curve in corpus()[:2]:
         summary = curve.classify_all()
-        t1 = build_domain(summary, 3, attach=1)
-        t2 = build_domain(summary, 3, attach=2)
         inst = BATTERY_B.with_resolution(ISO)
-        assert e2(t1, inst, 1) == e2(t2, inst, 1)
+        assert e2(summary, 3, 1, inst, 1) == e2(summary, 3, 2, inst, 1)
 
 
 def test_battery_sensitivity():
     # the two batteries assign different groups, so a curve with both
     # point-fixing and twice-meeting lines assembles differently
     curve = corpus()[1]
-    tree = build_domain(curve.classify_all(), 2)
-    a = e2(tree, BATTERY_A, 1)[0]
-    b = e2(tree, BATTERY_B, 1)[0]
+    summary = curve.classify_all()
+    a = e2(summary, 2, 1, BATTERY_A, 1)[0]
+    b = e2(summary, 2, 1, BATTERY_B, 1)[0]
     assert a != b
     assert a.rank == 4 and b.rank == 2
 
@@ -418,14 +423,14 @@ def test_battery_sensitivity():
 def test_branch_cache_one_miss_per_shape():
     # the cost of a symbolic report grows with the branch shapes, not the
     # lines or degrees, and degree 0 is computed once for every spec
-    tree = build_domain(synthetic_summary(case1=2, case2=3, case3=2), 2)
+    summary = synthetic_summary(case1=2, case2=3, case3=2)
     shapes = 3
     _branch_e2.cache_clear()
-    report(tree, BATTERY_A, 5)
+    report(summary, 2, 1, BATTERY_A, 5)
     assert _branch_e2.cache_info().misses == 2 * shapes  # battery A and degree 0
-    report(tree, BATTERY_B, 5)
+    report(summary, 2, 1, BATTERY_B, 5)
     assert _branch_e2.cache_info().misses == 3 * shapes
-    report(tree, ConcreteSpec(F2), 2)
+    report(summary, 2, 1, ConcreteSpec(F2), 2)
     assert _branch_e2.cache_info().misses == 5 * shapes  # degrees 1 and 2 only
 
 
@@ -507,7 +512,7 @@ def test_flip_requires_real_edge_side():
 def test_symbolic_report_all_match():
     for curve in corpus():
         summary = curve.classify_all()
-        rep = report(build_domain(summary, 2), BATTERY_A, 5, curve)
+        rep = report(summary, 2, 1, BATTERY_A, 5, curve)
         assert rep["mode"] == "symbolic"
         assert rep["battery"] == "A"
         assert rep["resolution"] == ZERO_MAP
@@ -520,8 +525,8 @@ def test_symbolic_report_all_match():
 def test_symbolic_report_serialization_stable():
     curve = corpus()[0]
     summary = curve.classify_all()
-    one = report_to_json_text(report(build_domain(summary, 2), BATTERY_A, 3, curve))
-    two = report_to_json_text(report(build_domain(summary, 2), BATTERY_A, 3, curve))
+    one = report_to_json_text(report(summary, 2, 1, BATTERY_A, 3, curve))
+    two = report_to_json_text(report(summary, 2, 1, BATTERY_A, 3, curve))
     assert one == two
     parsed = json.loads(one)
     assert parsed["degrees"][0]["assembled"] == {"rank": 4, "torsion": [3, 3, 3, 3]}
@@ -532,7 +537,7 @@ def test_symbolic_report_serialization_stable():
 
 
 def concrete_report(curve, depth, q_max):
-    return report(build_domain(curve.classify_all(), depth), ConcreteSpec(curve.field), q_max, curve)
+    return report(curve.classify_all(), depth, 1, ConcreteSpec(curve.field), q_max, curve)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -562,20 +567,20 @@ def test_concrete_branch_closed_forms_degree_one(depth):
 def test_concrete_split_equals_monolithic():
     for curve in (CURVE_F2_A, CURVE_F2_B):
         for depth in (1, 2):
-            tree = build_domain(curve.classify_all(), depth)
+            summary = curve.classify_all()
+            tree = build_domain(summary, depth)
             for q in (1, 2):
-                split = e2(tree, ConcreteSpec(F2), q)
+                split = e2(summary, depth, 1, ConcreteSpec(F2), q)
                 mono = e2_whole_tree(tree, ConcreteSpec(F2), q)
                 assert split == mono
 
 
 def test_concrete_full_tree_frozen_values():
-    tree = build_domain(CURVE_F2_A.classify_all(), 2)
-    assert e2(tree, ConcreteSpec(F2), 1)[0] == fg(0, 2, 2, 2, 2, 2, 6)
-    assert e2(tree, ConcreteSpec(F2), 2)[0] == fg(0, 2, 2, 2)
-    tree_b = build_domain(CURVE_F2_B.classify_all(), 1)
+    summary = CURVE_F2_A.classify_all()
+    assert e2(summary, 2, 1, ConcreteSpec(F2), 1)[0] == fg(0, 2, 2, 2, 2, 2, 6)
+    assert e2(summary, 2, 1, ConcreteSpec(F2), 2)[0] == fg(0, 2, 2, 2)
     # two point-fixing lines and one twice-meeting line, each chain C2
-    assert e2(tree_b, ConcreteSpec(F2), 1)[0] == fg(0, 2, 2, 2, 2)
+    assert e2(CURVE_F2_B.classify_all(), 1, 1, ConcreteSpec(F2), 1)[0] == fg(0, 2, 2, 2, 2)
 
 
 def test_concrete_rhs_over_f2():
@@ -599,7 +604,7 @@ def test_concrete_report_schema_and_determinism():
     text = report_to_json_text(rep)
     again = report_to_json_text(concrete_report(CURVE_F2_A, 2, 2))
     assert text == again
-    sym = report(build_domain(CURVE_F2_A.classify_all(), 2), BATTERY_A, 3)
+    sym = report(CURVE_F2_A.classify_all(), 2, 1, BATTERY_A, 3)
     jsonschema.validate(sym, REPORT_SCHEMA)
 
 
@@ -622,9 +627,8 @@ def test_diagonal_reduction_skips_when_large():
 
 def test_too_large_names_offending_line():
     curve = corpus()[1]
-    tree = build_domain(curve.classify_all(), 1)
     with pytest.raises(TooLargeError) as exc:
-        e2(tree, ConcreteSpec(curve.field), 1)
+        e2(curve.classify_all(), 1, 1, ConcreteSpec(curve.field), 1)
     msg = str(exc.value)
     assert "PGL2" in msg
     assert "[line x=" in msg
@@ -658,14 +662,26 @@ PREFLIGHT_CASES = [
          "gf3-completes"],
 )
 def test_preflight_refuses_exactly_as_the_run(curve, depth, q_max, limits, refuses):
-    # the closed-form walk against the built groups' own checks, which
-    # e2 applies as it meets the stabilizers
-    tree = build_domain(curve.classify_all(), depth)
+    # the closed-form walk against the built groups' own checks, which the
+    # real providers apply as they meet the stabilizers of each line's own
+    # branch; e2 meets the same ones on its cached branch per case, whose
+    # simplex tags name a synthetic line's points instead
+    summary = curve.classify_all()
     spec = ConcreteSpec(curve.field, limits)
-    sized = _first_refusal(lambda: spec.preflight(tree, q_max))
-    built = _first_refusal(lambda: [e2(tree, spec, q) for q in range(1, q_max + 1)])
+    degrees = range(1, q_max + 1)
+    sized = _first_refusal(lambda: spec.preflight(summary, depth, 1, q_max))
+    built = _first_refusal(lambda: [
+        assemble_over_branches(summary, lambda line: _branch_system_e2(spec, line, depth, 1, q))
+        for q in degrees
+    ])
+    cached = _first_refusal(lambda: [e2(summary, depth, 1, spec, q) for q in degrees])
     assert sized == built
     assert (sized is not None) == refuses
+
+    def untagged(text):
+        return text and re.sub(r" \[(vertex|edge) .*?\]\]", "", text)
+
+    assert untagged(cached) == untagged(sized)
 
 
 def test_diagonal_skip_builds_nothing(monkeypatch, cold_caches):
@@ -697,15 +713,14 @@ def test_report_builds_each_group_once(monkeypatch, cold_caches):
 
     monkeypatch.setattr(groups, "group_from_elements", counted)
     curve = WeierstrassCurve(make_field(2, 2), 0, 0, 1, 0, 0)
-    tree = build_domain(curve.classify_all(), 1)
-    report(tree, ConcreteSpec(curve.field, LARGE_LIMITS), 1, curve)
+    report(curve.classify_all(), 1, 1, ConcreteSpec(curve.field, LARGE_LIMITS), 1, curve)
     assert "PGL2(GF(2^2))" in names
     assert sorted(names) == sorted(set(names))
 
 
 def test_larger_ceiling_admits_larger_fields():
     # raising the order ceiling lets the GF(3) cap through at depth 1
-    limits = BarLimits(max_order=360, max_degree=3, dense_columns=600)
+    limits = BarLimits(max_order=360, dense_columns=600)
     field = make_field(3, 1)
     h0, h1 = _branch_e2(ConcreteSpec(field, limits), 1, 1, 1, 1)
     assert h0 == fg(0, 4)

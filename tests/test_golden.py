@@ -116,8 +116,9 @@ def test_report_matches_pinned_digest(code, digest, argv, tmp_path):
     [
         ["symbolic", "--p", "101", "--curve", E5, "--depth", "30"],
         ["concrete", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "1", "--q-max", "1"],
+        ["compare", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "1", "--q-max", "1"],
     ],
-    ids=["symbolic-p101-d30", "concrete-p2-d1"],
+    ids=["symbolic-p101-d30", "concrete-p2-d1", "compare-p2-d1"],
 )
 def test_bytes_identical_across_hash_seeds(argv):
     outputs = set()

@@ -12,7 +12,7 @@ from elltree.curve import (
     synthetic_summary,
 )
 from elltree.field import make_field
-from elltree.tree import DomainTree, build_domain
+from elltree.tree import branch_tree, build_domain
 from helpers import enumerate_points, is_tree, tag_edge_set, tag_set
 
 
@@ -40,7 +40,7 @@ def test_f3_counts_frozen():
     tree = build_domain(summary, 2)
     assert len(tree.vertices) == 17
     assert len(tree.edges) == 16
-    assert tree.cusp_count == 4
+    assert summary.cusp_count == 4
     assert is_tree(tree)
 
 
@@ -67,7 +67,7 @@ def test_empty_summary_single_vertex():
     tree = build_domain(synthetic_summary(), 1)
     assert len(tree.vertices) == 1
     assert len(tree.edges) == 0
-    assert tree.cusp_count == 0
+    assert tree.summary.cusp_count == 0
     assert is_tree(tree)
 
 
@@ -75,7 +75,8 @@ def test_f5_cusp_count_matches_points():
     curve = curve_f5()
     summary = curve.classify_all()
     tree = build_domain(summary, 1)
-    assert tree.cusp_count == len(enumerate_points(curve)) == 8
+    cusps = sum(1 for v in tree.vertices if v.kind == "cusp")
+    assert cusps == summary.cusp_count == len(enumerate_points(curve)) == 8
 
 
 def test_orientation_away_from_root():
@@ -96,35 +97,35 @@ def test_orientation_away_from_root():
 
 
 def test_subtree_partition():
+    # the one-line trees of the lines' branches, glued at the root, are
+    # the whole tree: same simplices, none in two branches
     summary = curve_f5().classify_all()
-    tree = build_domain(summary, 2)
-    seen = set()
-    for view in tree.subtrees():
-        ids = set(view.vertex_ids)
-        assert not (ids & seen)
-        seen |= ids
-    assert seen == {v.vid for v in tree.vertices} - {0}
+    for attach in (1, 2):
+        tree = build_domain(summary, 2, attach)
+        vertices, edges = set(), set()
+        for lc in summary.lines:
+            branch = branch_tree(lc, 2, attach)
+            assert is_tree(branch)
+            assert branch.vertices[0].tag == "root" and branch.edges[0].kind == "root-line"
+            assert not (tag_set(branch) - {"root"}) & vertices
+            vertices |= tag_set(branch) - {"root"}
+            edges |= tag_edge_set(branch)
+        assert vertices == tag_set(tree) - {"root"}
+        assert edges == tag_edge_set(tree)
 
 
 def test_subtree_shapes():
+    # a branch is every simplex but the root and the root edge
     summary = synthetic_summary(1, 1, 1, include_infinity_line=False)
-    tree = build_domain(summary, 3)
-    views = tree.subtrees()
-    by_case = {v.line_class.case: v for v in views}
-    assert len(by_case[1].vertex_ids) == 1
-    assert len(by_case[1].edge_ids) == 0
+    by_case = {lc.case: branch_tree(lc, 3) for lc in summary.lines}
+    assert len(by_case[1].vertices) - 1 == 1
+    assert len(by_case[1].edges) - 1 == 0
     # case 2 at depth 3: line vertex + 3 cusp vertices + cap
-    assert len(by_case[2].vertex_ids) == 5
-    assert len(by_case[2].edge_ids) == 4
+    assert len(by_case[2].vertices) - 1 == 5
+    assert len(by_case[2].edges) - 1 == 4
     # case 3 at depth 3: line vertex + two chains
-    assert len(by_case[3].vertex_ids) == 7
-    assert len(by_case[3].edge_ids) == 6
-
-
-def test_subtree_unknown_line():
-    tree = build_domain(synthetic_summary(case1=1), 1)
-    with pytest.raises(KeyError):
-        tree.subtree("nope")
+    assert len(by_case[3].vertices) - 1 == 7
+    assert len(by_case[3].edges) - 1 == 6
 
 
 def test_chain_depths_and_edge_kinds():
