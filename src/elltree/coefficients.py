@@ -77,7 +77,7 @@ from .groups import (
     stabilizer_size,
     triangular_size,
 )
-from .tree import branch_tree, point_label
+from .tree import branch_tree
 
 TOKEN_PGL2K = "pgl2k"
 TOKEN_UNITS = "units"
@@ -233,7 +233,7 @@ _LINE_TOKEN_BY_CASE = {1: TOKEN_QUAD, 2: TOKEN_ADDITIVE, 3: TOKEN_UNITS}
 
 def symbolic_tokens(tree):
     """The role-token system of a tree, uniform in the homology degree."""
-    case_of_line = {lc.label: lc.case for lc in tree.summary.lines}
+    case_of_line = {lc.line: lc.case for lc in tree.summary.lines}
     vertex_tokens = {}
     for v in tree.vertices:
         if v.kind == "root":
@@ -354,7 +354,7 @@ class ConcreteProvider:
         self.field = field
         self.q = q
         self.limits = limits
-        self.case_of_line = {lc.label: lc.case for lc in tree.summary.lines}
+        self.case_of_line = {lc.line: lc.case for lc in tree.summary.lines}
         self.presented = {}
 
     def _vertex_key(self, vid):
@@ -519,11 +519,11 @@ def assemble_over_branches(summary, branch_e2, root_carries_z=False):
     H0, and Z to H1 when c has finite order.
     """
     branches = []
-    for line in summary.lines:
+    for lc in summary.lines:
         try:
-            branches.append(branch_e2(line))
+            branches.append(branch_e2(lc))
         except TooLargeError as exc:
-            raise exc.at(f"line x={line.label}") from exc
+            raise exc.at(f"line x={lc.line}") from exc
     h1s = [b[1] for b in branches]
     if not root_carries_z:
         return direct_sum_groups([b[0] for b in branches]), direct_sum_groups(h1s)
@@ -654,11 +654,11 @@ def rhs_tokens(summary):
     out = []
     for lc in summary.lines:
         if lc.case == 2:
-            out.append((TOKEN_PGL2K, point_label(lc.points[0])))
+            out.append((TOKEN_PGL2K, lc.points[0]))
         elif lc.case == 3:
-            out.append((TOKEN_UNITS, f"x={lc.label}"))
+            out.append((TOKEN_UNITS, f"x={lc.line}"))
         else:
-            out.append((TOKEN_QUAD, f"x={lc.label}"))
+            out.append((TOKEN_QUAD, f"x={lc.line}"))
     return out
 
 
@@ -788,14 +788,71 @@ def _write_json(value, newline, write):
             write("[]")
             return
         inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            write(sep)
-            _write_json(item, inner, write)
-            sep = "," + inner
+        rows = _row_texts(value, inner)
+        if rows is not None:
+            write("".join(rows))
+        else:
+            sep = "[" + inner
+            for item in value:
+                write(sep)
+                _write_json(item, inner, write)
+                sep = "," + inner
         write(newline + "]")
     else:
         raise TypeError(f"cannot write {type(value).__name__} to a report")
+
+
+def _row_texts(rows, inner):
+    """The texts of a list of flat rows that share one key set, or None.
+
+    Each row must be a dict with the first row's str keys, and each value
+    a str, int, bool, None or list of str; the key prefixes are then
+    computed once for the whole list.  inner starts each row's line, and
+    each text begins with the row's separator.  Any other list gives None
+    and goes down the generic path of _write_json, which raises its
+    TypeErrors.
+    """
+    first = rows[0]
+    if type(first) is not dict or not first or any(type(key) is not str for key in first):
+        return None
+    encode = encode_basestring_ascii
+    keys = sorted(first)
+    key_indent = inner + "  "
+    prefixes = ["{" + key_indent + encode(keys[0]) + ": "]
+    prefixes += ["," + key_indent + encode(key) + ": " for key in keys[1:]]
+    item_indent = key_indent + "  "
+    item_sep, list_close, close = "," + item_indent, key_indent + "]", inner + "}"
+    shape = first.keys()
+    texts, sep = [], "[" + inner
+    for row in rows:
+        if type(row) is not dict or row.keys() != shape:
+            return None
+        parts = [sep]
+        for prefix, key in zip(prefixes, keys):
+            value = row[key]
+            kind = type(value)
+            if kind is str:
+                text = encode(value)
+            elif kind is int:
+                text = int.__repr__(value)
+            elif value is None:
+                text = "null"
+            elif kind is bool:
+                text = "true" if value else "false"
+            elif kind is list:
+                if not value:
+                    text = "[]"
+                elif all(type(v) is str for v in value):
+                    text = "[" + item_indent + item_sep.join(map(encode, value)) + list_close
+                else:
+                    return None
+            else:
+                return None
+            parts += (prefix, text)
+        parts.append(close)
+        texts.append("".join(parts))
+        sep = "," + inner
+    return texts
 
 
 _GROUP_SCHEMA = {

@@ -11,9 +11,14 @@ infinity) is classified by how many rational points of the curve it meets:
 
 The classification summary is the only curve data the downstream tree and
 coefficient-system stages consume, so it can also be built synthetically.
+A line class carries labels only: the line's label and the labels of the
+points it meets, which is all that reports, tree tags and refusal texts
+print.  WeierstrassCurve.points_on_line gives the points as CurvePoint
+objects.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .field import coded_field, solve_monic_quadratic
 
@@ -62,17 +67,13 @@ def line_label(l):
     return str(l)
 
 
-@dataclass(frozen=True)
-class LineClass:
-    """Classification of one vertical line: its label, case, and points met."""
+class LineClass(NamedTuple):
+    """Classification of one vertical line: its label, case, and the
+    labels of the points met."""
 
-    line: object  # field element or INFINITY
+    line: str  # a field element's label, or INFINITY
     case: int
     points: tuple  # () for case 1, (p,) for case 2, (p, q) for case 3
-
-    @property
-    def label(self):
-        return line_label(self.line)
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,8 @@ class ClassificationSummary:
 
     lines are ordered with affine lines first (coefficient vectors in
     lexicographic order) and the line at infinity last.  Synthetic
-    summaries, used for infinite-field style experiments, carry string
-    labels instead of field elements.
+    summaries, used for infinite-field style experiments, carry made-up
+    labels.
     """
 
     lines: tuple  # of LineClass
@@ -99,9 +100,17 @@ class ClassificationSummary:
     def case3_lines(self):
         return tuple(lc for lc in self.lines if lc.case == 3)
 
+    def case_counts(self):
+        """The number of lines of case 1, 2 and 3, in one pass."""
+        counts = [0, 0, 0, 0]
+        for lc in self.lines:
+            counts[lc.case] += 1
+        return counts[1], counts[2], counts[3]
+
     @property
     def cusp_count(self):
-        return len(self.case2_lines) + 2 * len(self.case3_lines)
+        _, n2, n3 = self.case_counts()
+        return n2 + 2 * n3
 
     @property
     def total_points(self):
@@ -109,17 +118,13 @@ class ClassificationSummary:
         return self.cusp_count
 
     def to_json(self):
+        n1, n2, n3 = self.case_counts()
         return {
             "lines": [
-                {"line": lc.label, "case": lc.case, "points": [p.label() if isinstance(p, CurvePoint) else str(p) for p in lc.points]}
-                for lc in self.lines
+                {"line": line, "case": case, "points": list(points)}
+                for line, case, points in self.lines
             ],
-            "counts": {
-                "case1": len(self.case1_lines),
-                "case2": len(self.case2_lines),
-                "case3": len(self.case3_lines),
-                "points": self.total_points,
-            },
+            "counts": {"case1": n1, "case2": n2, "case3": n3, "points": n2 + 2 * n3},
         }
 
 
@@ -140,7 +145,7 @@ def synthetic_summary(case1=0, case2=0, case3=0, include_infinity_line=False):
     for i in range(case3):
         lines.append(LineClass(f"s3.{i}", 3, (f"pt3.{i}+", f"pt3.{i}-")))
     if include_infinity_line:
-        lines.append(LineClass(INFINITY, 2, (INFINITY_POINT,)))
+        lines.append(LineClass(INFINITY, 2, (INFINITY,)))
     return ClassificationSummary(tuple(lines))
 
 
@@ -189,32 +194,38 @@ class WeierstrassCurve:
         c = -(l ** 3 + self.a2 * l * l + self.a4 * l + self.a6)
         return solve_monic_quadratic(self.field, b, c)
 
-    def classify_line(self, l):
-        """LineClass of the vertical line x = l (l may be INFINITY)."""
+    def points_on_line(self, l):
+        """The rational points on the vertical line x = l (l may be INFINITY),
+        affine ones sorted by y."""
         if l == INFINITY:
-            return LineClass(INFINITY, 2, (INFINITY_POINT,))
+            return (INFINITY_POINT,)
         l = self.field(l)
-        ys = self._ys_on_line(l)
-        points = tuple(CurvePoint(l, y) for y in ys)
-        return LineClass(l, len(ys) + 1, points)
+        return tuple(CurvePoint(l, y) for y in self._ys_on_line(l))
+
+    def classify_line(self, l):
+        """LineClass of the vertical line x = l (l may be INFINITY), from
+        field elements and curve points."""
+        points = self.points_on_line(l)
+        line = INFINITY if l == INFINITY else line_label(self.field(l))
+        return LineClass(line, len(points) + 1, tuple(p.label() for p in points))
 
     def classify_all(self):
         """Summary over every line, affine lines in element order, infinity last.
 
-        One pass over element codes (field.coded_field), so no field
-        element is built or multiplied per line; classify_line, line by
-        line, is the reference.
+        One pass over element codes (field.coded_field) that writes labels
+        from the field's label table, so no field element or curve point is
+        built per line; classify_line, line by line, is the reference.
         """
         field = self.field
         codes = coded_field(field)
         add, mul, line_roots = codes.add, codes.mul, codes.line_roots
         a1, a2, a3, a4, a6 = map(field.index, (self.a1, self.a2, self.a3, self.a4, self.a6))
-        elements = field.elements()
+        labels = field.labels()
         lines = []
-        for l, x in enumerate(elements):
+        for l, x in enumerate(labels):
             # on x = l: y^2 + (a1*l + a3)*y = ((l + a2)*l + a4)*l + a6
             ys = line_roots(add(mul(a1, l), a3), add(mul(add(mul(add(l, a2), l), a4), l), a6))
-            lines.append(LineClass(x, len(ys) + 1, tuple(CurvePoint(x, elements[y]) for y in ys)))
+            lines.append(LineClass(x, len(ys) + 1, tuple([f"({x},{labels[y]})" for y in ys])))
         lines.append(self.classify_line(INFINITY))
         return ClassificationSummary(tuple(lines))
 

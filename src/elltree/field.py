@@ -8,7 +8,7 @@ produce identical outputs.
 """
 
 import math
-from itertools import product
+from itertools import islice, product
 
 from .abelian import prime_powers
 from .errors import TooLargeError
@@ -245,6 +245,7 @@ class FiniteField:
         self.zero = FieldElement(self, (0,) * k)
         self.one = FieldElement(self, (1,) + (0,) * (k - 1))
         self._elements = None
+        self._labels = None
         self._nonsquare_unit = None
 
     def __eq__(self, other):
@@ -298,6 +299,23 @@ class FiniteField:
                 FieldElement(self, c) for c in product(range(self.p), repeat=self.k)
             )
         return self._elements
+
+    def labels(self):
+        """The printed label of every element, in element order.
+
+        labels()[i] is repr(elements()[i]), built from the coefficient
+        vectors alone, so no element is created.
+
+        >>> make_field(3, 2).labels()[:4]
+        ('0:0', '0:1', '0:2', '1:0')
+        """
+        if self._labels is None:
+            digits = tuple(map(str, range(self.p)))
+            if self.k == 1:
+                self._labels = digits
+            else:
+                self._labels = tuple(map(":".join, product(digits, repeat=self.k)))
+        return self._labels
 
     def units(self):
         return tuple(a for a in self.elements() if not a.is_zero())
@@ -529,9 +547,8 @@ def _generator(field):
     """
     q1 = field.order - 1
     exponents = [q1 // r for r, _ in prime_powers(q1)]
-    return next(
-        g for g in field.elements()[1:] if all(g ** e != field.one for e in exponents)
-    )
+    units = map(field, islice(product(range(field.p), repeat=field.k), 1, None))
+    return next(g for g in units if all(g ** e != field.one for e in exponents))
 
 
 def _power_codes(field, g):
@@ -559,7 +576,8 @@ def _power_codes(field, g):
 
 
 def coded_field(field):
-    """Arithmetic on element codes: code i stands for field.elements()[i].
+    """Arithmetic on element codes: code i stands for field.elements()[i],
+    printed as field.labels()[i].
 
     A code reads the coefficient vector as base-p digits, constant term
     most significant, so codes sort as the elements do.  Each object

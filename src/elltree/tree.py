@@ -13,18 +13,20 @@ truncation.  Edges are oriented away from the root (tail is the endpoint
 nearer the root), which fixes the boundary sign convention downstream.
 
 The whole tree serves the domain dump and the whole-tree reference
-assembly.  Reports need only branch_tree: a branch depends on its line's
-case, the depth and the cap attachment, so one one-line tree stands for
-every line of a case.
+assembly; build_domain counts its vertices from the summary and refuses
+it before building when there are too many.  Reports need only
+branch_tree: a branch depends on its line's case, the depth and the cap
+attachment, so one one-line tree stands for every line of a case.
 """
 
 from dataclasses import dataclass
 
-from .curve import ClassificationSummary, CurvePoint
+from .curve import ClassificationSummary
+from .errors import TooLargeError
 
-
-def point_label(p):
-    return p.label() if isinstance(p, CurvePoint) else str(p)
+# A whole tree takes about 0.7 KB of memory per vertex, so this bounds a
+# domain run near 700 MB.
+MAX_DOMAIN_VERTICES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -99,11 +101,10 @@ class DomainTree:
             edges.append(Edge(len(edges), tail.vid, head.vid, kind, line, d))
 
         for lc in summary.lines:
-            lbl = lc.label
+            lbl = lc.line
             v_line = new_vertex("line", line=lbl)
             new_edge(vertices[0], v_line, "root-line", line=lbl)
-            for p in lc.points:
-                plbl = point_label(p)
+            for plbl in lc.points:
                 chain = [new_vertex("cusp", line=lbl, point=plbl, d=n) for n in range(1, depth + 1)]
                 new_edge(v_line, chain[0], "line-cusp", line=lbl)
                 for n in range(1, depth):
@@ -121,7 +122,20 @@ class DomainTree:
         return "\n".join(out) + "\n"
 
 
+def domain_size(summary, depth):
+    """The vertex count of the whole tree: the root, one vertex per line,
+    a cusp path per point and a cap per case-2 line."""
+    _, n2, n3 = summary.case_counts()
+    return 1 + len(summary.lines) + depth * (n2 + 2 * n3) + n2
+
+
 def build_domain(summary, depth, attach=1):
+    """The whole tree, refused before it is built when it would have more
+    than MAX_DOMAIN_VERTICES vertices."""
+    size = domain_size(summary, depth)
+    if size > MAX_DOMAIN_VERTICES:
+        what = f"domain tree vertices ({len(summary.lines)} lines, depth {depth})"
+        raise TooLargeError(what, size, MAX_DOMAIN_VERTICES)
     return DomainTree(summary, depth, attach)
 
 

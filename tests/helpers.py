@@ -175,7 +175,7 @@ def enumerate_points(curve):
     """All rational points, infinity first, then affine in (x, y) order."""
     points = [INFINITY_POINT]
     for x in curve.field.elements():
-        points.extend(curve.classify_line(x).points)
+        points.extend(curve.points_on_line(x))
     return points
 
 

@@ -109,7 +109,7 @@ def test_criterion_4_counting_identities():
             assert n1 + n2 + n3 == q + 1
             points = summary.total_points
             affine_case2 = sum(
-                1 for lc in summary.case2_lines if str(lc.label) != "inf"
+                1 for lc in summary.case2_lines if lc.line != "inf"
             )
             assert points == 1 + affine_case2 + 2 * n3
             assert points == summary.cusp_count

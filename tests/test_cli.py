@@ -4,6 +4,7 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elltree import groups, tree
 from elltree.cli import main, parse_curve_coefficients, CliError
@@ -243,6 +244,30 @@ def test_too_large_exit_three(capsys):
     assert "PGL2" in err
 
 
+def test_oversized_domain_refused_before_building(capsys, monkeypatch):
+    # the vertex count comes from the classification: 1 + lines +
+    # depth * cusps + case-2 lines, checked before any tree is built
+    built = []
+    init = tree.DomainTree.__init__
+
+    def recorded(self, summary, *args, **kwargs):
+        built.append(len(summary.lines))
+        init(self, summary, *args, **kwargs)
+
+    monkeypatch.setattr(tree.DomainTree, "__init__", recorded)
+    code, out, err = run_cli(capsys, "domain", "--p", "1009", "--curve", "0,0,0,-1,0",
+                             "--depth", "2000")
+    assert (code, out, built) == (3, "", [])
+    assert err == (
+        "too large: domain tree vertices (1010 lines, depth 2000): "
+        "size 2081015 exceeds ceiling 1000000\n"
+    )
+    code, out, err = run_cli(capsys, "domain", "--p", "101", "--curve", "0,0,0,-1,0",
+                             "--depth", "2000")
+    assert (code, err, built) == (0, "", [102])
+    assert out.count("vertex ") == 208107
+
+
 def test_huge_prime_refused_by_size_exit_three(capsys):
     code, out, err = run_cli(
         capsys, "classify", "--p", "2305843009213693951", "--curve", "0,0,0,-1,0"
@@ -414,3 +439,86 @@ def test_parse_rejects_garbage():
         parse_curve_coefficients("a,b,c,d,e", 1)
     with pytest.raises(CliError):
         parse_curve_coefficients("1,2,3,4", 1)
+
+
+# ---------------------------------------------------------------------------
+# malformed argv and config: every one ends in exit 1 or 3, never a traceback
+
+FUZZ_MODES = ("classify", "domain", "symbolic", "concrete", "compare")
+BAD_P = (-3, 0, 1, 4)
+NON_INT_TOKENS = ("x", "1.5", "", " ", "0x1", "1:a", "--", "1e3", "+-1")
+# (config key, a value of the wrong JSON type); the key's flag is then
+# left off the command line, so the config value is the one in force
+WRONG_TYPES = (
+    ("p", "5"), ("k", [2]), ("curve", 5), ("depth", True), ("depth", 2.0),
+    ("q_max", None), ("battery", 3), ("resolution", ["zero"]), ("attach", "1"),
+    ("allow_large", 1),
+)
+BAD_CONFIG_TEXTS = ("[1]", "3", "null", '"x"', "{", "", '{"frob": 1}')
+BAD_FLAGS = (("--frob",), ("--depth=x",), ("--k=two",), ("--attach=3",), ("--depth",))
+FAULTS = ("bad-p", "count", "long-vector", "non-int", "config-type", "config-text",
+          "config-dir", "config-missing", "out-dir", "flag")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@st.composite
+def malformed_runs(draw):
+    """argv, an optional config text and extra flags, with one or two
+    malformed inputs; the rest would make a valid run."""
+    faults = draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=2, unique=True))
+    p = draw(st.sampled_from(BAD_P if "bad-p" in faults else (2, 3, 5)))
+    k = draw(st.sampled_from((1, 2)))
+
+    def coefficient(length):
+        return ":".join(str(draw(st.integers(-3, 6))) for _ in range(length))
+
+    coeffs = [coefficient(draw(st.integers(1, k))) for _ in range(5)]
+    flags = {
+        "p": p, "k": k, "depth": draw(st.integers(1, 3)), "q_max": draw(st.integers(1, 2)),
+    }
+    config, extra = None, []
+    if "count" in faults:
+        n = draw(st.sampled_from((1, 2, 4, 6, 7)))
+        coeffs = (coeffs * 2)[:n]
+    if "long-vector" in faults:
+        i = draw(st.integers(0, len(coeffs) - 1))
+        coeffs[i] = coefficient(draw(st.integers(k + 1, k + 3)))
+    if "non-int" in faults:
+        i = draw(st.integers(0, len(coeffs) - 1))
+        coeffs[i] = draw(st.sampled_from(NON_INT_TOKENS))
+    flags["curve"] = ",".join(coeffs)
+    if "config-type" in faults:
+        key, value = draw(st.sampled_from(WRONG_TYPES))
+        flags.pop(key, None)
+        config = json.dumps({key: value})
+    elif "config-text" in faults:
+        config = draw(st.sampled_from(BAD_CONFIG_TEXTS))
+    if "config-dir" in faults:
+        extra.append(("--config", "."))
+    elif "config-missing" in faults:
+        extra.append(("--config", "missing.json"))
+    if "out-dir" in faults:
+        extra.append(("--out", "."))
+    if "flag" in faults:
+        extra.append(draw(st.sampled_from(BAD_FLAGS)))
+    argv = [draw(st.sampled_from(FUZZ_MODES))]
+    argv += [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+    return argv, config, extra
+
+
+@settings(max_examples=120, deadline=None)
+@given(run=malformed_runs())
+def test_malformed_input_exits_one_or_three(fuzz_dir, run):
+    argv, config, extra = run
+    if config is not None:
+        path = fuzz_dir / "config.json"
+        path.write_text(config, encoding="utf-8")
+        argv = argv + ["--config", str(path)]
+    for item in extra:
+        # "." names the fuzz directory itself, "missing.json" a file not in it
+        argv = argv + [str(fuzz_dir / a) if a in (".", "missing.json") else a for a in item]
+    assert main(argv) in (1, 3)

@@ -267,7 +267,7 @@ def test_root_gluing_on_designed_branches(attach):
         tree = branch_tree(line, 2, attach)
         return rooted_branch_e2(tree, designed_provider(tree))
 
-    branches = {lc.label: branch_e2(lc) for lc in summary.lines}
+    branches = {lc.line: branch_e2(lc) for lc in summary.lines}
     assert branches["s1.0"] == (fg(0, 6), TRIVIAL_GROUP, (1,))
     assert branches["s1.1"] == (fg(2), TRIVIAL_GROUP, (0, 0))
     assert branches["s3.0"][:2] == (fg(2, 4), fg(1))
@@ -306,10 +306,10 @@ def all_branch_glue(summary, branch_e2):
 def glue_both_ways(triples):
     """(closed form, reference) for branches carrying the given triples in order."""
     summary = synthetic_summary(case1=len(triples))
-    position = {line.label: i for i, line in enumerate(summary.lines)}
+    position = {lc.line: i for i, lc in enumerate(summary.lines)}
 
-    def branch_e2(line):
-        return triples[position[line.label]]
+    def branch_e2(lc):
+        return triples[position[lc.line]]
 
     closed = assemble_over_branches(summary, branch_e2, root_carries_z=True)
     return closed, all_branch_glue(summary, branch_e2)

@@ -4,6 +4,7 @@ Point counts are checked against brute-force enumeration of the equation
 (the oracle), and the standard corpus values are frozen from it.
 """
 
+import json
 import math
 
 import pytest
@@ -19,7 +20,8 @@ from elltree.curve import (
     line_label,
     synthetic_summary,
 )
-from elltree.field import make_field
+from elltree.cli import main
+from elltree.field import FiniteField, make_field
 from helpers import curve_from_json, enumerate_points, is_two_torsion
 
 
@@ -132,16 +134,19 @@ def test_classification_f5():
     c = cubic_curve(5, 1, [0, 0, 0, -1, 0])
     summary = c.classify_all()
     F = c.field
-    cases = {lc.label: lc.case for lc in summary.lines}
+    cases = {lc.line: lc.case for lc in summary.lines}
     assert cases == {"0": 2, "1": 2, "2": 3, "3": 3, "4": 2, INFINITY: 2}
     # case-3 points on a line are negatives of each other
-    for lc in summary.case3_lines:
-        p, q = lc.points
-        assert c.negate(p) == q
+    for l, lc in zip(F.elements(), summary.lines):
+        if lc.case == 3:
+            p, q = c.points_on_line(l)
+            assert c.negate(p) == q
+            assert (p.label(), q.label()) == lc.points
     assert summary.total_points == 8
     # the case-2 point on l=1 is (1, 0)
-    (pt,) = c.classify_line(F(1)).points
+    (pt,) = c.points_on_line(F(1))
     assert pt == CurvePoint(F(1), F(0))
+    assert c.classify_line(F(1)).points == ("(1,0)",)
 
 
 def test_case1_example():
@@ -162,9 +167,12 @@ def test_case2_points_are_two_torsion():
         (2, 2, [0, 0, 1, 0, 0]),
     ]:
         c = cubic_curve(p, k, coeffs)
-        for lc in c.classify_all().case2_lines:
-            (pt,) = lc.points
-            assert is_two_torsion(c, pt)
+        lines = c.field.elements() + (INFINITY,)
+        for l, lc in zip(lines, c.classify_all().lines):
+            if lc.case == 2:
+                (pt,) = c.points_on_line(l)
+                assert is_two_torsion(c, pt)
+                assert lc.points == (pt.label(),)
 
 
 def test_two_torsion_count_matches_case2_count():
@@ -226,7 +234,7 @@ def test_curve_json_round_trip():
 
 def test_line_label_of_synthetic_line_has_no_quotes():
     assert line_label("s2.0") == "s2.0"
-    assert synthetic_summary(case2=1).lines[0].label == "s2.0"
+    assert synthetic_summary(case2=1).lines[0].line == "s2.0"
     assert line_label(INFINITY) == INFINITY
     F = make_field(3, 2)
     assert line_label(F([1, 2])) == "1:2"
@@ -266,3 +274,29 @@ def test_classify_all_matches_classify_line(p, k, data):
     got, want = curve.classify_all(), per_line_summary(curve)
     assert got == want
     assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("p,k", CLASSIFY_FIELDS, ids=[f"{p}^{k}" for p, k in CLASSIFY_FIELDS])
+def test_label_table_matches_element_reprs(p, k):
+    F = make_field(p, k)
+    assert F.labels() == tuple(map(repr, F.elements()))
+
+
+def test_classify_builds_no_elements_or_points(monkeypatch, tmp_path):
+    # the whole classify run over GF(101^2) works from codes and labels
+    def refuse(self):
+        raise AssertionError("FiniteField.elements called")
+
+    built = []
+    point_init = CurvePoint.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        point_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteField, "elements", refuse)
+    monkeypatch.setattr(CurvePoint, "__init__", counted)
+    argv = ["classify", "--p", "101", "--k", "2", "--curve", "0:0,0:0,0:0,70:4,0:30"]
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    assert built == []
+    assert json.loads((tmp_path / "report.json").read_text())["cusp_count"] > 0

@@ -25,7 +25,7 @@ import pytest
 
 from elltree import cli
 from elltree.cli import main
-from elltree.coefficients import report_to_json_text
+from elltree.coefficients import _row_texts, report_to_json_text
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -100,6 +100,24 @@ DIGESTS = [
     ("classify-p101-k2", 0,
      "ede4bd1441489eb9f12dee25cad6453b067fca2db8c0854ba41e7a3daaa6362e",
      ["classify", "--p", "101", "--k", "2", "--curve", "0:0,0:0,0:0,70:4,0:30"]),
+    # written before line classes carried labels instead of field
+    # elements and curve points: the domain dumps' vertex tags carry point
+    # labels, and the classify reports cover the binary and Zech codes
+    ("domain-p5-d2", 0,
+     "0be15fe3b84bbabaa64f7352193a102be1748269c4512f16d21712b03d048bbb",
+     ["domain", "--p", "5", "--curve", E5, "--depth", "2"]),
+    ("domain-p3-k2-d2", 0,
+     "67323c326a9b382d04a867ec3d9724079de3112d5aa26a9981adeebd13ff1b1c",
+     ["domain", "--p", "3", "--k", "2", "--curve", E5, "--depth", "2"]),
+    ("domain-p2-k3-d2", 0,
+     "eea730ea533503c84b4f25e5153ba50fd0559d9bbbc1c97599248268bb70bd81",
+     ["domain", "--p", "2", "--k", "3", "--curve", "0,0,1,0,0", "--depth", "2"]),
+    ("classify-p2-k10", 0,
+     "62d31dd2933e796419f869759716be6d2c4f8d680fa84adffdac02d31a1e7f18",
+     ["classify", "--p", "2", "--k", "10", "--curve", "0,0,1,0,0"]),
+    ("classify-p5-k3", 0,
+     "a5d47e88657a7a2355ba1fe2ed16545608f1442677e1dc19a210ddd7a5631a06",
+     ["classify", "--p", "5", "--k", "3", "--curve", E5]),
 ]
 
 
@@ -161,7 +179,45 @@ def test_report_writer_matches_json_dumps_on_a_classify_report(monkeypatch, tmp_
     assert report_to_json_text(reports[0]) == _json_dumps_text(reports[0])
 
 
-@pytest.mark.parametrize("value", [1.5, {1, 2}, {1: "a"}, b"x"], ids=repr)
+# lists of rows: those that share one key set and hold only leaf values
+# take the writer's row path, the rest its generic path
+ROW_PAYLOADS = {
+    "uniform-leaves": [
+        {"s": "a", "i": -3, "t": True, "f": False, "n": None, "l": ["x", "y"]},
+        {"s": "", "i": 10 ** 30, "t": False, "f": True, "n": None, "l": []},
+        {"s": "b", "i": 0, "t": True, "f": False, "n": None, "l": ["z"]},
+    ],
+    "key-sets-differ": [{"a": 1, "b": 2}, {"a": 1}, {"a": 1, "c": 2}],
+    "same-size-key-sets-differ": [{"a": 1, "b": 2}, {"a": 1, "c": 2}],
+    "nested-dict": [{"a": 1, "b": "x"}, {"a": 2, "b": {"c": [1, {"d": None}]}}],
+    "escapes": [
+        {"q": 'say "hi"', "b": "back\\slash", "u": "caf\u00e9 \u2203", "l": ["\n\t", "\x00"]},
+        {"q": "", "b": "/", "u": "\U0001f600", "l": ['"']},
+    ],
+    "tuples": [{"a": ("x", "y")}, {"a": ("z",)}],
+    "tuple-rows": ({"a": 1}, {"a": 2}),
+    "empty-lists": [{"a": [], "b": [[]]}, {"a": [], "b": []}],
+    "mixed-items": [{"a": 1}, 2, "x", None, [{"a": 1}]],
+    "list-of-non-str": [{"a": ["x", 1]}, {"a": []}],
+    "empty-row": [{}, {}],
+    "one-row": [{"only": "row"}],
+}
+ROW_PATH = {"uniform-leaves", "escapes", "tuple-rows", "one-row"}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_PAYLOADS))
+def test_report_writer_matches_json_dumps_on_rows(name):
+    rows = ROW_PAYLOADS[name]
+    assert (_row_texts(rows, "\n  ") is not None) == (name in ROW_PATH)
+    for report in (rows, {"rows": rows, "deeper": {"rows": rows}}):
+        assert report_to_json_text(report) == _json_dumps_text(report)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {1, 2}, {1: "a"}, b"x", [{"a": 1}, {"a": 1.5}], [{"a": 1}, {1: 2}]],
+    ids=repr,
+)
 def test_report_writer_rejects_other_types(value):
     with pytest.raises(TypeError):
         report_to_json_text({"x": [value]})

@@ -12,7 +12,7 @@ from elltree.curve import (
     synthetic_summary,
 )
 from elltree.field import make_field
-from elltree.tree import branch_tree, build_domain
+from elltree.tree import branch_tree, build_domain, domain_size
 from helpers import enumerate_points, is_tree, tag_edge_set, tag_set
 
 
@@ -51,6 +51,7 @@ def test_counts_formula():
             tree = build_domain(summary, depth)
             v, e = expected_counts(n1, n2, n3, depth)
             assert len(tree.vertices) == v, (n1, n2, n3, depth)
+            assert domain_size(summary, depth) == v
             assert len(tree.edges) == e
             assert is_tree(tree)
 
