@@ -606,19 +606,6 @@ class _SmithCoordinates:
         return not self.coords(vec)
 
 
-def canonical_with_class(presented, chain):
-    """Canonical form of a presented group and the class of one element.
-
-    chain is a sparse {generator: coefficient} vector.  Its class is a tuple
-    in the canonical presentation that PresentedGroup.from_group builds: one
-    coordinate per free generator, then one per invariant factor d > 1,
-    reduced into [0, d).  Unit invariant factors carry no coordinate.
-    """
-    basis = presented.lattice()
-    coords = basis.coords(chain)
-    return basis.group, tuple(coords.get(k, 0) for k in range(len(basis.rows)))
-
-
 class AbHom:
     """Homomorphism of presented groups, given by a matrix on generators.
 

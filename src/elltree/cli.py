@@ -38,6 +38,27 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        """Join "--curve -1,0,..." into "--curve=-1,0,...", and refuse
+        a flag whose value argparse left as a list.
+
+        argparse takes a value that starts with "-" and is not a plain
+        number for an option, so a negative first coefficient would
+        otherwise need the "=" form.
+        """
+        joined = []
+        for arg in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] == "--curve" and arg[:1] == "-" and arg[1:2].isdigit():
+                joined[-1] = "--curve=" + arg
+            else:
+                joined.append(arg)
+        namespace, extras = super().parse_known_args(joined, namespace)
+        for key, value in vars(namespace).items():
+            # argparse drops a "--" value, as in --curve=--, and leaves []
+            if isinstance(value, list):
+                self.error(f"argument --{key.replace('_', '-')}: expected one argument")
+        return namespace, extras
+
 
 # Flags by destination: (type, choices, help).  The parser and the config
 # file both check values against this one table.

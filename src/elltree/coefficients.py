@@ -24,19 +24,23 @@ fields.  Two specs:
     system with SizingProvider, which checks the ceilings on each
     stabilizer's closed-form (name, order) and builds nothing.
 
-In degree 0 every spec has the constant unit system Z (UNIT_SYSTEM); _system
-maps (spec, q) to the system that is computed.  Each system yields a
-two-term chain complex: degree 0 sums the vertex groups, degree 1 sums the
-edge groups, and the boundary of an edge is (map toward head) minus (map
-toward tail) with edges oriented away from the root.  Writing E0(q),
-E1(q) for its two homology groups in degree q, the assembled group in
-degree i >= 1 is E0(i) + E1(i-1), flagged when E1(i-1) is nonzero because
-the direct sum is then only one resolution of an extension problem.
+Each system yields a two-term chain complex: degree 0 sums the vertex
+groups, degree 1 sums the edge groups, and the boundary of an edge is
+(map toward head) minus (map toward tail) with edges oriented away from
+the root.  Writing E0(q), E1(q) for its two homology groups in degree q,
+the assembled group in degree i >= 1 is E0(i) + E1(i-1), flagged when
+E1(i-1) is nonzero because the direct sum is then only one resolution of
+an extension problem.  In degree 0 every stabilizer has H_0 = Z with
+identity maps, the constant system Z on a tree, so E1(0) = 0; reports
+take that as given, and the selftest computes it on whole trees from
+degree_zero_tokens.
 
-Reports never build the whole tree.  They read the line classification
-and compute E2 once per branch shape (line case, depth, cap attachment,
-spec, q), on one one-line tree per case, glued at the root;
-e2_whole_tree, on the whole tree, cross-checks this.
+Reports never build the whole tree.  In every degree q >= 1 the root and
+its edges carry 0, so the complex of the tree is the direct sum of its
+line branches'.  Reports read the line classification and compute E2
+once per branch shape (line case, depth, cap attachment, spec, q), on
+one one-line tree per case; e2_whole_tree, on the whole tree,
+cross-checks this.
 
 The predicted decomposition has one projective-linear factor per point
 fixed by negation, one units factor per line meeting the curve twice, and
@@ -44,7 +48,6 @@ one quadratic-units factor per line missing the curve entirely.
 """
 
 import io
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -57,7 +60,6 @@ from .abelian import (
     IntMatrix,
     PresentedGroup,
     TRIVIAL_GROUP,
-    canonical_with_class,
     direct_sum_groups,
     homology_at,
 )
@@ -323,8 +325,7 @@ _KIND_OF_TOKEN = {
 
 
 def _vertex_stabilizer(vertex, case_of_line):
-    if vertex.kind == "root":
-        return ("trivial",)
+    """The key of a non-root vertex's group."""
     if vertex.kind == "line":
         return (_KIND_OF_TOKEN[_LINE_TOKEN_BY_CASE[case_of_line[vertex.line]]],)
     if vertex.kind == "cusp":
@@ -362,7 +363,11 @@ class ConcreteProvider:
 
     def vertex_group(self, vid):
         if vid not in self.presented:
-            self.presented[vid] = self._presentation(self._vertex_key(vid))
+            if self.tree.vertices[vid].kind == "root":
+                # the root's stabilizer is trivial, with H_q = 0 for q >= 1
+                self.presented[vid] = PresentedGroup(0)
+            else:
+                self.presented[vid] = self._presentation(self._vertex_key(vid))
         return self.presented[vid]
 
     def edge_data(self, eid):
@@ -404,15 +409,6 @@ class SizingProvider(ConcreteProvider):
 
 
 @dataclass(frozen=True)
-class _Sizing:
-    field: object
-    limits: object
-
-    def provider(self, tree, q):
-        return SizingProvider(tree, self.field, q, self.limits)
-
-
-@dataclass(frozen=True)
 class ConcreteSpec:
     """The concrete system over a field, within the homology ceilings."""
 
@@ -435,7 +431,7 @@ class ConcreteSpec:
         sizing = _Sizing(self.field, self.limits)
         for q in range(1, q_max + 1):
             assemble_over_branches(
-                summary, lambda line: _branch_system_e2(sizing, line, depth, attach, q)
+                summary, lambda line: e2_whole_tree(branch_tree(line, depth, attach), sizing, q)
             )
 
     def rhs_group(self, token, i):
@@ -446,35 +442,35 @@ class ConcreteSpec:
         return {"mode": "concrete", "battery": None, "resolution": None, "diagonal_reduction": diagonal}
 
 
+class _Sizing(ConcreteSpec):
+    """ConcreteSpec with SizingProvider's closed-form checks; for preflight."""
+
+    def provider(self, tree, q):
+        return SizingProvider(tree, self.field, q, self.limits)
+
+
 # ---------------------------------------------------------------------------
 # assembled systems and their two-term complex
 
 
-def assemble_system(tree, provider, vertex_ids=None, edge_ids=None):
+def assemble_system(tree, provider):
     """The two-term complex (vertex sum) <- (edge sum) of a provider's system.
 
-    vertex_ids and edge_ids restrict to part of the tree, as
-    branch_complex does; default is the whole tree.  The provider is
-    asked for the vertices first, then the edges; a TooLargeError it
-    raises gains the tag of the simplex.
+    The provider is asked for every vertex of the tree first, then every
+    edge; a TooLargeError it raises gains the tag of the simplex.
     """
-    if vertex_ids is None:
-        vertex_ids = [v.vid for v in tree.vertices]
-    if edge_ids is None:
-        edge_ids = [e.eid for e in tree.edges]
-    vertex_groups, offset, gens = [], {}, 0
-    for vid in vertex_ids:
+    vertex_groups, offset, gens = [], [], 0
+    for v in tree.vertices:
         try:
-            vertex_groups.append(provider.vertex_group(vid))
+            vertex_groups.append(provider.vertex_group(v.vid))
         except TooLargeError as exc:
-            raise exc.at(f"vertex {tree.vertices[vid].tag}") from exc
-        offset[vid] = gens
+            raise exc.at(f"vertex {v.tag}") from exc
+        offset.append(gens)
         gens += vertex_groups[-1].gens
     edge_groups, cols = [], []
-    for eid in edge_ids:
-        e = tree.edges[eid]
+    for e in tree.edges:
         try:
-            group, to_tail, to_head = provider.edge_data(eid)
+            group, to_tail, to_head = provider.edge_data(e.eid)
         except TooLargeError as exc:
             tag = f"{tree.vertices[e.tail].tag}--{tree.vertices[e.head].tag}"
             raise exc.at(f"edge {tag}") from exc
@@ -499,24 +495,32 @@ def e2_pair(complex_):
     return homology_at(complex_, 0), homology_at(complex_, 1)
 
 
+def e2_whole_tree(tree, spec, q):
+    """(H0, H1) of spec's degree-q system, q >= 1, assembled on a whole tree.
+
+    On the tree of a summary it is the reference for e2; on a line's
+    branch_tree it is the E2 of that line's branch.
+    """
+    return e2_pair(assemble_system(tree, spec.provider(tree, _system_degree(spec, q))))
+
+
+def _system_degree(spec, q):
+    """The degree whose system stands for spec's degree q >= 1."""
+    if q < 1:
+        raise ValueError(f"E2 is assembled in degrees q >= 1, got {q}")
+    return spec.system_degree(q)
+
+
 # ---------------------------------------------------------------------------
-# E2 split over line branches, glued at the root
+# E2 as a direct sum over line branches
 
 
-def assemble_over_branches(summary, branch_e2, root_carries_z=False):
-    """(H0, H1) of the tree from branch_e2(line) of each line's branch.
+def assemble_over_branches(summary, branch_e2):
+    """(H0, H1) of the tree: the direct sums of branch_e2(line) over its lines.
 
-    If the root and its edges carry 0 (degrees q >= 1), branch_e2 gives
-    (H0, H1) and E2 is the direct sum.  If they carry Z, it gives (H0, H1, c)
-    as rooted_branch_e2 does; the pair (tree, branches + root) then leaves
-    Z_root + sum H0 <-- Z^(root edges), edge |-> c - root, whose H0 is the
-    tree's and whose H1, free, splits off the tree's H1 beside sum H1.
-
-    That star complex is built for one branch of each distinct (H0, H1, c)
-    only.  For m branches with the same (A, H1, c), the basis change
-    (a1, ..., am) -> (a1 + ... + am, a2, ..., am) of A^m leaves one copy
-    on the root and m - 1 copies of A <-- Z, 1 |-> c, each adding A/<c> to
-    H0, and Z to H1 when c has finite order.
+    In degrees q >= 1 the root and its edges carry 0, so the complex of
+    the tree is the direct sum of its branches'.  A TooLargeError from a
+    branch gains the tag of its line.
     """
     branches = []
     for lc in summary.lines:
@@ -524,85 +528,7 @@ def assemble_over_branches(summary, branch_e2, root_carries_z=False):
             branches.append(branch_e2(lc))
         except TooLargeError as exc:
             raise exc.at(f"line x={lc.line}") from exc
-    h1s = [b[1] for b in branches]
-    if not root_carries_z:
-        return direct_sum_groups([b[0] for b in branches]), direct_sum_groups(h1s)
-    copies = Counter(branches)  # in order of first appearance
-    h0, h1 = _star_glue(list(copies))
-    h0s, extra = [h0], [h1]
-    for (a, _, c), m in copies.items():
-        h0s += [_quotient_by_class(a, c)] * (m - 1)
-        if not any(c[: a.rank]):
-            extra += [FgAbGroup(1, ())] * (m - 1)
-    return direct_sum_groups(h0s), direct_sum_groups(h1s + extra)
-
-
-def _star_glue(branches):
-    """(H0, H1) of Z_root + sum H0 <-- Z^(branches), edge |-> c - root."""
-    h0s = [PresentedGroup.free(1)] + [PresentedGroup.from_group(b[0]) for b in branches]
-    cols, offset = [], 1
-    for _, _, c in branches:
-        cols.append({0: -1, **{offset + i: v for i, v in enumerate(c) if v}})
-        offset += len(c)
-    c0, c1 = PresentedGroup.direct_sum(h0s), PresentedGroup.free(len(branches))
-    glue = ChainComplexFg([c0, c1], [AbHom(c1, c0, IntMatrix.from_sparse_cols(cols, c0.gens))])
-    return homology_at(glue, 0), homology_at(glue, 1)
-
-
-def _quotient_by_class(group, c):
-    """group / <c>, for c in the canonical presentation of group."""
-    presented = PresentedGroup.from_group(group)
-    col = IntMatrix.from_sparse_cols([{i: v for i, v in enumerate(c) if v}], presented.gens)
-    return PresentedGroup(presented.gens, presented.relations.hstack(col)).canonical()
-
-
-def branch_complex(tree, provider):
-    """The two-term complex of the branch of a one-line tree (see
-    tree.branch_tree): every simplex but the root and the root edge."""
-    return assemble_system(tree, provider, range(1, len(tree.vertices)), range(1, len(tree.edges)))
-
-
-def rooted_branch_e2(tree, provider):
-    """(H0, H1, c) of a one-line tree's branch; c is the class its root
-    edge hits in H0.
-
-    The root and root edge must carry Z, the edge mapping identically to
-    the root.  c is in the canonical presentation of H0.
-    """
-    edge_group, to_root, to_line = provider.edge_data(0)
-    free = not (provider.vertex_group(0).relations.ncols or edge_group.relations.ncols)
-    if not free or to_root.matrix != IntMatrix.identity(1):
-        raise ValueError("the root and its edges must carry Z, mapped identically")
-    complex_ = branch_complex(tree, provider)
-    c0, d1 = complex_.groups[0], complex_.boundaries[0].matrix
-    cokernel = PresentedGroup(c0.gens, d1.hstack(c0.relations))
-    h0, c = canonical_with_class(cokernel, to_line.matrix.cols[0])
-    return h0, homology_at(complex_, 1), c
-
-
-class _UnitSystem:
-    """The constant unit system Z with identity maps: degree 0 of every spec."""
-
-    def provider(self, tree, q):
-        return TokenProvider(tree, degree_zero_tokens(tree), BATTERY_A)
-
-
-UNIT_SYSTEM = _UnitSystem()
-
-
-def _system(spec, q):
-    """(spec, degree) of the system that stands for spec's degree q."""
-    return (UNIT_SYSTEM, 0) if q == 0 else (spec, spec.system_degree(q))
-
-
-def _branch_system_e2(spec, line, depth, attach, q):
-    """(H0, H1) of the branch of a line in a system that _system names, and
-    for the unit system also the class c of its root edge (rooted_branch_e2)."""
-    tree = branch_tree(line, depth, attach)
-    provider = spec.provider(tree, q)
-    if spec is UNIT_SYSTEM:
-        return rooted_branch_e2(tree, provider)
-    return e2_pair(branch_complex(tree, provider))
+    return direct_sum_groups([b[0] for b in branches]), direct_sum_groups([b[1] for b in branches])
 
 
 # One synthetic line per case stands for every line of that case.
@@ -611,33 +537,19 @@ _CASE_LINES = {line.case: line for line in synthetic_summary(1, 1, 1).lines}
 
 @lru_cache(maxsize=None)
 def _branch_e2(spec, case, depth, attach, q):
-    """_branch_system_e2 of every line of a case, computed once."""
-    return _branch_system_e2(spec, _CASE_LINES[case], depth, attach, q)
-
-
-def _system_e2(summary, depth, attach, spec, q):
-    """E2 glued from the cached _branch_e2 of each line's case."""
-    return assemble_over_branches(
-        summary,
-        lambda line: _branch_e2(spec, line.case, depth, attach, q),
-        root_carries_z=spec is UNIT_SYSTEM,
-    )
+    """E2 of the branch of every line of a case, computed once."""
+    return e2_whole_tree(branch_tree(_CASE_LINES[case], depth, attach), spec, q)
 
 
 def e2(summary, depth, attach, spec, q):
-    """(H0, H1) of spec's degree-q system on the tree of a line
-    classification, split over line branches.
+    """(H0, H1) of spec's degree-q system, q >= 1, on the tree of a line
+    classification: the direct sum over its line branches.
 
     Branches are shared by every summary, and every degree, with the same
-    system; degree 0 shares them between specs too.
+    system.
     """
-    return _system_e2(summary, depth, attach, *_system(spec, q))
-
-
-def e2_whole_tree(tree, spec, q):
-    """E2 assembled on the whole tree at once; the reference for e2."""
-    spec, q = _system(spec, q)
-    return e2_pair(assemble_system(tree, spec.provider(tree, q)))
+    q = _system_degree(spec, q)
+    return assemble_over_branches(summary, lambda line: _branch_e2(spec, line.case, depth, attach, q))
 
 
 # ---------------------------------------------------------------------------
@@ -717,19 +629,21 @@ def report(summary, depth, attach, spec, q_max, curve=None):
 
     The spec's preflight first refuses what the run would refuse, before
     anything is built.  E2 and the prediction are computed once per
-    distinct system, and E2 of every degree 0..q_max before any
+    distinct system, and E2 of every degree 1..q_max before any
     prediction, so a refusal comes from the tree's stabilizers first.
     Degrees whose extension part is nonzero are flagged instead of
     asserted.
     """
     spec.preflight(summary, depth, attach, q_max)
-    system = [_system(spec, q) for q in range(q_max + 1)]
-    e2_of = {s: _system_e2(summary, depth, attach, *s) for s in dict.fromkeys(system)}
-    predicted_of = {s: predicted(summary, spec, s[1]) for s in dict.fromkeys(system[1:])}
+    system = [_system_degree(spec, q) for q in range(1, q_max + 1)]
+    e2_of = {s: e2(summary, depth, attach, spec, s) for s in dict.fromkeys(system)}
+    predicted_of = {s: predicted(summary, spec, s) for s in e2_of}
+    # E1(0) = 0: degree 0 is the constant system Z on a tree
+    e1 = [TRIVIAL_GROUP] + [e2_of[s][1] for s in system]
     rhs = rhs_tokens(summary)
     degrees = [
-        _degree_entry(i, e2_of[system[i]][0], e2_of[system[i - 1]][1], predicted_of[system[i]], rhs)
-        for i in range(1, q_max + 1)
+        _degree_entry(i, e2_of[s][0], e1[i - 1], predicted_of[s], rhs)
+        for i, s in enumerate(system, 1)
     ]
     return {
         "curve": curve.to_json() if curve is not None else None,

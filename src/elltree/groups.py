@@ -689,7 +689,6 @@ def diagonal_to_triangular(field, n):
 # called so that rebinding a module-level name (as perfbench/traced.py
 # does) reaches them.
 _STABILIZERS = {
-    "trivial": (lambda field: cyclic(1), lambda field: cyclic_size(1)),
     "pgl2": (lambda field: pgl2(field), pgl2_size),
     "units": (lambda field: unit_group(field), unit_group_size),
     "quad_units": (lambda field: quad_units_group(field)[0], quad_units_size),

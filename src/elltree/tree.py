@@ -143,6 +143,7 @@ def branch_tree(line_class, depth, attach=1):
     """The one-line tree of a line's branch.
 
     Its root is vertex 0 and its root edge is edge 0; every other simplex
-    belongs to the branch.
+    belongs to the branch.  In degrees q >= 1 the root and its edge carry
+    0, so assembling this whole tree gives the branch's E2.
     """
     return DomainTree(ClassificationSummary((line_class,)), depth, attach)

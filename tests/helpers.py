@@ -7,6 +7,7 @@ from functools import lru_cache
 from itertools import product
 
 from elltree.abelian import TRIVIAL_GROUP, FgAbGroup, IntMatrix, _engine_for, invariant_factors
+from elltree.coefficients import BATTERY_A, TokenProvider, assemble_system, degree_zero_tokens, e2_pair
 from elltree.curve import INFINITY_POINT, WeierstrassCurve
 from elltree.field import _poly_divmod
 from elltree.groups import (
@@ -208,3 +209,9 @@ def tag_edge_set(tree):
 
 def tag_set(tree):
     return {v.tag for v in tree.vertices}
+
+
+def degree_zero_row(tree):
+    """Row 0 of E2 on a whole tree: H_0 of every stabilizer, Z, with identity maps."""
+    provider = TokenProvider(tree, degree_zero_tokens(tree), BATTERY_A)
+    return e2_pair(assemble_system(tree, provider))

@@ -21,7 +21,6 @@ from elltree.abelian import (
     FgAbGroup,
     IntMatrix,
     PresentedGroup,
-    canonical_with_class,
     cyclic_group_homology,
     direct_sum_groups,
     homology_at,
@@ -185,8 +184,8 @@ def test_direct_sum_against_smith_on_the_diagonal(orders, ranks):
     assert direct_sum_groups([direct_sum_groups(groups[:2]), *groups[2:]]) == want
 
 
-def test_canonical_with_class_against_lattice():
-    """Class coordinates agree with relation-lattice membership and add up."""
+def test_lattice_coords_against_membership():
+    """Lattice coordinates agree with relation-lattice membership and add up."""
     rng = random.Random(13)
     for _ in range(200):
         gens = rng.randint(1, 4)
@@ -195,20 +194,27 @@ def test_canonical_with_class_against_lattice():
             [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(gens)], gens, ncols
         )
         P = PresentedGroup(gens, rels)
-        x, y = ({i: v for i in range(gens) if (v := rng.randint(-3, 3))} for _ in "xy")
-        group, cx = canonical_with_class(P, x)
+        lattice = P.lattice()
+        group = lattice.group
         assert group == P.canonical()
-        assert len(cx) == group.rank + len(group.torsion)
+        assert len(lattice.rows) == group.rank + len(group.torsion)
+
+        def coords(vec):
+            c = lattice.coords(vec)
+            return tuple(c.get(k, 0) for k in range(len(lattice.rows)))
+
+        x, y = ({i: v for i in range(gens) if (v := rng.randint(-3, 3))} for _ in "xy")
+        cx = coords(x)
         free, tors = cx[:group.rank], cx[group.rank:]
         assert all(0 <= v < d for v, d in zip(tors, group.torsion))
         # n * x is a relation exactly when the order of its class divides n
         order = 0 if any(free) else lcm(*(d // gcd(v, d) for v, d in zip(tors, group.torsion)))
         for n in range(1, 13):
             nx = {i: n * v for i, v in x.items()}
-            assert P.lattice().contains(nx) == (order != 0 and n % order == 0)
-        _, cy = canonical_with_class(P, y)
+            assert lattice.contains(nx) == (order != 0 and n % order == 0)
+        cy = coords(y)
         xy = {i: x.get(i, 0) + y.get(i, 0) for i in range(gens)}
-        _, cxy = canonical_with_class(P, {i: v for i, v in xy.items() if v})
+        cxy = coords({i: v for i, v in xy.items() if v})
         want = [a + b for a, b in zip(cx[:group.rank], cy[:group.rank])]
         want += [(a + b) % d for a, b, d in zip(tors, cy[group.rank:], group.torsion)]
         assert cxy == tuple(want)

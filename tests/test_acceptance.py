@@ -23,8 +23,6 @@ from elltree.coefficients import (
     ConcreteSpec,
     TokenProvider,
     assemble_system,
-    branch_complex,
-    e2,
     e2_pair,
     predicted,
     report,
@@ -42,7 +40,7 @@ from elltree.selftest import (
     snf_battery,
 )
 from elltree.tree import branch_tree, build_domain
-from helpers import enumerate_points, is_two_torsion
+from helpers import degree_zero_row, enumerate_points, is_two_torsion
 
 
 class _Clock:
@@ -87,7 +85,7 @@ def test_criterion_2_subtree_collapse():
                 token = expected_token[line.case]
                 for resolution in (ZERO_MAP, ISO):
                     inst = BATTERIES["A"].with_resolution(resolution)
-                    h0, h1 = e2_pair(branch_complex(tree, TokenProvider(tree, tokens, inst)))
+                    h0, h1 = e2_pair(assemble_system(tree, TokenProvider(tree, tokens, inst)))
                     assert h0 == inst.group_for(token)
                     assert h1 == TRIVIAL_GROUP
 
@@ -95,7 +93,8 @@ def test_criterion_2_subtree_collapse():
 def test_criterion_3_degree_zero_row():
     with _Clock(1.0, "criterion 3: degree-0 row is (Z, 0)"):
         for curve in corpus_curves():
-            assert e2(curve.classify_all(), 2, 1, None, 0) == (FgAbGroup(1, ()), TRIVIAL_GROUP)
+            tree = build_domain(curve.classify_all(), 2)
+            assert degree_zero_row(tree) == (FgAbGroup(1, ()), TRIVIAL_GROUP)
 
 
 def test_criterion_4_counting_identities():

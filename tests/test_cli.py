@@ -163,6 +163,30 @@ def test_selftest_passes(capsys):
     assert out.strip().splitlines()[-1] == "selftest: PASS"
 
 
+def test_selftest_stdout_is_deterministic(capsys):
+    # no battery line carries a wall time
+    first = run_cli(capsys, "selftest")
+    assert run_cli(capsys, "selftest") == first
+
+
+@pytest.mark.parametrize("flag", ["--curve", "--p", "--k", "--out", "--config"])
+def test_double_dash_value_exits_one(capsys, flag):
+    argv = {"--p": "2", "--curve": "0,0,1,0,0", flag: "--"}
+    args = [f"{key}={value}" for key, value in argv.items()]
+    code, out, err = run_cli(capsys, "classify", *args)
+    assert (code, out) == (1, "")
+    assert f"argument {flag}: expected one argument" in err
+
+
+@pytest.mark.parametrize("curve", ["-1,0,0,-1,0", "-1:0,0,0,-1:1,0"], ids=["prime", "colon"])
+def test_negative_first_coefficient_in_either_form(capsys, curve):
+    # argparse would take "-1,..." after --curve for an option
+    p = ["--p", "7"] if ":" not in curve else ["--p", "3", "--k", "2"]
+    two_tokens = run_cli(capsys, "classify", *p, "--curve", curve)
+    assert two_tokens[0] == 0 and two_tokens[2] == ""
+    assert run_cli(capsys, "classify", *p, f"--curve={curve}") == two_tokens
+
+
 def test_extension_field_curve(capsys):
     code, out, err = run_cli(
         capsys, "classify", "--p", "2", "--k", "2", "--curve", "0:0,0,0:1,0,1:1"
@@ -364,6 +388,12 @@ GF2_Q4_REFUSAL = (
     "too large: homology presentation for PGL2(GF(2)) [vertex cap[inf]] [line x=inf]: "
     "size 625 exceeds ceiling 600\n"
 )
+# Captured before branches were assembled with their root: the root's
+# trivial group is no stabilizer to refuse, even past the degree ceiling.
+GF2_Q4_LARGE_REFUSAL = (
+    "too large: homology degree for GF(2)^* [vertex line[0]] [line x=0]: "
+    "size 4 exceeds ceiling 3\n"
+)
 GF65521_REFUSAL = (
     "too large: bar homology of GF(65521)+ [vertex line[0]] [line x=0]: "
     "size 65521 exceeds ceiling 24\n"
@@ -391,6 +421,12 @@ REFUSALS = {
         ("concrete", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "1", "--q-max", "4"),
         GF2_Q4_REFUSAL,
         24,
+    ),
+    "concrete-gf2-q4-large": (
+        ("concrete", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "1", "--q-max", "4",
+         "--allow-large"),
+        GF2_Q4_LARGE_REFUSAL,
+        360,
     ),
     "concrete-gf65521": (("concrete", "--p", "65521", "--curve", E5) + DEPTH1, GF65521_REFUSAL, 24),
     "compare-gf65521": (("compare", "--p", "65521", "--curve", E5) + DEPTH1, GF65521_REFUSAL, 24),

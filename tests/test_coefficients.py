@@ -9,21 +9,11 @@ once consecutive inclusions are glued.
 
 import json
 import re
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elltree.abelian import (
-    AbHom,
-    ChainComplexFg,
-    FgAbGroup,
-    IntMatrix,
-    PresentedGroup,
-    TRIVIAL_GROUP,
-    direct_sum_groups,
-    homology_at,
-)
+from elltree.abelian import FgAbGroup, PresentedGroup, TRIVIAL_GROUP
 from elltree.coefficients import (
     BATTERIES,
     BATTERY_A,
@@ -38,7 +28,6 @@ from elltree.coefficients import (
     TOKEN_ZERO,
     UNCONSTRAINED,
     ZERO_MAP,
-    UNIT_SYSTEM,
     ConcreteSpec,
     EdgeTokens,
     Instantiation,
@@ -46,7 +35,6 @@ from elltree.coefficients import (
     assemble_over_branches,
     assemble_system,
     canonical_max_hom,
-    degree_zero_tokens,
     e2,
     e2_pair,
     e2_whole_tree,
@@ -55,18 +43,17 @@ from elltree.coefficients import (
     report,
     report_to_json_text,
     rhs_tokens,
-    rooted_branch_e2,
     symbolic_tokens,
 )
-from elltree import groups
+from elltree import coefficients, groups
 from elltree.cli import LARGE_LIMITS
-from elltree.coefficients import _branch_e2, _branch_system_e2
+from elltree.coefficients import _branch_e2
 from elltree.curve import ClassificationSummary, WeierstrassCurve, synthetic_summary
 from elltree.errors import TooLargeError
 from elltree.field import make_field
 from elltree.groups import DEFAULT_LIMITS, BarLimits
-from elltree.selftest import corpus_curves
 from elltree.tree import branch_tree, build_domain
+from helpers import degree_zero_row
 
 
 def fg(rank, *torsion):
@@ -188,49 +175,69 @@ def test_degree_zero_row_is_contractible():
     shapes += [c.classify_all() for c in corpus()[:2]]
     for summary in shapes:
         for depth in (1, 3):
-            h0, h1 = e2(summary, depth, 1, None, 0)
-            assert h0 == fg(1)
-            assert h1 == TRIVIAL_GROUP
+            assert degree_zero_row(build_domain(summary, depth)) == (fg(1), TRIVIAL_GROUP)
 
 
 def test_empty_summary_degenerates():
     empty = ClassificationSummary(())
     assert e2(empty, 1, 1, BATTERY_A, 1) == (TRIVIAL_GROUP, TRIVIAL_GROUP)
     assert e2_whole_tree(build_domain(empty, 1), BATTERY_A, 1) == (TRIVIAL_GROUP, TRIVIAL_GROUP)
-    assert e2(empty, 1, 1, None, 0) == (fg(1), TRIVIAL_GROUP)
+    assert degree_zero_row(build_domain(empty, 1)) == (fg(1), TRIVIAL_GROUP)
 
 
-@pytest.mark.parametrize("depth,attach", [(1, 1), (3, 1), (3, 2)])
-def test_degree_zero_split_equals_monolithic(depth, attach):
-    shapes = [c.classify_all() for c in corpus_curves()]
-    shapes += [
-        synthetic_summary(case1=2, case2=1, case3=1, include_infinity_line=True),
-        ClassificationSummary(()),
-    ]
-    for summary in shapes:
-        tree = build_domain(summary, depth, attach)
-        assert e2(summary, depth, attach, None, 0) == e2_whole_tree(tree, None, 0)
+@pytest.mark.parametrize("spec", [BATTERY_A, ConcreteSpec(F2)], ids=["symbolic", "concrete"])
+def test_e2_takes_degrees_from_one(spec):
+    summary = CURVE_F2_A.classify_all()
+    with pytest.raises(ValueError):
+        e2(summary, 1, 1, spec, 0)
+    with pytest.raises(ValueError):
+        e2_whole_tree(build_domain(summary, 1), spec, 0)
+
+
+def test_report_builds_no_degree_zero_system(monkeypatch):
+    # E1(0) is the H1 of the constant system Z on a tree, so it is 0
+    # without computing it
+    def refuse(tree):
+        raise AssertionError("a report built the degree-0 system")
+
+    monkeypatch.setattr(coefficients, "degree_zero_tokens", refuse)
+    summary = synthetic_summary(case1=2, case2=1, case3=1)
+    for spec, q_max in ((BATTERY_A, 3), (BATTERY_B.with_resolution(ISO), 2), (ConcreteSpec(F2), 2)):
+        rep = report(summary, 2, 1, spec, q_max)
+        assert rep["degrees"][0]["e2"]["col1"] == {"rank": 0, "torsion": []}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+    depth=st.integers(1, 4),
+    attach=st.sampled_from([1, 2]),
+)
+def test_branch_sum_equals_whole_tree_on_synthetic_trees(counts, depth, attach):
+    attach = min(attach, depth)
+    summary = synthetic_summary(*counts)
+    tree = build_domain(summary, depth, attach)
+    for inst in (BATTERY_A, BATTERY_B.with_resolution(ISO)):
+        assert e2(summary, depth, attach, inst, 1) == e2_whole_tree(tree, inst, 1)
+    assert degree_zero_row(tree) == (fg(1), TRIVIAL_GROUP)
 
 
 # Pairwise distinct roles with free parts and torsion, so that branch H0s
-# and the classes glued at the root carry both kinds of coordinate.
+# carry both kinds of coordinate.
 DESIGNED = Instantiation(
     "designed", pgl2k=fg(1, 4), units=fg(0, 6), quad=fg(2), additive=fg(1), resolution=ISO
 )
 
 
-# The constant unit system with three branches of
-# synthetic_summary(case1=3, case2=1, case3=2) rewired by hand, by tag.
+# A system on three branches of synthetic_summary(case1=3, case2=1,
+# case3=2), rewired by hand, by tag; the root and its edges carry 0, as
+# in every degree q >= 1.
 #
-# The line s1.0 carries Z/6, reached from the root at its generator; s1.1
-# carries Z^2 but its root edge maps to 0 there, so that edge bounds the
-# root alone and, together with the Z/6 line's edge (whose class is
-# torsion), adds a free cycle through the root.
-#
-# The branch of s3.0 (depth 2) has L - a1 - a2 and L - b1 - b2 with
-# L = Z + Z/4, a1 = b2 = Z, a2 = Z/6, b1 = Z^2: L-a1 glues a1 to the free
-# generator of L, a1-a2 kills a2, b1-b2 kills b1, and the L-b1 edge plus
-# b1-b2 then close a cycle, so H0 = Z^2 + Z/4 and H1 = Z.
+# The line s1.0 carries Z/6 and s1.1 carries Z^2.  The branch of s3.0
+# (depth 2) has L - a1 - a2 and L - b1 - b2 with L = Z + Z/4, a1 = b2 = Z,
+# a2 = Z/6, b1 = Z^2: L-a1 glues a1 to the free generator of L, a1-a2
+# kills a2, b1-b2 kills b1, and the L-b1 edge plus b1-b2 then close a
+# cycle, so H0 = Z^2 + Z/4 and H1 = Z.
 L, A1, A2 = "line[s3.0]", "cusp[pt3.0+,1]", "cusp[pt3.0+,2]"
 B1, B2 = "cusp[pt3.0-,1]", "cusp[pt3.0-,2]"
 DESIGNED_VERTICES = {
@@ -238,9 +245,6 @@ DESIGNED_VERTICES = {
     L: TOKEN_PGL2K, A1: TOKEN_ADDITIVE, A2: TOKEN_UNITS, B1: TOKEN_QUAD, B2: TOKEN_ADDITIVE,
 }
 DESIGNED_EDGES = {
-    ("root", "line[s1.0]"): EdgeTokens(TOKEN_Z0, ISO, UNCONSTRAINED),
-    ("root", "line[s1.1]"): EdgeTokens(TOKEN_Z0, ISO, ZERO_MAP),
-    ("root", L): EdgeTokens(TOKEN_Z0, ISO, UNCONSTRAINED),
     (L, A1): EdgeTokens(TOKEN_ADDITIVE, UNCONSTRAINED, ISO),
     (A1, A2): EdgeTokens(TOKEN_UNITS, UNCONSTRAINED, ISO),
     (L, B1): EdgeTokens(TOKEN_ADDITIVE, ZERO_MAP, UNCONSTRAINED),
@@ -250,7 +254,7 @@ DESIGNED_EDGES = {
 
 def designed_provider(tree):
     """The designed system on the whole tree of that summary or on a branch tree."""
-    tokens = degree_zero_tokens(tree)
+    tokens = symbolic_tokens(tree)
     for v in tree.vertices:
         tokens.vertex_tokens[v.vid] = DESIGNED_VERTICES.get(v.tag, tokens.vertex_tokens[v.vid])
     for e in tree.edges:
@@ -261,112 +265,21 @@ def designed_provider(tree):
 
 @pytest.mark.parametrize("attach", [1, 2])
 def test_root_gluing_on_designed_branches(attach):
+    # with 0 at the root, the branches meet there as a direct sum
     summary = synthetic_summary(case1=3, case2=1, case3=2)
 
     def branch_e2(line):
         tree = branch_tree(line, 2, attach)
-        return rooted_branch_e2(tree, designed_provider(tree))
+        return e2_pair(assemble_system(tree, designed_provider(tree)))
 
     branches = {lc.line: branch_e2(lc) for lc in summary.lines}
-    assert branches["s1.0"] == (fg(0, 6), TRIVIAL_GROUP, (1,))
-    assert branches["s1.1"] == (fg(2), TRIVIAL_GROUP, (0, 0))
-    assert branches["s3.0"][:2] == (fg(2, 4), fg(1))
-    glued = assemble_over_branches(summary, branch_e2, root_carries_z=True)
+    assert branches["s1.0"] == (fg(0, 6), TRIVIAL_GROUP)
+    assert branches["s1.1"] == (fg(2), TRIVIAL_GROUP)
+    assert branches["s3.0"] == (fg(2, 4), fg(1))
+    summed = assemble_over_branches(summary, branch_e2)
     tree = build_domain(summary, 2, attach)
-    assert glued == e2_pair(assemble_system(tree, designed_provider(tree)))
-
-
-def test_root_gluing_needs_z_at_the_root():
-    tree = branch_tree(synthetic_summary(case1=1).lines[0], 1)
-    tokens = degree_zero_tokens(tree)
-    tokens.edge_tokens[0] = EdgeTokens(TOKEN_QUAD, ZERO_MAP, ZERO_MAP)
-    with pytest.raises(ValueError):
-        rooted_branch_e2(tree, TokenProvider(tree, tokens, DESIGNED))
-
-
-# ---------------------------------------------------------------------------
-# closed-form root glue against one star complex over every branch
-
-
-def all_branch_glue(summary, branch_e2):
-    """Reference: Z_root + sum H0 <-- Z^(root edges), edge |-> c - root,
-    over every branch at once, beside the sum of the branch H1s."""
-    branches = [branch_e2(line) for line in summary.lines]
-    h0s = [PresentedGroup.free(1)] + [PresentedGroup.from_group(b[0]) for b in branches]
-    cols, offset = [], 1
-    for _, _, c in branches:
-        cols.append({0: -1, **{offset + i: v for i, v in enumerate(c) if v}})
-        offset += len(c)
-    c0, c1 = PresentedGroup.direct_sum(h0s), PresentedGroup.free(len(branches))
-    glue = ChainComplexFg([c0, c1], [AbHom(c1, c0, IntMatrix.from_sparse_cols(cols, c0.gens))])
-    h1 = direct_sum_groups([b[1] for b in branches] + [homology_at(glue, 1)])
-    return homology_at(glue, 0), h1
-
-
-def glue_both_ways(triples):
-    """(closed form, reference) for branches carrying the given triples in order."""
-    summary = synthetic_summary(case1=len(triples))
-    position = {lc.line: i for i, lc in enumerate(summary.lines)}
-
-    def branch_e2(lc):
-        return triples[position[lc.line]]
-
-    closed = assemble_over_branches(summary, branch_e2, root_carries_z=True)
-    return closed, all_branch_glue(summary, branch_e2)
-
-
-SYNTHETIC_SHAPES = [
-    (counts, depth, attach)
-    for counts in product(range(5), repeat=3)
-    for depth in range(1, 5)
-    for attach in (1, 2)
-    if attach <= depth
-]
-
-
-def test_closed_form_glue_on_synthetic_trees():
-    for (n1, n2, n3), depth, attach in SYNTHETIC_SHAPES:
-        summary = synthetic_summary(case1=n1, case2=n2, case3=n3)
-
-        def branch_e2(line):
-            return _branch_e2(UNIT_SYSTEM, line.case, depth, attach, 0)
-
-        want = all_branch_glue(summary, branch_e2)
-        assert assemble_over_branches(summary, branch_e2, root_carries_z=True) == want
-
-
-def test_closed_form_glue_on_a_torsion_class():
-    # A = Z + Z/4 with c = 2 in Z/4, three times: one copy meets the root,
-    # each other adds A/<c> = Z + Z/2 to H0 and, c being torsion, Z to H1
-    triple = (fg(1, 4), fg(0, 3), (0, 2))
-    closed, reference = glue_both_ways([triple] * 3)
-    assert closed == reference == (fg(3, 2, 2, 4), fg(2, 3, 3, 3))
-
-
-TORSION_CHAINS = [(), (2,), (4,), (2, 4), (3,), (6,), (2, 6), (4, 12)]
-
-
-@st.composite
-def branch_triples(draw):
-    """A branch's (H0, H1, c): c has free coordinates and torsion ones in [0, d)."""
-    rank, torsion = draw(st.integers(0, 2)), draw(st.sampled_from(TORSION_CHAINS))
-    free = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
-    tors = [draw(st.integers(0, d - 1)) for d in torsion]
-    h1 = FgAbGroup(draw(st.integers(0, 1)), draw(st.sampled_from(TORSION_CHAINS)))
-    return FgAbGroup(rank, torsion), h1, tuple(free + tors)
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    kinds=st.lists(branch_triples(), min_size=1, max_size=3, unique=True),
-    counts=st.lists(st.integers(1, 4), min_size=3, max_size=3),
-    data=st.data(),
-)
-def test_closed_form_glue_on_designed_triples(kinds, counts, data):
-    triples = [t for t, m in zip(kinds, counts) for _ in range(m)]
-    triples = data.draw(st.permutations(triples))
-    closed, reference = glue_both_ways(triples)
-    assert closed == reference
+    assert summed == e2_pair(assemble_system(tree, designed_provider(tree)))
+    assert summed[1] == fg(1)
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +335,16 @@ def test_battery_sensitivity():
 
 def test_branch_cache_one_miss_per_shape():
     # the cost of a symbolic report grows with the branch shapes, not the
-    # lines or degrees, and degree 0 is computed once for every spec
+    # lines or degrees, and degree 0 is not computed at all
     summary = synthetic_summary(case1=2, case2=3, case3=2)
     shapes = 3
     _branch_e2.cache_clear()
     report(summary, 2, 1, BATTERY_A, 5)
-    assert _branch_e2.cache_info().misses == 2 * shapes  # battery A and degree 0
+    assert _branch_e2.cache_info().misses == shapes
     report(summary, 2, 1, BATTERY_B, 5)
-    assert _branch_e2.cache_info().misses == 3 * shapes
+    assert _branch_e2.cache_info().misses == 2 * shapes
     report(summary, 2, 1, ConcreteSpec(F2), 2)
-    assert _branch_e2.cache_info().misses == 5 * shapes  # degrees 1 and 2 only
+    assert _branch_e2.cache_info().misses == 4 * shapes  # degrees 1 and 2
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +584,9 @@ def test_preflight_refuses_exactly_as_the_run(curve, depth, q_max, limits, refus
     degrees = range(1, q_max + 1)
     sized = _first_refusal(lambda: spec.preflight(summary, depth, 1, q_max))
     built = _first_refusal(lambda: [
-        assemble_over_branches(summary, lambda line: _branch_system_e2(spec, line, depth, 1, q))
+        assemble_over_branches(
+            summary, lambda line: e2_whole_tree(branch_tree(line, depth, 1), spec, q)
+        )
         for q in degrees
     ])
     cached = _first_refusal(lambda: [e2(summary, depth, 1, spec, q) for q in degrees])

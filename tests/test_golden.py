@@ -118,6 +118,26 @@ DIGESTS = [
     ("classify-p5-k3", 0,
      "a5d47e88657a7a2355ba1fe2ed16545608f1442677e1dc19a210ddd7a5631a06",
      ["classify", "--p", "5", "--k", "3", "--curve", E5]),
+    # written before the degree-0 row and the root glue were dropped from
+    # reports: battery B with the iso resolution, extension fields, and a
+    # concrete and a compare run that complete
+    ("symbolic-p101-d30-B-iso", 0,
+     "a909f2a8b4e24d87d5c14816458ee09b56174889caf63d5bf28b3b7725e09e22",
+     ["symbolic", "--p", "101", "--curve", E5, "--depth", "30", "--battery", "B",
+      "--resolution", "iso"]),
+    ("symbolic-p3-k2-d2", 0,
+     "e32dd02436e8fc2ca9169f6db3a7690fc4edab42002dc21de87dd7d1aba755ff",
+     ["symbolic", "--p", "3", "--k", "2", "--curve", E5, "--depth", "2"]),
+    ("symbolic-p2-k3-d4", 0,
+     "9f98515847a991a83ad80ab828cd61beff96bbca9be44543fdb0e2009056c65c",
+     ["symbolic", "--p", "2", "--k", "3", "--curve", "0,0,1,0,0", "--depth", "4"]),
+    ("concrete-p2-k2-d2-q1-large", 0,
+     "d77a7a7c80fd3bbb60538096c775678c1dbda7bf2a50eeb642550d8d211314c7",
+     ["concrete", "--p", "2", "--k", "2", "--curve", "0,0,1,0,0", "--depth", "2",
+      "--q-max", "1", "--allow-large"]),
+    ("compare-p3-d1-q1", 0,
+     "a2cefeabb5d73d04b2c9641ff187b16064bdb79ca23472f8df96293ffab088ef",
+     ["compare", "--p", "3", "--curve", E5, "--depth", "1", "--q-max", "1"]),
 ]
 
 
