@@ -14,9 +14,9 @@ absolute value.  Ties go to the lower row, then column, index, so the
 choice depends only on the entries.  Matrices are sparse throughout:
 IntMatrix keeps one {row: value} dict per column, and the Smith engine
 turns that into one {column: value} dict per row in a single pass over
-the nonzero entries.  The matrices that matter here, bar-complex face
-maps and tree incidence maps, are large with few, mostly unit, entries;
-small inputs pass through the same code path.
+the nonzero entries.  The matrices that matter here, the boundaries of
+free ZG-resolutions and tree incidence maps, are large with few, mostly
+unit, entries; small inputs pass through the same code path.
 """
 
 from dataclasses import dataclass
@@ -226,13 +226,15 @@ class _SmithEngine:
     def _row_swap(self, i1, i2):
         if i1 == i2:
             return
-        for j in set(self.rows[i1]) | set(self.rows[i2]):
-            members = self.colmap[j]
-            has1, has2 = i1 in members, i2 in members
-            if has1 != has2:
-                members.discard(i1 if has1 else i2)
-                members.add(i2 if has1 else i1)
-        self.rows[i1], self.rows[i2] = self.rows[i2], self.rows[i1]
+        r1, r2 = self.rows[i1], self.rows[i2]
+        # a column holding both rows, or neither, keeps its row set
+        for j in r1.keys() - r2.keys():
+            self.colmap[j].discard(i1)
+            self.colmap[j].add(i2)
+        for j in r2.keys() - r1.keys():
+            self.colmap[j].discard(i2)
+            self.colmap[j].add(i1)
+        self.rows[i1], self.rows[i2] = r2, r1
         if self.U is not None:
             self.U[i1], self.U[i2] = self.U[i2], self.U[i1]
         if self.Uinv is not None:
@@ -803,7 +805,7 @@ def homology_at(complex_, n):
 def cyclic_group_homology(n, q):
     """Closed form for H_q(Z/n): Z at 0, Z/n in odd degrees, 0 in even.
 
-    Used as an oracle against the bar-complex computation.
+    Used as an oracle against the resolution computation.
     """
     if q == 0:
         return FgAbGroup(1, ())

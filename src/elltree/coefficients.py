@@ -387,6 +387,10 @@ class ConcreteProvider:
         return homology_presentation(stabilizer(self.field, key), self.q, self.limits)
 
     def _induced(self, source, target):
+        if source == target:
+            # the identity map, with induced_map's refusal and no hom to lift
+            check_ceilings(*stabilizer_size(self.field, source), self.q, self.limits, CHAIN_DATA)
+            return AbHom.identity(self._presentation(source))
         hom = stabilizer_inclusion(self.field, source, target)
         return induced_map(hom, self.q, self.limits)
 

@@ -4,15 +4,16 @@ Groups are small enough here to store complete tables: group axioms are
 verified exhaustively at construction (associativity up to a configurable
 ceiling), and homomorphisms are verified to be multiplicative when built.
 
-Homology is computed from the normalized inhomogeneous bar complex: chains
-in degree q are spanned by q-tuples of non-identity elements, tuples that
-acquire an identity entry under face maps are dropped, and the resulting
-free complex is reduced with the exact integer machinery from the abelian
-module.  Each H_q(G; Z) is built once, as a Smith-reduced presentation
-with its cycle basis (_bar_data), and bar_homology, homology_presentation
-and induced_map all read that one build.  Ceilings keep group order and
-degree bounded, and the tuple count bounds what the chain-level entry
-points may ask for.
+Homology is computed from a free ZG-resolution of each group, built by
+the lattice method in the resolution module and extended on demand up to
+degree q + 1; induced maps come from lifting a hom to a chain map of
+resolutions.  Each H_q(G; Z) is built once, as a Smith-reduced
+presentation with its cycle basis (_bar_data), and bar_homology,
+homology_presentation and induced_map all read that one build.  Ceilings
+keep group order and degree bounded, and the tuple count of the
+normalized bar complex, (|G|-1)^(q+1), still bounds what the chain-level
+entry points may ask for: BarLimits sizes runs by bar-tuple counts until
+the ceilings are re-derived from resolution sizes.
 
 Every stabilizer constructor has a closed form beside it, *_size(...) ->
 (name, order), which builds nothing; the constructor takes its name from
@@ -30,7 +31,6 @@ from functools import lru_cache
 from itertools import product
 
 from .abelian import (
-    CyclePresentation,
     FgAbGroup,
     IntMatrix,
     PresentedGroup,
@@ -50,8 +50,9 @@ class BarLimits:
     """Size ceilings for homology computations.
 
     max_order and MAX_DEGREE bound every homology computation;
-    dense_columns bounds the tuple count (|G|-1)^(q+1) only for
-    homology_presentation and induced_map.
+    dense_columns bounds the bar-complex tuple count (|G|-1)^(q+1) only
+    for homology_presentation and induced_map.  Homology no longer builds
+    the bar complex, but runs are still sized by these counts.
     """
 
     max_order: int = 24
@@ -415,78 +416,23 @@ def quotient_by_central(group, subgroup_indices, name=None):
 
 
 # ---------------------------------------------------------------------------
-# bar homology
-
-
-def _bar_tuples(group, q):
-    nonid = [i for i in range(group.order) if i != group.identity]
-    return list(product(nonid, repeat=q))
-
-
-def _bar_boundary_cols(group, q, tuples_q, prev_index):
-    """Sparse columns of d_q : C_q -> C_{q-1} in the normalized complex."""
-    e = group.identity
-    t = group.table
-    cols = []
-    for tup in tuples_q:
-        col = {}
-
-        def add(key, c):
-            v = col.get(key, 0) + c
-            if v:
-                col[key] = v
-            else:
-                col.pop(key, None)
-
-        add(prev_index[tup[1:]], 1)
-        sign = -1
-        for i in range(1, q):
-            m = t[tup[i - 1]][tup[i]]
-            if m != e:
-                add(prev_index[tup[: i - 1] + (m,) + tup[i + 1 :]], sign)
-            sign = -sign
-        add(prev_index[tup[:-1]], sign)
-        cols.append(col)
-    return cols
-
-
-class BarHomology:
-    """Homology of a group in one degree, with chain-level access.
-
-    Wraps a CyclePresentation over the bar complex so induced maps can
-    translate between homology classes and explicit chains.
-    """
-
-    def __init__(self, group, q):
-        self.group = group
-        self.q = q
-        self.tuples = _bar_tuples(group, q)
-        self.tuple_index = {t: i for i, t in enumerate(self.tuples)}
-        n_q = len(self.tuples)
-        if q == 0:
-            d_q = IntMatrix.zeros(0, 1)
-        else:
-            prev = _bar_tuples(group, q - 1)
-            prev_index = {t: i for i, t in enumerate(prev)}
-            d_q_cols = _bar_boundary_cols(group, q, self.tuples, prev_index)
-            d_q = IntMatrix.from_sparse_cols(d_q_cols, len(prev))
-        nxt = _bar_tuples(group, q + 1)
-        d_next_cols = _bar_boundary_cols(group, q + 1, nxt, self.tuple_index)
-        d_next = IntMatrix.from_sparse_cols(d_next_cols, n_q)
-        self.cycles = CyclePresentation(n_q, d_q, d_next)
-        self.presented = self.cycles.presented
-
-    def canonical(self):
-        return self.presented.canonical()
+# group homology
 
 
 @lru_cache(maxsize=None)
 def _bar_data(group, q):
-    return BarHomology(group, q)
+    """H_q(G; Z) as a CyclePresentation, from the group's cached free
+    ZG-resolution; bar_homology, homology_presentation and induced_map all
+    read this one build.  The name stays for perfbench/traced.py, which
+    hooks it."""
+    # imported here, so that modes which compute no group homology never load it
+    from .resolution import resolution
+
+    return resolution(group).homology(q)
 
 
 def bar_homology(group, q, limits=DEFAULT_LIMITS):
-    """H_q(G; Z) from the normalized bar complex.
+    """H_q(G; Z), from a free ZG-resolution.
 
     Only max_order and MAX_DEGREE apply; degree q >= 1 reads the same
     cached presentation that homology_presentation returns.
@@ -503,36 +449,26 @@ def bar_homology(group, q, limits=DEFAULT_LIMITS):
     if q == 0:
         return FgAbGroup(1, ())
     check_ceilings(group.name, group.order, q, limits)
-    return _bar_data(group, q).canonical()
+    return _bar_data(group, q).presented.canonical()
 
 
 def induced_map(hom, q, limits=DEFAULT_LIMITS):
     """The map on degree-q homology induced by a group homomorphism.
 
-    Needs the chain-level data on both sides, so both groups must be within
-    the dense ceiling.  Entrywise application of the hom is a chain map of
-    normalized bar complexes (tuples hitting the identity are dropped).
+    Both groups must be within the dense ceiling.  The hom lifts to a
+    chain map of the two resolutions (resolution.ChainMap); each source
+    class is lifted to a cycle, pushed through Z (x) phi_q and read in the
+    target's class coordinates.
     """
+    from .resolution import chain_map
+
     for g in (hom.source, hom.target):
         check_ceilings(g.name, g.order, q, limits, CHAIN_DATA)
     src = _bar_data(hom.source, q)
     tgt = _bar_data(hom.target, q)
-    cols = []
-    e = hom.target.identity
-    for i in range(src.presented.gens):
-        chain = src.cycles.cycle_of_generator(i)
-        pushed = {}
-        for tidx, coeff in chain.items():
-            image = tuple(hom.mapping[g] for g in src.tuples[tidx])
-            if e in image:
-                continue
-            key = tgt.tuple_index[image]
-            v = pushed.get(key, 0) + coeff
-            if v:
-                pushed[key] = v
-            else:
-                pushed.pop(key, None)
-        cols.append(tgt.cycles.coords_of_cycle(pushed))
+    phi = chain_map(hom).tensored(q)
+    cols = [tgt.coords_of_cycle(phi.matvec(src.cycle_of_generator(i)))
+            for i in range(src.presented.gens)]
     matrix = IntMatrix.from_sparse_cols(cols, tgt.presented.gens)
     return AbHom(src.presented, tgt.presented, matrix)
 
@@ -717,13 +653,10 @@ def stabilizer_size(field, key):
 
 
 def stabilizer_inclusion(field, source, target):
-    """The hom from one stabilizer into another along a tree edge.
-
-    The identity when the keys are equal; otherwise the inclusion of k or
-    k^* as a depth-1 cusp group, of one cusp group into the next deeper
-    one, or of the depth-1 cusp group into PGL2.
+    """The hom from one stabilizer into another along a tree edge, for
+    distinct keys: the inclusion of k or k^* as a depth-1 cusp group, of
+    one cusp group into the next deeper one, or of the depth-1 cusp group
+    into PGL2.  (An edge whose keys are equal maps by the identity, which
+    ConcreteProvider takes without a hom.)
     """
-    if source == target:
-        group = stabilizer(field, source)
-        return GroupHom(group, group, range(group.order))
     return _INCLUSIONS[source[0], target[0]](field, source)

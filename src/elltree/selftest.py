@@ -255,7 +255,7 @@ def complex_battery(trials=100, seed=20260824):
 
 
 def cyclic_battery():
-    """Bar homology of small cyclic groups against the closed form."""
+    """Homology of small cyclic groups against the closed form."""
     for n in range(2, 9):
         g = cyclic(n)
         for q in range(4):
@@ -294,7 +294,7 @@ def _stabilizer_zoo():
 
 
 def abelianization_battery():
-    """Degree-one bar homology equals the abelianization."""
+    """Degree-one homology equals the abelianization."""
     count = 0
     for g in _stabilizer_zoo():
         if bar_homology(g, 1) != abelianization(g):

@@ -6,13 +6,19 @@ The package never calls these; they live beside the tests that need them.
 from functools import lru_cache
 from itertools import product
 
-from elltree.abelian import TRIVIAL_GROUP, FgAbGroup, IntMatrix, _engine_for, invariant_factors
+from elltree.abelian import (
+    TRIVIAL_GROUP,
+    AbHom,
+    CyclePresentation,
+    FgAbGroup,
+    IntMatrix,
+    _engine_for,
+    invariant_factors,
+)
 from elltree.coefficients import BATTERY_A, TokenProvider, assemble_system, degree_zero_tokens, e2_pair
 from elltree.curve import INFINITY_POINT, WeierstrassCurve
 from elltree.field import _poly_divmod
 from elltree.groups import (
-    _bar_boundary_cols,
-    _bar_tuples,
     additive_group_size,
     group_from_elements,
     pgl2_canonical,
@@ -45,11 +51,109 @@ def is_injective(hom):
     return len(set(hom.mapping)) == hom.source.order
 
 
+# The normalized inhomogeneous bar complex, the oracle for the package's
+# free-resolution route: chains in degree q are spanned by q-tuples of
+# non-identity elements, and tuples that acquire an identity entry under a
+# face map are dropped.
+
+
+def _bar_tuples(group, q):
+    nonid = [i for i in range(group.order) if i != group.identity]
+    return list(product(nonid, repeat=q))
+
+
+def _bar_boundary_cols(group, q, tuples_q, prev_index):
+    """Sparse columns of d_q : C_q -> C_{q-1} in the normalized complex."""
+    e = group.identity
+    t = group.table
+    cols = []
+    for tup in tuples_q:
+        col = {}
+
+        def add(key, c):
+            v = col.get(key, 0) + c
+            if v:
+                col[key] = v
+            else:
+                col.pop(key, None)
+
+        add(prev_index[tup[1:]], 1)
+        sign = -1
+        for i in range(1, q):
+            m = t[tup[i - 1]][tup[i]]
+            if m != e:
+                add(prev_index[tup[: i - 1] + (m,) + tup[i + 1 :]], sign)
+            sign = -sign
+        add(prev_index[tup[:-1]], sign)
+        cols.append(col)
+    return cols
+
+
+class BarHomology:
+    """H_q(G; Z) of the bar complex, with chain-level access.
+
+    Wraps a CyclePresentation over the bar complex so induced maps can
+    translate between homology classes and explicit chains.
+    """
+
+    def __init__(self, group, q):
+        self.group = group
+        self.q = q
+        self.tuples = _bar_tuples(group, q)
+        self.tuple_index = {t: i for i, t in enumerate(self.tuples)}
+        n_q = len(self.tuples)
+        if q == 0:
+            d_q = IntMatrix.zeros(0, 1)
+        else:
+            prev = _bar_tuples(group, q - 1)
+            prev_index = {t: i for i, t in enumerate(prev)}
+            d_q_cols = _bar_boundary_cols(group, q, self.tuples, prev_index)
+            d_q = IntMatrix.from_sparse_cols(d_q_cols, len(prev))
+        nxt = _bar_tuples(group, q + 1)
+        d_next_cols = _bar_boundary_cols(group, q + 1, nxt, self.tuple_index)
+        d_next = IntMatrix.from_sparse_cols(d_next_cols, n_q)
+        self.cycles = CyclePresentation(n_q, d_q, d_next)
+        self.presented = self.cycles.presented
+
+    def canonical(self):
+        return self.presented.canonical()
+
+
+@lru_cache(maxsize=None)
+def bar_data(group, q):
+    return BarHomology(group, q)
+
+
+def bar_induced_map(hom, q):
+    """The induced map on H_q through the bar complexes: applying the hom
+    entrywise is a chain map of normalized bar complexes."""
+    src = bar_data(hom.source, q)
+    tgt = bar_data(hom.target, q)
+    cols = []
+    e = hom.target.identity
+    for i in range(src.presented.gens):
+        chain = src.cycles.cycle_of_generator(i)
+        pushed = {}
+        for tidx, coeff in chain.items():
+            image = tuple(hom.mapping[g] for g in src.tuples[tidx])
+            if e in image:
+                continue
+            key = tgt.tuple_index[image]
+            v = pushed.get(key, 0) + coeff
+            if v:
+                pushed[key] = v
+            else:
+                pushed.pop(key, None)
+        cols.append(tgt.cycles.coords_of_cycle(pushed))
+    matrix = IntMatrix.from_sparse_cols(cols, tgt.presented.gens)
+    return AbHom(src.presented, tgt.presented, matrix)
+
+
 @lru_cache(maxsize=None)
 def rank_nullity_bar_homology(group, q):
     """H_q(G; Z) for q >= 1 from the rank of d_q and the Smith divisors of
     d_{q+1} of the normalized bar complex, with no cycle basis and no
-    presentation: the oracle for groups.bar_homology."""
+    presentation: an oracle for groups.bar_homology."""
     tuples_q = _bar_tuples(group, q)
     if not tuples_q:
         return TRIVIAL_GROUP

@@ -30,9 +30,9 @@ from elltree.abelian import (
     _engine_for,
     _transpose_dicts,
 )
-from elltree.groups import _bar_boundary_cols, _bar_tuples, cyclic
+from elltree.groups import cyclic
 from elltree.selftest import _dense_product, _det_bareiss
-from helpers import kernel_basis, matrix_rank
+from helpers import _bar_boundary_cols, _bar_tuples, kernel_basis, matrix_rank
 
 
 def rational_rank(mat):

@@ -13,7 +13,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elltree.abelian import FgAbGroup, PresentedGroup, TRIVIAL_GROUP
+from elltree.abelian import FgAbGroup, IntMatrix, PresentedGroup, TRIVIAL_GROUP
 from elltree.coefficients import (
     BATTERIES,
     BATTERY_A,
@@ -631,6 +631,30 @@ def test_report_builds_each_group_once(monkeypatch, cold_caches):
     report(curve.classify_all(), 1, 1, ConcreteSpec(curve.field, LARGE_LIMITS), 1, curve)
     assert "PGL2(GF(2^2))" in names
     assert sorted(names) == sorted(set(names))
+
+
+def test_equal_stabilizer_keys_map_by_the_identity(monkeypatch):
+    # a cusp-cusp edge carries its tail's group; the map toward the tail is
+    # the identity of the cached presentation, and no hom is built for it
+    include = coefficients.stabilizer_inclusion
+
+    def distinct_only(field, source, target):
+        assert source != target, "built a hom between equal keys"
+        return include(field, source, target)
+
+    monkeypatch.setattr(coefficients, "stabilizer_inclusion", distinct_only)
+    curve = WeierstrassCurve(make_field(2, 1), 0, 0, 1, 0, 0)
+    identities = 0
+    for line in curve.classify_all().lines:
+        tree = branch_tree(line, 3)
+        provider = ConcreteSpec(curve.field).provider(tree, 1)
+        for e in tree.edges:
+            group, to_tail, to_head = provider.edge_data(e.eid)
+            for f in (to_tail, to_head):
+                if f.source is f.target:
+                    assert f.source is group and f.matrix == IntMatrix.identity(group.gens)
+                    identities += 1
+    assert identities >= 4
 
 
 def test_larger_ceiling_admits_larger_fields():

@@ -1,10 +1,12 @@
-"""Group construction and bar-homology tests.
+"""Group construction and group-homology tests.
 
 Homology facts asserted here come from independent closed forms (cyclic
 groups), from abelianization computed by a separate algorithm, or from
 exhaustive structure checks (isomorphism search against a permutation
-model).  Induced maps are checked through functoriality and through
-scalar-action identities on cyclic groups.
+model).  The free-resolution route is checked against the normalized
+bar complex in helpers, and against known homology of S4, A4 and A5.
+Induced maps are checked through functoriality, through scalar-action
+identities on cyclic groups, and against the bar complex's induced maps.
 """
 
 from itertools import permutations
@@ -18,6 +20,7 @@ from elltree.abelian import (
     IntMatrix,
     PresentedGroup,
     TRIVIAL_GROUP,
+    _SmithCoordinates,
     cyclic_group_homology,
 )
 from elltree.errors import TooLargeError
@@ -65,12 +68,16 @@ from elltree.groups import (
     unit_group_size,
     units_to_cusp,
 )
+from elltree.resolution import chain_map
 from elltree.selftest import _stabilizer_zoo
 from helpers import (
     additive_group_by_elements,
+    bar_data,
+    bar_induced_map,
     direct_product,
     gl2,
     is_injective,
+    kernel_basis,
     pgl2_by_elements,
     rank_nullity_bar_homology,
     triangular_by_elements,
@@ -584,7 +591,7 @@ def test_reduced_presentations_are_canonical_and_invert():
         presented = homology_presentation(g, q, ROOMY)
         want = PresentedGroup.from_group(oracle)
         assert (presented.gens, presented.relations) == (want.gens, want.relations), (g, q)
-        cycles = _bar_data(g, q).cycles
+        cycles = _bar_data(g, q)
         for i in range(presented.gens):
             assert cycles.coords_of_cycle(cycles.cycle_of_generator(i)) == {i: 1}, (g, q, i)
         count += 1
@@ -600,12 +607,13 @@ def test_bar_homology_and_presentation_share_one_build(cold_caches):
 
 
 def test_coords_of_cycle_reduces_torsion_and_rejects_non_cycles():
-    cycles = _bar_data(cyclic(4), 1).cycles
+    cycles = _bar_data(cyclic(4), 1)
     chain = cycles.cycle_of_generator(0)
     assert cycles.coords_of_cycle({k: 5 * v for k, v in chain.items()}) == {0: 1}
     assert cycles.coords_of_cycle({k: 4 * v for k, v in chain.items()}) == {}
-    # one bar 2-tuple of C4 has a nonzero boundary, so it is no cycle
-    h2 = _bar_data(cyclic(4), 2).cycles
+    # the one degree-2 generator of C4's resolution has boundary 4 times
+    # the degree-1 generator after tensoring, so it is no cycle
+    h2 = _bar_data(cyclic(4), 2)
     with pytest.raises(AssertionError):
         h2.coords_of_cycle({0: 1})
 
@@ -654,6 +662,95 @@ def test_functoriality_of_cyclic_homs(data):
     n, m, k = (data.draw(st.integers(1, 6)) for _ in range(3))
     q = data.draw(st.integers(0, 3))
     _check_functor(hom(m, k), hom(n, m), q)
+
+
+# ---------------------------------------------------------------------------
+# the free-resolution route against the bar complex and known groups
+
+
+def test_resolution_homology_equals_the_bar_oracle():
+    # every zoo group whose bar complex fits the default dense ceiling
+    count = 0
+    for g in _stabilizer_zoo():
+        for q in range(1, 4):
+            if _tuple_count(g.order, q + 1) <= DEFAULT_LIMITS.dense_columns:
+                presented = homology_presentation(g, q)
+                oracle = bar_data(g, q).presented
+                assert (presented.gens, presented.relations) == (
+                    oracle.gens, oracle.relations), (g.name, q)
+                count += 1
+    assert count >= 30
+
+
+def _oracle_homs():
+    """(name, hom) along the cusp chain and diagonal -> triangular, GF(2) and GF(3)."""
+    for p in (2, 3):
+        f = make_field(p, 1)
+        yield f"additive_to_cusp({p})", additive_to_cusp(f)
+        yield f"units_to_cusp({p})", units_to_cusp(f)
+        yield f"cusp_to_pgl2({p})", cusp_to_pgl2(f)
+        for n in (1, 2):
+            yield f"cusp_chain_inclusion({p},{n})", cusp_chain_inclusion(f, n)
+            yield f"diagonal_to_triangular({p},{n})", diagonal_to_triangular(f, n)
+
+
+def test_induced_maps_agree_with_the_bar_oracle():
+    # the zero and isomorphism answers, wherever both bar complexes fit
+    count = 0
+    for name, hom in _oracle_homs():
+        for q in range(1, 4):
+            if max(_tuple_count(g.order, q + 1) for g in (hom.source, hom.target)) > (
+                    DEFAULT_LIMITS.dense_columns):
+                continue
+            got, want = induced_map(hom, q, ROOMY), bar_induced_map(hom, q)
+            assert got.is_zero_hom() == want.is_zero_hom(), (name, q)
+            assert got.is_isomorphism() == want.is_isomorphism(), (name, q)
+            count += 1
+    assert count >= 15
+
+
+KNOWN_HOMOLOGY = [
+    # PGL2(GF(3)) is S4, Tri(GF(4),1)/N3 is A4 and PGL2(GF(4)) is A5
+    (lambda: pgl2(make_field(3, 1)), [(0, (2,)), (0, (2,)), (0, (2, 12))]),
+    (lambda: symmetric_group(4), [(0, (2,)), (0, (2,)), (0, (2, 12))]),
+    (lambda: cusp_group(make_field(2, 2), 1)[0], [(0, (3,)), (0, (2,)), (0, (6,))]),
+    (lambda: pgl2(make_field(2, 2)), [(0, ()), (0, (2,))]),
+]
+
+
+@pytest.mark.parametrize("build,want", KNOWN_HOMOLOGY, ids=["S4", "S4-perm", "A4", "A5"])
+def test_known_group_homology(build, want):
+    g = build()
+    limits = BarLimits(max_order=g.order)
+    got = [bar_homology(g, q, limits) for q in range(1, len(want) + 1)]
+    assert got == [FgAbGroup(*w) for w in want]
+
+
+def _zoo_homs():
+    f2, f3 = make_field(2, 1), make_field(3, 1)
+    return [
+        cusp_chain_inclusion(f2, 1), cusp_chain_inclusion(f2, 2), cusp_chain_inclusion(f3, 1),
+        additive_to_cusp(f2), additive_to_cusp(f3), units_to_cusp(f3),
+        cusp_to_pgl2(f2), cusp_to_pgl2(f3),
+        diagonal_to_triangular(f2, 1), diagonal_to_triangular(f3, 1), cusp_group(f3, 1)[1],
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10), st.integers(1, 3))
+def test_lifted_chain_maps_commute_with_exact_resolutions(k, n):
+    phi = chain_map(_zoo_homs()[k])
+    phi.lift(n)
+    src, tgt = phi.source, phi.target
+    # d_n(phi_n(x)) = phi_(n-1)(d_n(x)) on every generator x of the source
+    for image, boundary in zip(phi.images[n], src.images[n]):
+        assert tgt.matrix(n).matvec(image) == phi.apply(n - 1, boundary)
+    for res in (src, tgt):
+        res.extend(n + 1)
+        # d_n d_(n+1) = 0, and the translates of F_(n+1)'s generators span ker d_n
+        assert (res.matrix(n) @ res.matrix(n + 1)).is_zero()
+        span = _SmithCoordinates(res.matrix(n + 1))
+        assert all(span.contains(col) for col in kernel_basis(res.matrix(n)).cols)
 
 
 # ---------------------------------------------------------------------------
