@@ -202,13 +202,13 @@ def _verdicts(report):
 
 
 def _run_classify(args, field, curve):
-    summary = curve.classify_all()
+    classification = curve.classify_all().to_json()
     payload = {
         "mode": "classify",
         "curve": curve.to_json(),
         "field": field.to_json(),
-        "classification": summary.to_json(),
-        "cusp_count": summary.cusp_count,
+        "classification": classification,
+        "cusp_count": classification["counts"]["points"],
     }
     _emit(report_to_json_text(payload), args.out)
     return 0

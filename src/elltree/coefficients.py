@@ -63,7 +63,7 @@ from .abelian import (
     direct_sum_groups,
     homology_at,
 )
-from .curve import synthetic_summary
+from .curve import LineRows, synthetic_summary
 from .errors import TooLargeError
 from .groups import (
     CHAIN_DATA,
@@ -666,7 +666,8 @@ def report_to_json_text(report):
     newline, written directly: json.dumps falls back to its pure-Python
     encoder whenever indent is set, and holds every piece of the text in
     a list until the end.  Reports hold dicts with str keys, lists,
-    tuples, str, int, bool and None; any other type raises TypeError.
+    tuples, str, int, bool, None and curve.LineRows, which writes its own
+    text; any other type raises TypeError.
     """
     buf = io.StringIO()
     _write_json(report, "\n", buf.write)
@@ -706,71 +707,16 @@ def _write_json(value, newline, write):
             write("[]")
             return
         inner = newline + "  "
-        rows = _row_texts(value, inner)
-        if rows is not None:
-            write("".join(rows))
-        else:
-            sep = "[" + inner
-            for item in value:
-                write(sep)
-                _write_json(item, inner, write)
-                sep = "," + inner
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _write_json(item, inner, write)
+            sep = "," + inner
         write(newline + "]")
+    elif isinstance(value, LineRows):
+        value.write_json(newline, write)
     else:
         raise TypeError(f"cannot write {type(value).__name__} to a report")
-
-
-def _row_texts(rows, inner):
-    """The texts of a list of flat rows that share one key set, or None.
-
-    Each row must be a dict with the first row's str keys, and each value
-    a str, int, bool, None or list of str; the key prefixes are then
-    computed once for the whole list.  inner starts each row's line, and
-    each text begins with the row's separator.  Any other list gives None
-    and goes down the generic path of _write_json, which raises its
-    TypeErrors.
-    """
-    first = rows[0]
-    if type(first) is not dict or not first or any(type(key) is not str for key in first):
-        return None
-    encode = encode_basestring_ascii
-    keys = sorted(first)
-    key_indent = inner + "  "
-    prefixes = ["{" + key_indent + encode(keys[0]) + ": "]
-    prefixes += ["," + key_indent + encode(key) + ": " for key in keys[1:]]
-    item_indent = key_indent + "  "
-    item_sep, list_close, close = "," + item_indent, key_indent + "]", inner + "}"
-    shape = first.keys()
-    texts, sep = [], "[" + inner
-    for row in rows:
-        if type(row) is not dict or row.keys() != shape:
-            return None
-        parts = [sep]
-        for prefix, key in zip(prefixes, keys):
-            value = row[key]
-            kind = type(value)
-            if kind is str:
-                text = encode(value)
-            elif kind is int:
-                text = int.__repr__(value)
-            elif value is None:
-                text = "null"
-            elif kind is bool:
-                text = "true" if value else "false"
-            elif kind is list:
-                if not value:
-                    text = "[]"
-                elif all(type(v) is str for v in value):
-                    text = "[" + item_indent + item_sep.join(map(encode, value)) + list_close
-                else:
-                    return None
-            else:
-                return None
-            parts += (prefix, text)
-        parts.append(close)
-        texts.append("".join(parts))
-        sep = "," + inner
-    return texts
 
 
 _GROUP_SCHEMA = {

@@ -18,6 +18,7 @@ objects.
 """
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .field import coded_field, solve_monic_quadratic
@@ -88,44 +89,53 @@ class ClassificationSummary:
 
     lines: tuple  # of LineClass
 
-    @property
-    def case1_lines(self):
-        return tuple(lc for lc in self.lines if lc.case == 1)
-
-    @property
-    def case2_lines(self):
-        return tuple(lc for lc in self.lines if lc.case == 2)
-
-    @property
-    def case3_lines(self):
-        return tuple(lc for lc in self.lines if lc.case == 3)
-
     def case_counts(self):
-        """The number of lines of case 1, 2 and 3, in one pass."""
-        counts = [0, 0, 0, 0]
-        for lc in self.lines:
-            counts[lc.case] += 1
-        return counts[1], counts[2], counts[3]
+        """The number of lines of case 1, 2 and 3."""
+        cases = [lc.case for lc in self.lines]
+        return cases.count(1), cases.count(2), cases.count(3)
 
     @property
     def cusp_count(self):
         _, n2, n3 = self.case_counts()
         return n2 + 2 * n3
 
-    @property
-    def total_points(self):
-        """Rational point count: one per case-2 line, two per case-3 line."""
-        return self.cusp_count
-
     def to_json(self):
         n1, n2, n3 = self.case_counts()
         return {
-            "lines": [
-                {"line": line, "case": case, "points": list(points)}
-                for line, case, points in self.lines
-            ],
+            "lines": LineRows(self.lines),
             "counts": {"case1": n1, "case2": n2, "case3": n3, "points": n2 + 2 * n3},
         }
+
+
+@dataclass(frozen=True)
+class LineRows:
+    """Line classes as report rows {"case", "line", "points"}.
+
+    The report writer has them write themselves, from one text template
+    per case, so no dict is built per row.
+    """
+
+    lines: tuple  # of LineClass
+
+    def write_json(self, newline, write):
+        """Write the rows as an indented JSON list whose lines end with newline."""
+        if not self.lines:
+            write("[]")
+            return
+        row, key, item = newline + "  ", newline + "    ", newline + "      "
+        head, mid = f'{row}{{{key}"case": ', f',{key}"line": '
+        points_at, end = f',{key}"points": [{item}', f"{key}]{row}}}"
+        empty = f',{key}"points": []{row}}}'
+        enc = encode_basestring_ascii
+        texts = [
+            f"{head}1{mid}{enc(line)}{empty}" if case == 1
+            else f"{head}2{mid}{enc(line)}{points_at}{enc(points[0])}{end}" if case == 2
+            else f"{head}3{mid}{enc(line)}{points_at}{enc(points[0])},{item}{enc(points[1])}{end}"
+            for line, case, points in self.lines
+        ]
+        write("[")
+        write(",".join(texts))
+        write(newline + "]")
 
 
 def synthetic_summary(case1=0, case2=0, case3=0, include_infinity_line=False):
@@ -212,20 +222,22 @@ class WeierstrassCurve:
     def classify_all(self):
         """Summary over every line, affine lines in element order, infinity last.
 
-        One pass over element codes (field.coded_field) that writes labels
-        from the field's label table, so no field element or curve point is
+        One batch of root codes (field.coded_field) whose labels come from
+        the field's label table, so no field element or curve point is
         built per line; classify_line, line by line, is the reference.
         """
         field = self.field
-        codes = coded_field(field)
-        add, mul, line_roots = codes.add, codes.mul, codes.line_roots
-        a1, a2, a3, a4, a6 = map(field.index, (self.a1, self.a2, self.a3, self.a4, self.a6))
+        coeffs = map(field.index, (self.a1, self.a2, self.a3, self.a4, self.a6))
         labels = field.labels()
-        lines = []
-        for l, x in enumerate(labels):
-            # on x = l: y^2 + (a1*l + a3)*y = ((l + a2)*l + a4)*l + a6
-            ys = line_roots(add(mul(a1, l), a3), add(mul(add(mul(add(l, a2), l), a4), l), a6))
-            lines.append(LineClass(x, len(ys) + 1, tuple([f"({x},{labels[y]})" for y in ys])))
+        lines, new = [], tuple.__new__  # LineClass(...) minus its Python-level __new__
+        for x, ys in zip(labels, coded_field(field).affine_roots(*coeffs)):
+            if not ys:
+                lines.append(new(LineClass, (x, 1, ())))
+            elif len(ys) == 1:
+                lines.append(new(LineClass, (x, 2, (f"({x},{labels[ys[0]]})",))))
+            else:
+                y, z = ys
+                lines.append(new(LineClass, (x, 3, (f"({x},{labels[y]})", f"({x},{labels[z]})"))))
         lines.append(self.classify_line(INFINITY))
         return ClassificationSummary(tuple(lines))
 

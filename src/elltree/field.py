@@ -543,35 +543,36 @@ def _artin_schreier_root(field, u):
 def _generator(field):
     """The first unit in element order that generates the unit group.
 
-    g generates it exactly when g^((q-1)/r) != 1 for every prime r | q-1.
+    g generates it exactly when g^((q-1)/r) != 1 for every prime r | q-1;
+    candidates are tested as coefficient lists, not field elements.
     """
-    q1 = field.order - 1
+    p, f, q1 = field.p, field.modulus, field.order - 1
     exponents = [q1 // r for r, _ in prime_powers(q1)]
-    units = map(field, islice(product(range(field.p), repeat=field.k), 1, None))
-    return next(g for g in units if all(g ** e != field.one for e in exponents))
+    one = list(field.one.coeffs)
+    units = map(list, islice(product(range(p), repeat=field.k), 1, None))
+    return field(next(g for g in units if all(_poly_powmod(g, e, f, p) != one for e in exponents)))
 
 
 def _power_codes(field, g):
-    """Codes of g^0, g^1, ..., g^(q-2), by repeated multiplication by g.
+    """Codes of g^0, g^1, ..., g^(q-2): the orbit of 1 under v -> g*v.
 
-    Multiplication by g is linear over GF(p), so a step combines the rows
-    g * x^j, j < k, computed once, by the current coefficients.
+    Multiplication by g is linear over GF(p): digit i of g*v is the sum
+    over j of v_j * (g*x^j)_i.  One list per (i, j) fills digit i for
+    every code v at once, and then each power is one table lookup.
     """
-    p, k = field.p, field.k
-    rows = [g * field([0] * j + [1]) for j in range(k)]
-    terms = [[(i, c) for i, c in enumerate(r.coeffs) if c] for r in rows]
-    codes, v = [], [1] + [0] * (k - 1)
-    for _ in range(field.order - 1):
-        code = 0
-        for c in v:
-            code = code * p + c
+    p, q = field.p, field.order
+    rows = [(g * field([0] * j + [1])).coeffs for j in range(field.k)]
+    times_g = [0] * q
+    for i in range(field.k):
+        digit = [0]
+        for row in rows:
+            terms = [row[i] * v for v in range(p)]
+            digit = [d + t for d in digit for t in terms]
+        times_g = [c * p + d % p for c, d in zip(times_g, digit)]
+    codes, code = [], q // p
+    for _ in range(q - 1):
         codes.append(code)
-        acc = [0] * k
-        for j, d in enumerate(v):
-            if d:
-                for i, c in terms[j]:
-                    acc[i] += d * c
-        v = [c % p for c in acc]
+        code = times_g[code]
     return codes
 
 
@@ -581,8 +582,9 @@ def coded_field(field):
 
     A code reads the coefficient vector as base-p digits, constant term
     most significant, so codes sort as the elements do.  Each object
-    offers add, mul and line_roots(b, r), the sorted roots y of
-    y^2 + b*y = r.  Its tables cost O(q) to build, once per object.
+    offers add, mul and affine_roots(a1, a2, a3, a4, a6), which yields the
+    sorted root codes on every affine line of that curve, in code order.
+    Its tables cost O(q) to build, once per object.
     """
     if field.p == 2:
         return _BinaryCodes(field)
@@ -591,38 +593,11 @@ def coded_field(field):
     return _ZechCodes(field)
 
 
-class _OddCodes:
-    """Roots through the discriminant, in odd characteristic."""
-
-    def _constants(self, p):
-        self._four = 4 % p * self.one
-        self._half = (p + 1) // 2 * self.one
-        self._minus_half = (p - 1) // 2 * self.one
-
-    def line_roots(self, b, r):
-        disc = self.add(self.mul(b, b), self.mul(self._four, r))
-        m = self.mul(b, self._minus_half)
-        if not disc:
-            return (m,)
-        s = self.sqrt(disc)
-        if s is None:
-            return ()
-        t = self.mul(s, self._half)
-        return tuple(sorted((self.add(m, t), self.add(m, self.neg(t)))))
-
-
-class _PrimeCodes(_OddCodes):
-    """GF(p) for odd p: codes are residues, square roots from one table."""
+class _PrimeCodes:
+    """GF(p) for odd p: codes are residues."""
 
     def __init__(self, p):
         self.p, self.one = p, 1
-        self._constants(p)
-        root = [None] * p
-        for y in range(p):
-            sq = y * y % p
-            if root[sq] is None:
-                root[sq] = y
-        self._root = root
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -630,11 +605,36 @@ class _PrimeCodes(_OddCodes):
     def mul(self, a, b):
         return a * b % self.p
 
-    def neg(self, a):
-        return -a % self.p
+    def affine_roots(self, a1, a2, a3, a4, a6):
+        """Yield the sorted root codes on each line x = l, in order of l.
 
-    def sqrt(self, a):
-        return self._root[a]
+        y^2 + (a1*l + a3)*y = l^3 + a2*l^2 + a4*l + a6 has the roots
+        m +- t with m = -(a1*l + a3)/2 and 4t^2 = D(l), the cubic
+        (a1*l + a3)^2 + 4*(l^3 + a2*l^2 + a4*l + a6).  D and m are stepped
+        by forward differences, so a line costs a few adds and one
+        lookup in the table of t by D.
+        """
+        p = self.p
+        half_root = [None] * p
+        for t in range(p // 2 + 1):
+            half_root[4 * t * t % p] = t
+        c3, c2, c1, c0 = 4, a1 * a1 + 4 * a2, 2 * a1 * a3 + 4 * a4, a3 * a3 + 4 * a6
+        # D(0) and its first, second and third differences at 0
+        d, d1, d2, d3 = c0 % p, (c3 + c2 + c1) % p, (6 * c3 + 2 * c2) % p, 6 * c3 % p
+        half = (p - 1) // 2  # -1/2
+        m, dm = a3 * half % p, a1 * half % p
+        for _ in range(p):
+            if not d:
+                yield (m,)
+            elif (t := half_root[d]) is None:
+                yield ()
+            else:
+                y, z = (m - t) % p, (m + t) % p
+                yield (y, z) if y < z else (z, y)
+            d = (d + d1) % p
+            d1 = (d1 + d2) % p
+            d2 = (d2 + d3) % p
+            m = (m + dm) % p
 
 
 class _LogCodes:
@@ -655,7 +655,7 @@ class _LogCodes:
         return 0
 
 
-class _ZechCodes(_LogCodes, _OddCodes):
+class _ZechCodes(_LogCodes):
     """GF(p^k), p odd, k > 1: addition through Zech logarithms.
 
     zech[n] is the log of 1 + g^n (None when it is 0), so
@@ -664,7 +664,7 @@ class _ZechCodes(_LogCodes, _OddCodes):
 
     def __init__(self, field):
         super().__init__(field)
-        self._constants(field.p)
+        self.p = field.p
         exp, log = self._exp[: self._q1], self._log
         wrap = (field.p - 1) * self.one  # adding 1 steps the leading digit
         self._zech = [log[c + self.one] if c < wrap else log[c - wrap] for c in exp]
@@ -678,12 +678,52 @@ class _ZechCodes(_LogCodes, _OddCodes):
         z = self._zech[(self._log[b] - la) % self._q1]
         return 0 if z is None else self._exp[la + z]
 
-    def neg(self, a):
-        return self._exp[self._log[a] + self._q1 // 2] if a else 0
+    def affine_roots(self, a1, a2, a3, a4, a6):
+        """Yield the sorted root codes on each line x = l, in order of l.
 
-    def sqrt(self, a):
-        la = self._log[a]
-        return None if la % 2 else self._exp[la // 2]
+        As in _PrimeCodes, with D(l) summed from its nonzero terms and
+        m(l) from e1*l + e0, all in logs (None for zero).  Every log stays
+        below 8(q - 1) and the tables repeat with period q - 1, so no log
+        needs reducing.
+        """
+        add, mul, one, q1 = self.add, self.mul, self.one, self._q1
+        exp, log, zech = self._exp[:q1] * 8, self._log, self._zech * 8
+        four, minus_half = 4 % self.p * one, (self.p - 1) // 2 * one
+        c2 = add(mul(a1, a1), mul(four, a2))
+        c1 = add(mul(2 * one, mul(a1, a3)), mul(four, a4))
+        c0 = add(mul(a3, a3), mul(four, a6))
+        terms = [(log[c], j) for c, j in ((four, 3), (c2, 2), (c1, 1), (c0, 0)) if c]
+        e1, e0 = log[mul(a1, minus_half)], log[mul(a3, minus_half)]
+        H, h = log[minus_half] + q1 // 2, q1 // 2  # logs of 1/2 and -1
+        for l in range(q1 + 1):
+            d, m = None, e0
+            if not l:
+                d = log[c0]
+            else:
+                n = log[l]
+                for c, j in terms:
+                    u = c + j * n
+                    if d is None:
+                        d = u
+                    elif (z := zech[u - d]) is None:
+                        d = None
+                    else:
+                        d += z
+                if e1 is not None:
+                    u = e1 + n
+                    m = u if e0 is None else None if (z := zech[e0 - u]) is None else u + z
+            if d is None:
+                yield (0 if m is None else exp[m],)
+            elif d & 1:
+                yield ()
+            else:
+                t = (d >> 1) + H
+                if m is None:
+                    y, w = exp[t], exp[t + h]
+                else:
+                    y = 0 if (z := zech[t - m]) is None else exp[m + z]
+                    w = 0 if (z := zech[t + h - m]) is None else exp[m + z]
+                yield (y, w) if y < w else (w, y)
 
 
 class _BinaryCodes(_LogCodes):
@@ -708,12 +748,27 @@ class _BinaryCodes(_LogCodes):
     def add(a, b):
         return a ^ b
 
-    def line_roots(self, b, r):
-        if not b:
-            return (self._sqrt[r],)
-        u = self._exp[(self._log[r] - 2 * self._log[b]) % self._q1] if r else 0
-        z = self._half_root[u]
-        if z is None:
-            return ()
-        y = self.mul(b, z)
-        return tuple(sorted((y, y ^ b)))
+    def affine_roots(self, a1, a2, a3, a4, a6):
+        """Yield the sorted root codes on each line x = l, in order of l.
+
+        b = a1*l + a3 and r = l^3 + a2*l^2 + a4*l + a6 are XORs of terms
+        read off the exp table, which repeats with period q - 1.
+        """
+        q1, log, sqrt, half_root = self._q1, self._log, self._sqrt, self._half_root
+        exp, log_a1 = self._exp[:q1] * 4, log[a1]
+        terms = [(0, 3)] + [(log[c], j) for c, j in ((a2, 2), (a4, 1)) if c]
+        for l in range(q1 + 1):
+            b, r = a3, a6
+            if l:
+                n = log[l]
+                for c, j in terms:
+                    r ^= exp[c + j * n]
+                if a1:
+                    b ^= exp[log_a1 + n]
+            if not b:
+                yield (sqrt[r],)
+            elif (z := half_root[exp[log[r] - 2 * log[b]] if r else 0]) is None:
+                yield ()
+            else:
+                y = exp[log[b] + log[z]] if z else 0
+                yield (y, y ^ b) if y < y ^ b else (y ^ b, y)

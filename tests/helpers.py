@@ -268,6 +268,36 @@ def triangular_by_elements(field, n):
     return group_from_elements(els, mul, name=triangular_size(field, n)[0])
 
 
+def case_lines(summary, case):
+    """The line classes of one case, in summary order."""
+    return tuple(lc for lc in summary.lines if lc.case == case)
+
+
+def total_points(summary):
+    """Rational point count, from the point labels the lines carry."""
+    return sum(len(lc.points) for lc in summary.lines)
+
+
+def classify_payload_by_dicts(curve, summary):
+    """The classify report as dicts and lists: one dict per line row.
+
+    json.dumps(..., sort_keys=True, indent=2) of it, plus a newline, is
+    the oracle for the bytes the CLI writes from line classes.
+    """
+    n1, n2, n3 = (len(case_lines(summary, case)) for case in (1, 2, 3))
+    rows = [{"line": line, "case": case, "points": list(points)} for line, case, points in summary.lines]
+    return {
+        "mode": "classify",
+        "curve": curve.to_json(),
+        "field": curve.field.to_json(),
+        "classification": {
+            "lines": rows,
+            "counts": {"case1": n1, "case2": n2, "case3": n3, "points": n2 + 2 * n3},
+        },
+        "cusp_count": n2 + 2 * n3,
+    }
+
+
 def curve_from_json(field, data):
     return WeierstrassCurve(field, data["a1"], data["a2"], data["a3"], data["a4"], data["a6"])
 

@@ -40,7 +40,7 @@ from elltree.selftest import (
     snf_battery,
 )
 from elltree.tree import branch_tree, build_domain
-from helpers import degree_zero_row, enumerate_points, is_two_torsion
+from helpers import case_lines, degree_zero_row, enumerate_points, is_two_torsion, total_points
 
 
 class _Clock:
@@ -101,14 +101,14 @@ def test_criterion_4_counting_identities():
     with _Clock(1.0, "criterion 4: counting identities and Hasse bound"):
         for curve in corpus_curves():
             summary = curve.classify_all()
-            n1 = len(summary.case1_lines)
-            n2 = len(summary.case2_lines)
-            n3 = len(summary.case3_lines)
+            n1 = len(case_lines(summary, 1))
+            n2 = len(case_lines(summary, 2))
+            n3 = len(case_lines(summary, 3))
             q = curve.field.order
             assert n1 + n2 + n3 == q + 1
-            points = summary.total_points
+            points = total_points(summary)
             affine_case2 = sum(
-                1 for lc in summary.case2_lines if lc.line != "inf"
+                1 for lc in case_lines(summary, 2) if lc.line != "inf"
             )
             assert points == 1 + affine_case2 + 2 * n3
             assert points == summary.cusp_count

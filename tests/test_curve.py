@@ -22,7 +22,7 @@ from elltree.curve import (
 )
 from elltree.cli import main
 from elltree.field import FiniteField, make_field
-from helpers import curve_from_json, enumerate_points, is_two_torsion
+from helpers import case_lines, curve_from_json, enumerate_points, is_two_torsion, total_points
 
 
 def brute_force_points(curve):
@@ -127,7 +127,7 @@ def test_classification_f3():
     summary = c.classify_all()
     assert [lc.case for lc in summary.lines] == [2, 2, 2, 2]
     assert summary.lines[-1].line == INFINITY
-    assert summary.total_points == 4
+    assert total_points(summary) == 4
 
 
 def test_classification_f5():
@@ -142,7 +142,7 @@ def test_classification_f5():
             p, q = c.points_on_line(l)
             assert c.negate(p) == q
             assert (p.label(), q.label()) == lc.points
-    assert summary.total_points == 8
+    assert total_points(summary) == 8
     # the case-2 point on l=1 is (1, 0)
     (pt,) = c.points_on_line(F(1))
     assert pt == CurvePoint(F(1), F(0))
@@ -154,7 +154,7 @@ def test_case1_example():
     F = c.field
     # on x = 1 the equation needs y^2 = 3, and 3 is not a square mod 5
     assert c.classify_line(F(1)).case == 1
-    assert len(c.classify_all().case2_lines) == 1  # only the line at infinity
+    assert len(case_lines(c.classify_all(), 2)) == 1  # only the line at infinity
 
 
 def test_case2_points_are_two_torsion():
@@ -187,8 +187,8 @@ def test_two_torsion_count_matches_case2_count():
         c = cubic_curve(p, k, coeffs)
         summary = c.classify_all()
         torsion = [pt for pt in enumerate_points(c) if is_two_torsion(c, pt)]
-        assert len(summary.case2_lines) == len(torsion)
-        assert len(summary.case2_lines) in {1, 2, 4}
+        assert len(case_lines(summary, 2)) == len(torsion)
+        assert len(case_lines(summary, 2)) in {1, 2, 4}
 
 
 def test_lines_partition_points():
@@ -196,9 +196,9 @@ def test_lines_partition_points():
     for p, k, coeffs in [(5, 1, [0, 0, 0, -1, 0]), (7, 1, [0, 0, 0, -1, 0]), (2, 2, [0, 0, 1, 0, 0])]:
         c = cubic_curve(p, k, coeffs)
         summary = c.classify_all()
-        affine_case2 = [lc for lc in summary.case2_lines if lc.line != INFINITY]
-        assert summary.total_points == 1 + len(affine_case2) + 2 * len(summary.case3_lines)
-        assert summary.total_points == len(enumerate_points(c))
+        affine_case2 = [lc for lc in case_lines(summary, 2) if lc.line != INFINITY]
+        assert total_points(summary) == 1 + len(affine_case2) + 2 * len(case_lines(summary, 3))
+        assert total_points(summary) == len(enumerate_points(c))
 
 
 def test_char2_corpus_curves_nonsingular():
@@ -216,9 +216,9 @@ def test_classification_char2():
 
 def test_synthetic_summary_shape():
     s = synthetic_summary(case1=2, case2=1, case3=1, include_infinity_line=True)
-    assert len(s.case1_lines) == 2
-    assert len(s.case2_lines) == 1
-    assert len(s.case3_lines) == 1
+    assert len(case_lines(s, 1)) == 2
+    assert len(case_lines(s, 2)) == 1
+    assert len(case_lines(s, 3)) == 1
     assert s.cusp_count == 3
     empty = synthetic_summary()
     assert empty.lines == ()
@@ -264,9 +264,10 @@ def per_line_summary(curve):
 @given(data=st.data())
 def test_classify_all_matches_classify_line(p, k, data):
     F = make_field(p, k)
-    units, elements = F.units(), F.elements()
-    a1, a3 = (data.draw(st.sampled_from(units)) for _ in "13")
-    a2, a4, a6 = (data.draw(st.sampled_from(elements)) for _ in "246")
+    elements = F.elements()
+    a1, a2, a3, a4, a6 = (data.draw(st.sampled_from(elements)) for _ in "12346")
+    if data.draw(st.booleans()):  # a short curve, as the large-field benchmarks run
+        a1 = a2 = a3 = F.zero
     try:
         curve = WeierstrassCurve(F, a1, a2, a3, a4, a6)
     except SingularCurveError:
@@ -274,6 +275,19 @@ def test_classify_all_matches_classify_line(p, k, data):
     got, want = curve.classify_all(), per_line_summary(curve)
     assert got == want
     assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize(
+    "p,coeffs",
+    [(16381, (0, 0, 0, 14615, 8137)), (16381, (3, 5, 7, 11, 13)),
+     (65521, (0, 0, 0, -1, 0)), (65521, (65520, 2, 1, 0, 65519))],
+)
+def test_classify_all_matches_classify_line_at_both_ends_of_large_prime_fields(p, coeffs):
+    curve = WeierstrassCurve(make_field(p, 1), *coeffs)
+    got = curve.classify_all().lines
+    ends = list(range(300)) + list(range(p - 300, p))
+    assert [got[l] for l in ends] == [curve.classify_line(l) for l in ends]
+    assert got[p:] == (curve.classify_line(INFINITY),)
 
 
 @pytest.mark.parametrize("p,k", CLASSIFY_FIELDS, ids=[f"{p}^{k}" for p, k in CLASSIFY_FIELDS])

@@ -25,7 +25,10 @@ import pytest
 
 from elltree import cli
 from elltree.cli import main
-from elltree.coefficients import _row_texts, report_to_json_text
+from elltree.coefficients import report_to_json_text
+from elltree.curve import LineClass, LineRows, WeierstrassCurve, synthetic_summary
+from elltree.field import make_field
+from helpers import classify_payload_by_dicts
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -185,22 +188,40 @@ def test_report_writer_matches_json_dumps_on_goldens(name):
     assert report_to_json_text(report) == _json_dumps_text(report)
 
 
-def test_report_writer_matches_json_dumps_on_a_classify_report(monkeypatch, tmp_path):
-    # the report object itself, tuples included, not its parsed copy
-    reports = []
-
-    def recorded(report):
-        reports.append(report)
-        return report_to_json_text(report)
-
-    monkeypatch.setattr(cli, "report_to_json_text", recorded)
-    argv = ["classify", "--p", "101", "--k", "2", "--curve", "0:0,0:0,0:0,70:4,0:30"]
-    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
-    assert report_to_json_text(reports[0]) == _json_dumps_text(reports[0])
+def test_report_writer_matches_json_dumps_on_a_classify_report(tmp_path):
+    # the CLI writes the line rows from line classes; the oracle is the
+    # same report as one dict per row, through json.dumps
+    coeffs = "0:0,0:0,0:0,70:4,0:30"
+    argv = ["classify", "--p", "101", "--k", "2", "--curve", coeffs]
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    curve = WeierstrassCurve(make_field(101, 2), *cli.parse_curve_coefficients(coeffs, 2))
+    oracle = classify_payload_by_dicts(curve, curve.classify_all())
+    assert out.read_text() == _json_dumps_text(oracle)
 
 
-# lists of rows: those that share one key set and hold only leaf values
-# take the writer's row path, the rest its generic path
+@pytest.mark.parametrize("indent", ["\n", "\n    "])
+def test_line_rows_match_json_dumps_of_row_dicts(indent):
+    # labels that need escaping, every case, and no rows at all
+    lines = (
+        LineClass('say "hi"', 1, ()),
+        LineClass("back\\slash", 2, ("caf\u00e9 \u2203",)),
+        LineClass("\n\t", 3, ("\x00", "\U0001f600")),
+        *synthetic_summary(2, 2, 2, include_infinity_line=True).lines,
+    )
+    for rows in (lines, ()):
+        dicts = [{"line": line, "case": case, "points": list(points)} for line, case, points in rows]
+        pieces = []
+        LineRows(rows).write_json(indent, pieces.append)
+        text = "".join(pieces)
+        want = json.dumps(dicts, sort_keys=True, indent=2).replace("\n", indent)
+        assert text == want
+        report = {"rows": LineRows(rows), "deeper": {"rows": LineRows(rows)}}
+        dict_report = {"rows": dicts, "deeper": {"rows": dicts}}
+        assert report_to_json_text(report) == _json_dumps_text(dict_report)
+
+
+# lists of rows: uniform and mixed key sets, nesting, escapes and tuples
 ROW_PAYLOADS = {
     "uniform-leaves": [
         {"s": "a", "i": -3, "t": True, "f": False, "n": None, "l": ["x", "y"]},
@@ -222,13 +243,11 @@ ROW_PAYLOADS = {
     "empty-row": [{}, {}],
     "one-row": [{"only": "row"}],
 }
-ROW_PATH = {"uniform-leaves", "escapes", "tuple-rows", "one-row"}
 
 
 @pytest.mark.parametrize("name", sorted(ROW_PAYLOADS))
 def test_report_writer_matches_json_dumps_on_rows(name):
     rows = ROW_PAYLOADS[name]
-    assert (_row_texts(rows, "\n  ") is not None) == (name in ROW_PATH)
     for report in (rows, {"rows": rows, "deeper": {"rows": rows}}):
         assert report_to_json_text(report) == _json_dumps_text(report)
 
