@@ -693,19 +693,6 @@ class ChainComplexFg:
                             raise ValueError(f"boundary composite at {i + 2} is nonzero")
 
 
-def _cycle_relations(g, d_n, d_next, want_v):
-    """(Smith engine of d_n, im(d_next) in the basis of ker(d_n)).
-
-    The kernel basis is columns rank.. of V; a cycle's coordinates in it
-    are the trailing entries of Vinv applied to the cycle.
-    """
-    eng = _engine_for(d_n, want_v=want_v, want_vinv=True)
-    vinv = eng.vinv_matrix()
-    relations = d_next.cols if d_next is not None else ()
-    cols = [_kernel_coords(vinv, eng.rank, col) for col in relations]
-    return eng, IntMatrix.from_sparse_cols(cols, g - eng.rank)
-
-
 def _kernel_coords(vinv, rank, chain_dict):
     y = vinv.matvec(chain_dict)
     if any(i < rank for i in y):
@@ -726,9 +713,14 @@ class CyclePresentation:
     __slots__ = ("presented", "_vinv", "_rank", "_basis", "_smith")
 
     def __init__(self, g, d_n, d_next):
-        kernel, rels = _cycle_relations(g, d_n, d_next, want_v=True)
+        # the kernel basis is columns rank.. of V; a cycle's coordinates in
+        # it are the trailing entries of Vinv applied to the cycle
+        kernel = _engine_for(d_n, want_v=True, want_vinv=True)
         self._vinv, self._rank = kernel.vinv_matrix(), kernel.rank
         self._basis = kernel.kernel_cols()
+        rels = IntMatrix.from_sparse_cols(
+            [_kernel_coords(self._vinv, self._rank, col) for col in d_next.cols], g - self._rank
+        )
         self._smith = _SmithCoordinates(rels, want_uinv=True)
         self.presented = PresentedGroup.from_group(self._smith.group)
 
@@ -742,12 +734,6 @@ class CyclePresentation:
         for j, c in self._smith.uinv.cols[self._smith.rows[i]].items():
             _dict_addmul(chain, self._basis[j], c)
         return chain
-
-
-def _free_homology(g, d_n, d_next):
-    """Homology at a free position with a free predecessor."""
-    _, rels = _cycle_relations(g, d_n, d_next, want_v=False)
-    return PresentedGroup(rels.nrows, rels).canonical()
 
 
 def homology_at(complex_, n):
@@ -770,8 +756,6 @@ def homology_at(complex_, n):
         return PresentedGroup(g, rels).canonical()
     d_n = complex_.boundaries[n - 1].matrix
     prev_rels = complex_.groups[n - 1].relations
-    if prev_rels.ncols == 0 and group.relations.ncols == 0:
-        return _free_homology(g, d_n, d_next)
     # cycles: x with d_n(x) in the lattice below, found via the kernel of
     # [d_n | prev_rels] projected onto the x block
     aug = d_n.hstack(prev_rels)

@@ -2,9 +2,9 @@
 
 A field F_{p^k} is realised as F_p[x] modulo a monic irreducible polynomial
 of degree k.  Elements are length-k coefficient vectors over the prime
-field, constant term first.  All choices (modulus, square roots, extension
-embeddings) are made deterministically so that identical inputs always
-produce identical outputs.
+field, constant term first.  All choices (modulus, square roots) are made
+deterministically so that identical inputs always produce identical
+outputs.
 """
 
 import math
@@ -185,14 +185,8 @@ class FieldElement:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        f = self.field
+        return FieldElement(f, _poly_powmod(self.coeffs, n, f.modulus, f.p))
 
     def inverse(self):
         if self.is_zero():
@@ -277,20 +271,7 @@ class FiniteField:
         return FieldElement(self, (n % self.p,) + (0,) * (self.k - 1))
 
     def _mul(self, a, b):
-        p = self.p
-        prod = [0] * (2 * self.k - 1)
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j, bj in enumerate(b.coeffs):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        # reduce modulo the monic modulus
-        for d in range(len(prod) - 1, self.k - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for i in range(self.k + 1):
-                    prod[d - self.k + i] = (prod[d - self.k + i] - c * self.modulus[i]) % p
-        return FieldElement(self, prod[: self.k])
+        return FieldElement(self, _poly_mulmod(a.coeffs, b.coeffs, self.modulus, self.p))
 
     def elements(self):
         """All field elements, coefficient vectors in lexicographic order."""
@@ -316,9 +297,6 @@ class FiniteField:
             else:
                 self._labels = tuple(map(":".join, product(digits, repeat=self.k)))
         return self._labels
-
-    def units(self):
-        return tuple(a for a in self.elements() if not a.is_zero())
 
     def trace_to_prime(self, a):
         """Absolute trace down to F_p, returned as a field element."""
@@ -427,55 +405,6 @@ def make_field(p, k, ceiling=DEFAULT_ORDER_CEILING):
         if _poly_is_irreducible(candidate, p):
             return FiniteField(p, k, candidate)
     raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-class FieldEmbedding:
-    """A field homomorphism determined by the image of the generator.
-
-    Maps sum(c_i * x^i) to sum(c_i * beta^i) where beta is a fixed root of
-    the source modulus inside the target field.
-    """
-
-    def __init__(self, src, dst, beta):
-        self.src = src
-        self.dst = dst
-        self.beta = beta
-        self._powers = [dst.one]
-        for _ in range(src.k - 1):
-            self._powers.append(self._powers[-1] * beta)
-
-    def __call__(self, a):
-        a = self.src(a)
-        acc = self.dst.zero
-        for c, bpow in zip(a.coeffs, self._powers):
-            if c:
-                acc = acc + bpow * c
-        return acc
-
-    def image(self):
-        """The embedded copy of the source field, as a set of target elements."""
-        return {self(a) for a in self.src.elements()}
-
-
-def quadratic_extension(field, ceiling=DEFAULT_ORDER_CEILING):
-    """The degree-2 extension of a field together with the embedding into it.
-
-    The extension is make_field(p, 2k); the embedding sends the source
-    generator to the lexicographically least root of the source modulus in
-    the extension.
-    """
-    ext = make_field(field.p, 2 * field.k, ceiling=ceiling)
-    beta = None
-    for z in ext.elements():
-        acc = ext.zero
-        for c in reversed(field.modulus):
-            acc = acc * z + ext.from_int(c)
-        if acc.is_zero():
-            beta = z
-            break
-    if beta is None:
-        raise AssertionError("modulus has no root in its quadratic extension")
-    return ext, FieldEmbedding(field, ext, beta)
 
 
 def solve_monic_quadratic(field, b, c):

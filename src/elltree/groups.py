@@ -21,9 +21,11 @@ it.  check_ceilings is the one ceiling test on (name, order, degree):
 callers size a run from the closed forms and refuse before any table is
 built, and the homology routines apply it again to the groups they get.
 
-The stabilizers over a field build their tables on element codes, code i
-standing for field.elements()[i], through q x q add and mul tables; each
-group still publishes field elements (or tuples of them) as its keys.
+The stabilizers over a field are built on element codes alone, code i
+standing for field.elements()[i], through q x q add, mul and inverse
+tables: each group publishes codes (or tuples of them) as its keys, each
+cusp group is built in closed form on one representative per coset, and
+each inclusion is a map of codes.  No FieldElement arithmetic is done.
 """
 
 from dataclasses import dataclass
@@ -38,7 +40,7 @@ from .abelian import (
     TRIVIAL_GROUP,
 )
 from .errors import TooLargeError
-from .field import coded_field, make_field, quadratic_extension
+from .field import coded_field, make_field
 
 
 # The highest homology degree computed for any group, whatever its BarLimits.
@@ -96,10 +98,10 @@ def check_ceilings(name, order, q, limits, dense=None):
 class FiniteGroup:
     """Group given by its multiplication table over indexed elements.
 
-    elements are arbitrary hashable keys (field elements, matrices as
-    tuples, coset representatives); the table works on indices.  Equality
-    and hashing use only the table and identity, so structurally identical
-    groups share cached homology.
+    elements are arbitrary hashable keys (element codes, matrices as
+    tuples of codes, coset representatives); the table works on indices.
+    Equality and hashing use only the table and identity, so structurally
+    identical groups share cached homology.
     """
 
     def __init__(self, elements, table, name="", assoc_ceiling=64):
@@ -139,10 +141,6 @@ class FiniteGroup:
     def mul(self, i, j):
         return self.table[i][j]
 
-    def is_abelian(self):
-        t = self.table
-        return all(t[i][j] == t[j][i] for i in range(self.order) for j in range(self.order))
-
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
             return NotImplemented
@@ -155,12 +153,8 @@ class FiniteGroup:
         return f"{self.name}[order {self.order}]"
 
 
-def group_from_elements(elements, mul, name="", assoc_ceiling=64, key=None):
-    """Build a FiniteGroup from elements and a multiplication function.
-
-    The table is built on the elements as given; with key set, the group
-    publishes key(e) in place of each element e.
-    """
+def group_from_elements(elements, mul, name="", assoc_ceiling=64):
+    """Build a FiniteGroup from elements and a multiplication function."""
     elements = list(elements)
     index = {e: i for i, e in enumerate(elements)}
     table = []
@@ -170,8 +164,7 @@ def group_from_elements(elements, mul, name="", assoc_ceiling=64, key=None):
             c = mul(a, elements[row.index(None)])
             raise ValueError(f"product {c!r} escapes the element set")
         table.append(row)
-    keys = elements if key is None else map(key, elements)
-    return FiniteGroup(keys, table, name=name, assoc_ceiling=assoc_ceiling)
+    return FiniteGroup(elements, table, name=name, assoc_ceiling=assoc_ceiling)
 
 
 class GroupHom:
@@ -215,10 +208,9 @@ def cyclic(n):
 def _code_tables(field):
     """(add, mul, inverse) on element codes, from coded_field's arithmetic.
 
-    Code i stands for field.elements()[i], so code 0 is zero and codes
-    sort as the elements do: a table built on codes lists its elements in
-    the order of one built on field elements.  add and mul are q x q
-    tuples, cached and shared; inverse[0] is None.
+    Code i stands for field.elements()[i], so code 0 is zero, code 1 is
+    the least unit and codes sort as the elements do.  add and mul are
+    q x q tuples, cached and shared; inverse[0] is None.
     """
     arith = coded_field(field)
     codes = range(field.order)
@@ -236,8 +228,7 @@ def unit_group_size(field):
 def unit_group(field):
     mul = _code_tables(field)[1]
     return group_from_elements(
-        range(1, field.order), lambda a, b: mul[a][b],
-        name=unit_group_size(field)[0], key=field.elements().__getitem__,
+        range(1, field.order), lambda a, b: mul[a][b], name=unit_group_size(field)[0]
     )
 
 
@@ -249,16 +240,8 @@ def additive_group_size(field):
 def additive_group(field):
     add = _code_tables(field)[0]
     return group_from_elements(
-        range(field.order), lambda a, b: add[a][b],
-        name=additive_group_size(field)[0], key=field.elements().__getitem__,
+        range(field.order), lambda a, b: add[a][b], name=additive_group_size(field)[0]
     )
-
-
-def pgl2_canonical(m):
-    """Scale a nonzero 2x2 matrix so its first nonzero entry is 1."""
-    lead = next(v for v in m if not v.is_zero())
-    inv = lead.inverse()
-    return tuple(v * inv for v in m)
 
 
 def pgl2_size(field):
@@ -270,9 +253,9 @@ def pgl2_size(field):
 def pgl2(field):
     """GL2 modulo scalars; elements are the scaled canonical representatives.
 
-    The table is built on 4-tuples of codes whose first nonzero entry is
-    the code of 1 (a or b, as the top row of an invertible matrix is not
-    zero); the group publishes the same tuples of field elements.
+    The elements are 4-tuples of codes whose first nonzero entry is the
+    code of 1 (a or b, as the top row of an invertible matrix is not
+    zero).
     """
     add, mul, inverse = _code_tables(field)
     one = field.index(field.one)
@@ -290,10 +273,7 @@ def pgl2(field):
         scale = mul[inverse[r0 or r1]]
         return scale[r0], scale[r1], scale[r2], scale[r3]
 
-    decode = field.elements().__getitem__
-    return group_from_elements(
-        els, mat_mul, name=pgl2_size(field)[0], key=lambda m: tuple(map(decode, m))
-    )
+    return group_from_elements(els, mat_mul, name=pgl2_size(field)[0])
 
 
 def triangular_size(field, n):
@@ -308,7 +288,6 @@ def triangular_group(field, n):
     Multiplication follows the 2x2 pattern with the vector slot acted on
     coordinatewise: (p1,s1,q1)(p2,s2,q2) = (p1p2, s1s2, p1*q2 + q1*s2).
     For n = 0 this is the diagonal torus, a product of two unit groups.
-    The table is built on codes; the group publishes field elements.
     """
     add, mul, _ = _code_tables(field)
     units = range(1, field.order)
@@ -321,20 +300,7 @@ def triangular_group(field, n):
         row = mul[p1]
         return row[p2], mul[s1][s2], tuple(add[row[b]][mul[a][s2]] for a, b in zip(q1, q2))
 
-    decode = field.elements().__getitem__
-    return group_from_elements(
-        els, tri_mul, name=triangular_size(field, n)[0],
-        key=lambda x: (decode(x[0]), decode(x[1]), tuple(map(decode, x[2]))),
-    )
-
-
-def scalar_subgroup_indices(tri):
-    """Indices of the scalar matrices (l, l, 0) inside a triangular group."""
-    out = []
-    for i, (p, s, q) in enumerate(tri.elements):
-        if p == s and all(v.is_zero() for v in q):
-            out.append(i)
-    return out
+    return group_from_elements(els, tri_mul, name=triangular_size(field, n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -523,68 +489,67 @@ def cusp_group_size(field, n):
 
 @lru_cache(maxsize=None)
 def cusp_group(field, n):
-    """(quotient, projection, triangular parent) of the depth-n cusp group.
+    """The depth-n cusp group, the triangular group modulo its central
+    scalars: the stabilizer seen by the projective action.
 
-    The parent is the triangular group with an n-vector slot; the quotient
-    removes the central scalars, which is the stabilizer seen by the
-    projective action.
+    Each coset of scalars has one member (c, s, v) whose first entry is
+    c, the unit of code 1, so (c, s1, v1)(c, s2, v2) = (c, s1*s2/c,
+    v2 + v1*s2/c).  Code 1 is the least unit, so that member is the
+    coset's first in the order of triangular_group(field, n).
     """
-    tri = triangular_group(field, n)
-    quotient, proj = quotient_by_central(
-        tri, scalar_subgroup_indices(tri), cusp_group_size(field, n)[0]
-    )
-    return quotient, proj, tri
+    add, mul, inverse = _code_tables(field)
+    over_c = mul[inverse[1]]
+    vectors = list(product(range(field.order), repeat=n))
+    els = [(1, s, v) for s in range(1, field.order) for v in vectors]
+
+    def cusp_mul(x, y):
+        _, s1, v1 = x
+        _, s2, v2 = y
+        w = mul[over_c[s2]]  # times s2/c
+        return 1, w[s1], tuple(add[b][w[a]] for a, b in zip(v1, v2))
+
+    return group_from_elements(els, cusp_mul, name=cusp_group_size(field, n)[0])
+
+
+# The inclusions map keys to keys.  A cusp group key (1, s, v) is the
+# coset of [[c, v], [0, s]] with c the unit of code 1, which is the
+# field's one only when k = 1; each image is scaled to its representative.
 
 
 @lru_cache(maxsize=None)
 def cusp_chain_inclusion(field, n):
     """Depth-n cusp group into depth-(n+1), padding the vector with a zero."""
-    q_n, proj_n, tri_n = cusp_group(field, n)
-    q_next, proj_next, tri_next = cusp_group(field, n + 1)
-
-    def fn(key):
-        p, s, vec = key
-        padded = tri_next.index[(p, s, vec + (field.zero,))]
-        return q_next.elements[proj_next.mapping[padded]]
-
-    return hom_from_function(q_n, q_next, fn)
+    return hom_from_function(
+        cusp_group(field, n), cusp_group(field, n + 1), lambda x: (1, x[1], x[2] + (0,))
+    )
 
 
 @lru_cache(maxsize=None)
 def additive_to_cusp(field):
-    """k into the depth-1 cusp group as the unipotent part (1, 1, (u,))."""
-    add = additive_group(field)
-    q1, proj, tri = cusp_group(field, 1)
-
-    def fn(u):
-        return q1.elements[proj.mapping[tri.index[(field.one, field.one, (u,))]]]
-
-    return hom_from_function(add, q1, fn)
+    """k into the depth-1 cusp group as [[1, u], [0, 1]], or (c, c, (cu,))."""
+    times_c = _code_tables(field)[1][1]
+    return hom_from_function(
+        additive_group(field), cusp_group(field, 1), lambda u: (1, 1, (times_c[u],))
+    )
 
 
 @lru_cache(maxsize=None)
 def units_to_cusp(field):
-    """k^* into the depth-1 cusp group as (l, 1, (0,))."""
-    units = unit_group(field)
-    q1, proj, tri = cusp_group(field, 1)
-
-    def fn(u):
-        return q1.elements[proj.mapping[tri.index[(u, field.one, (field.zero,))]]]
-
-    return hom_from_function(units, q1, fn)
+    """k^* into the depth-1 cusp group as [[l, 0], [0, 1]], or (c, c/l, (0,))."""
+    _, mul, inverse = _code_tables(field)
+    return hom_from_function(
+        unit_group(field), cusp_group(field, 1), lambda l: (1, mul[1][inverse[l]], (0,))
+    )
 
 
 @lru_cache(maxsize=None)
 def cusp_to_pgl2(field):
     """Depth-1 cusp group onto the upper-triangular subgroup of PGL2."""
-    q1, proj, tri = cusp_group(field, 1)
-    target = pgl2(field)
-
-    def fn(key):
-        p, s, (u,) = key
-        return pgl2_canonical((p, u, field.zero, s))
-
-    return hom_from_function(q1, target, fn)
+    _, mul, inverse = _code_tables(field)
+    over_c, one = mul[inverse[1]], field.index(field.one)
+    return hom_from_function(
+        cusp_group(field, 1), pgl2(field), lambda x: (one, over_c[x[2][0]], 0, over_c[x[1]])
+    )
 
 
 def quad_units_size(field):
@@ -596,25 +561,27 @@ def quad_units_size(field):
 
 @lru_cache(maxsize=None)
 def quad_units_group(field):
-    """Units of the quadratic extension modulo the embedded base units."""
-    ext, emb = quadratic_extension(field)
-    big = unit_group(ext)
-    embedded = sorted(big.index[emb(u)] for u in field.units())
-    return quotient_by_central(big, embedded, quad_units_size(field)[0])
+    """Units of the quadratic extension modulo the base units, which are
+    the units x with x^q = x; with the projection."""
+    big = unit_group(make_field(field.p, 2 * field.k))
+    t = big.table
+
+    def frobenius_fixed(x):
+        y = x
+        for _ in range(field.order - 1):
+            y = t[y][x]
+        return y == x
+
+    base = [x for x in range(big.order) if frobenius_fixed(x)]
+    return quotient_by_central(big, base, quad_units_size(field)[0])
 
 
 @lru_cache(maxsize=None)
 def diagonal_to_triangular(field, n):
     """The diagonal torus (p, s) included into the triangular group."""
-    torus = triangular_group(field, 0)
-    tri = triangular_group(field, n)
-    zero_vec = (field.zero,) * n
-
-    def fn(key):
-        p, s, _ = key
-        return (p, s, zero_vec)
-
-    return hom_from_function(torus, tri, fn)
+    return hom_from_function(
+        triangular_group(field, 0), triangular_group(field, n), lambda x: (x[0], x[1], (0,) * n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +596,7 @@ _STABILIZERS = {
     "units": (lambda field: unit_group(field), unit_group_size),
     "quad_units": (lambda field: quad_units_group(field)[0], quad_units_size),
     "additive": (lambda field: additive_group(field), additive_group_size),
-    "cusp": (lambda field, n: cusp_group(field, n)[0], cusp_group_size),
+    "cusp": (lambda field, n: cusp_group(field, n), cusp_group_size),
 }
 
 # (source kind, target kind) -> the inclusion along a tree edge, called

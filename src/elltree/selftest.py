@@ -281,10 +281,10 @@ def _stabilizer_zoo():
         unit_group(f5),
         quad_units_group(f2)[0],
         quad_units_group(f3)[0],
-        cusp_group(f2, 1)[0],
-        cusp_group(f2, 2)[0],
-        cusp_group(f2, 3)[0],
-        cusp_group(f3, 1)[0],
+        cusp_group(f2, 1),
+        cusp_group(f2, 2),
+        cusp_group(f2, 3),
+        cusp_group(f3, 1),
         triangular_group(f2, 1),
         triangular_group(f3, 0),
         pgl2(f2),

@@ -20,9 +20,11 @@ from elltree.curve import INFINITY_POINT, WeierstrassCurve
 from elltree.field import _poly_divmod
 from elltree.groups import (
     additive_group_size,
+    cusp_group_size,
     group_from_elements,
-    pgl2_canonical,
     pgl2_size,
+    quotient_by_central,
+    triangular_group,
     triangular_size,
     unit_group_size,
 )
@@ -49,6 +51,11 @@ def direct_product(g, h):
 
 def is_injective(hom):
     return len(set(hom.mapping)) == hom.source.order
+
+
+def is_abelian(group):
+    t = group.table
+    return all(t[i][j] == t[j][i] for i in range(group.order) for j in range(group.order))
 
 
 # The normalized inhomogeneous bar complex, the oracle for the package's
@@ -220,15 +227,55 @@ def first_irreducible_by_trial_division(p, k):
     )
 
 
+def units(field):
+    return tuple(a for a in field.elements() if not a.is_zero())
+
+
+def encode(field, key):
+    """A key of FieldElements, nested in tuples, with each element replaced
+    by its code field.index(element)."""
+    if isinstance(key, tuple):
+        return tuple(encode(field, v) for v in key)
+    return field.index(key)
+
+
+def pgl2_canonical(m):
+    """Scale a nonzero 2x2 matrix of FieldElements so its first nonzero entry is 1."""
+    lead = next(v for v in m if not v.is_zero())
+    inv = lead.inverse()
+    return tuple(v * inv for v in m)
+
+
+def scalar_subgroup_indices(tri):
+    """Indices of the scalar matrices (l, l, 0) inside a triangular group,
+    keyed by codes or by FieldElements."""
+    return [i for i, (p, s, v) in enumerate(tri.elements) if p == s and all(x == 0 for x in v)]
+
+
+def quotient_by_scalars(tri, field, n):
+    """(quotient, projection) of a triangular group by its scalars, named as
+    the depth-n cusp group: the route groups.cusp_group takes in closed form."""
+    return quotient_by_central(tri, scalar_subgroup_indices(tri), cusp_group_size(field, n)[0])
+
+
+@lru_cache(maxsize=None)
+def cusp_by_quotient(field, n):
+    """(quotient, projection) of the package's coded triangular group by its
+    scalars, the oracle for groups.cusp_group; the projection is the hom
+    from triangular_group(field, n) onto it."""
+    return quotient_by_scalars(triangular_group(field, n), field, n)
+
+
 # Stabilizer tables built on FieldElement arithmetic, the oracles for the
-# int-coded constructors in elltree.groups: same names, same elements in
-# the same order, so the groups must come out equal table for table.
-# Cached, as the package's constructors are, since several tests share them.
+# int-coded constructors in elltree.groups: same names, the same elements
+# in the same order (once encoded), so the groups must come out equal
+# table for table.  Cached, as the package's constructors are, since
+# several tests share them.
 
 
 @lru_cache(maxsize=None)
 def unit_group_by_elements(field):
-    return group_from_elements(field.units(), lambda a, b: a * b, name=unit_group_size(field)[0])
+    return group_from_elements(units(field), lambda a, b: a * b, name=unit_group_size(field)[0])
 
 
 @lru_cache(maxsize=None)
@@ -256,9 +303,9 @@ def pgl2_by_elements(field):
 
 @lru_cache(maxsize=None)
 def triangular_by_elements(field, n):
-    units = field.units()
+    nonzero = units(field)
     vectors = list(product(field.elements(), repeat=n))
-    els = [(p, s, q) for p in units for s in units for q in vectors]
+    els = [(p, s, q) for p in nonzero for s in nonzero for q in vectors]
 
     def mul(x, y):
         p1, s1, q1 = x

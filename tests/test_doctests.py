@@ -4,10 +4,10 @@ import doctest
 
 import pytest
 
-from elltree import abelian, groups
+from elltree import abelian, field, groups
 
 
-@pytest.mark.parametrize("module", [abelian, groups], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [abelian, field, groups], ids=lambda m: m.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

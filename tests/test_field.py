@@ -15,7 +15,6 @@ from elltree.field import (
     _poly_is_irreducible,
     _power_codes,
     make_field,
-    quadratic_extension,
     solve_monic_quadratic,
 )
 from helpers import (
@@ -233,27 +232,6 @@ def test_power_codes_match_polynomial_products(p, k):
     # any unit, not only the generator: its powers cycle with its order
     h = F.elements()[-1]
     assert _power_codes(F, h) == power_codes_by_polynomial_product(F, h)
-
-
-def test_quadratic_extension_embedding_is_homomorphism():
-    for p, k in [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]:
-        F = make_field(p, k)
-        E, emb = quadratic_extension(F)
-        assert E.order == F.order ** 2
-        for a in F.elements():
-            for b in F.elements():
-                assert emb(a * b) == emb(a) * emb(b)
-                assert emb(a + b) == emb(a) + emb(b)
-        assert emb(F.one) == E.one
-
-
-def test_embedding_image_is_frobenius_fixed_subfield():
-    # the embedded copy of F_q inside F_{q^2} is exactly {z : z^q == z}
-    for p, k in [(2, 1), (3, 1), (2, 2)]:
-        F = make_field(p, k)
-        E, emb = quadratic_extension(F)
-        fixed = {z for z in E.elements() if z ** F.order == z}
-        assert emb.image() == fixed
 
 
 def test_element_serialization_round_trip():

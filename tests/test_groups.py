@@ -9,11 +9,13 @@ Induced maps are checked through functoriality, through scalar-action
 identities on cyclic groups, and against the bar complex's induced maps.
 """
 
+import hashlib
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from elltree import groups
 from elltree.abelian import (
     AbHom,
     FgAbGroup,
@@ -24,7 +26,7 @@ from elltree.abelian import (
     cyclic_group_homology,
 )
 from elltree.errors import TooLargeError
-from elltree.field import make_field, quadratic_extension
+from elltree.field import make_field
 from elltree.groups import (
     CHAIN_DATA,
     DEFAULT_LIMITS,
@@ -54,13 +56,11 @@ from elltree.groups import (
     homology_presentation,
     induced_map,
     pgl2,
-    pgl2_canonical,
     pgl2_size,
     quad_units_group,
     quad_units_size,
     quotient_by_central,
     quotient_by_normal,
-    scalar_subgroup_indices,
     subgroup_closure,
     triangular_group,
     triangular_size,
@@ -74,14 +74,21 @@ from helpers import (
     additive_group_by_elements,
     bar_data,
     bar_induced_map,
+    cusp_by_quotient,
     direct_product,
+    encode,
     gl2,
+    is_abelian,
     is_injective,
     kernel_basis,
     pgl2_by_elements,
+    pgl2_canonical,
+    quotient_by_scalars,
     rank_nullity_bar_homology,
+    scalar_subgroup_indices,
     triangular_by_elements,
     unit_group_by_elements,
+    units,
 )
 
 
@@ -151,7 +158,7 @@ def test_cyclic_group_structure():
     assert g.order == 6
     assert g.identity == 0
     assert g.inverses[2] == 4
-    assert g.is_abelian()
+    assert is_abelian(g)
 
 
 def test_bad_table_rejected():
@@ -182,7 +189,7 @@ def test_direct_product():
 def test_symmetric_group_model():
     s3 = symmetric_group(3)
     assert s3.order == 6
-    assert not s3.is_abelian()
+    assert not is_abelian(s3)
     assert sorted(_element_order(s3, i) for i in range(6)) == [1, 2, 2, 2, 3, 3]
 
 
@@ -207,9 +214,10 @@ def test_pgl2_canonical_representatives():
     f3 = make_field(3, 1)
     g = pgl2(f3)
     for m in g.elements:
-        lead = next(v for v in m if not v.is_zero())
-        assert lead == f3(1)
-        assert pgl2_canonical(m) == m
+        lead = next(v for v in m if v)
+        assert lead == f3.index(f3.one)
+        matrix = tuple(f3.elements()[v] for v in m)
+        assert pgl2_canonical(matrix) == matrix
     # two scalings of the same matrix share a representative
     two = f3(2)
     m = (f3(1), f3(2), f3(0), f3(1))
@@ -230,10 +238,11 @@ def test_triangular_matches_matrix_model():
     f = make_field(3, 1)
     tri = triangular_group(f, 1)
     g = gl2(f)
+    els = f.elements()
 
     def embed(key):
         p, s, (u,) = key
-        return (p, u, f.zero, s)
+        return (els[p], els[u], f.zero, els[s])
 
     hom = hom_from_function(tri, g, embed)
     assert is_injective(hom)
@@ -243,18 +252,20 @@ def test_cusp_group_order():
     for p, k, n in [(2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 1), (5, 1, 1)]:
         f = make_field(p, k)
         q = p**k
-        cg, proj, tri = cusp_group(f, n)
+        cg = cusp_group(f, n)
         assert cg.order == (q - 1) * q**n
+        quotient, proj = cusp_by_quotient(f, n)
         assert len(set(proj.mapping)) == cg.order
+        assert (quotient.elements, quotient.table) == (cg.elements, cg.table)
 
 
 def test_cusp_group_f2_is_cyclic_of_order_two_powers():
     f2 = make_field(2, 1)
-    cg1, _, _ = cusp_group(f2, 1)
+    cg1 = cusp_group(f2, 1)
     assert groups_isomorphic(cg1, cyclic(2))
-    cg2, _, _ = cusp_group(f2, 2)
+    cg2 = cusp_group(f2, 2)
     assert cg2.order == 4
-    assert cg2.is_abelian()
+    assert is_abelian(cg2)
     # unipotent depth-2 group over F2 is elementary abelian, not C4
     assert groups_isomorphic(cg2, direct_product(cyclic(2), cyclic(2)))
 
@@ -369,9 +380,9 @@ def test_h1_equals_abelianization():
         symmetric_group(3),
         direct_product(cyclic(2), cyclic(4)),
         pgl2(f2),
-        cusp_group(f2, 1)[0],
-        cusp_group(f2, 2)[0],
-        cusp_group(f3, 1)[0],
+        cusp_group(f2, 1),
+        cusp_group(f2, 2),
+        cusp_group(f3, 1),
         quad_units_group(f2)[0],
         unit_group(make_field(5, 1)),
         additive_group(make_field(3, 1)),
@@ -475,7 +486,7 @@ def test_closed_forms_match_built_groups(p, k, depth):
     for n in range(depth + 1):
         pairs.append((triangular_size(f, n), triangular_group(f, n)))
         if n:
-            pairs.append((cusp_group_size(f, n), cusp_group(f, n)[0]))
+            pairs.append((cusp_group_size(f, n), cusp_group(f, n)))
     for closed, built in pairs:
         assert closed == (built.name, built.order)
 
@@ -647,8 +658,7 @@ def test_functoriality_along_the_gf2_cusp_chain(q):
 def test_functoriality_diagonal_into_triangular(q):
     # torus -> Tri(GF(3),1) -> its central quotient, the depth-1 cusp group
     f3 = make_field(3, 1)
-    _, proj, _ = cusp_group(f3, 1)
-    _check_functor(proj, diagonal_to_triangular(f3, 1), q)
+    _check_functor(cusp_by_quotient(f3, 1)[1], diagonal_to_triangular(f3, 1), q)
 
 
 @settings(max_examples=40, deadline=None)
@@ -713,7 +723,7 @@ KNOWN_HOMOLOGY = [
     # PGL2(GF(3)) is S4, Tri(GF(4),1)/N3 is A4 and PGL2(GF(4)) is A5
     (lambda: pgl2(make_field(3, 1)), [(0, (2,)), (0, (2,)), (0, (2, 12))]),
     (lambda: symmetric_group(4), [(0, (2,)), (0, (2,)), (0, (2, 12))]),
-    (lambda: cusp_group(make_field(2, 2), 1)[0], [(0, (3,)), (0, (2,)), (0, (6,))]),
+    (lambda: cusp_group(make_field(2, 2), 1), [(0, (3,)), (0, (2,)), (0, (6,))]),
     (lambda: pgl2(make_field(2, 2)), [(0, ()), (0, (2,))]),
 ]
 
@@ -732,7 +742,7 @@ def _zoo_homs():
         cusp_chain_inclusion(f2, 1), cusp_chain_inclusion(f2, 2), cusp_chain_inclusion(f3, 1),
         additive_to_cusp(f2), additive_to_cusp(f3), units_to_cusp(f3),
         cusp_to_pgl2(f2), cusp_to_pgl2(f3),
-        diagonal_to_triangular(f2, 1), diagonal_to_triangular(f3, 1), cusp_group(f3, 1)[1],
+        diagonal_to_triangular(f2, 1), diagonal_to_triangular(f3, 1), cusp_by_quotient(f3, 1)[1],
     ]
 
 
@@ -812,13 +822,19 @@ def test_unit_group_cyclic():
 
 
 def test_quad_units_projection_kernel():
-    f3 = make_field(3, 1)
-    ext, emb = quadratic_extension(f3)
-    qg, proj = quad_units_group(f3)
-    big = unit_group(ext)
-    kernel = [i for i in range(big.order) if proj.mapping[i] == qg.identity]
-    assert len(kernel) == 2
-    assert {big.elements[i] for i in kernel} == {emb(u) for u in f3.units()}
+    # the kernel is the copy of GF(q)^* in GF(q^2): with 0 it is closed
+    # under addition, and it is the set of units fixed by x -> x^q
+    for p, k in [(3, 1), (2, 2)]:
+        f = make_field(p, k)
+        ext = make_field(p, 2 * k)
+        qg, proj = quad_units_group(f)
+        big = unit_group(ext)
+        kernel = {ext.elements()[big.elements[i]]
+                  for i in range(big.order) if proj.mapping[i] == qg.identity}
+        assert len(kernel) == f.order - 1
+        subfield = kernel | {ext.zero}
+        assert all(a + b in subfield for a in subfield for b in subfield)
+        assert kernel == {x for x in units(ext) if x ** f.order == x}
 
 
 # ---------------------------------------------------------------------------
@@ -827,21 +843,20 @@ def test_quad_units_projection_kernel():
 
 def _oracle_cusp(field, n):
     tri = triangular_by_elements(field, n)
-    quotient, proj = quotient_by_central(
-        tri, scalar_subgroup_indices(tri), cusp_group_size(field, n)[0]
-    )
-    return quotient, proj, tri
+    return (*quotient_by_scalars(tri, field, n), tri)
 
 
 def _oracle_quad_units(field):
-    ext, emb = quadratic_extension(field)
-    big = unit_group_by_elements(ext)
-    embedded = sorted(big.index[emb(u)] for u in field.units())
-    return quotient_by_central(big, embedded, quad_units_size(field)[0])
+    """The units of GF(q^2) fixed by x -> x^q, by FieldElement arithmetic."""
+    big = unit_group_by_elements(make_field(field.p, 2 * field.k))
+    fixed = [i for i, x in enumerate(big.elements) if x ** field.order == x]
+    return quotient_by_central(big, fixed, quad_units_size(field)[0])
 
 
-def _table_data(group):
-    return group.elements, group.table, group.identity, group.name
+def _table_data(group, field=None):
+    """With field set, the group's FieldElement keys are encoded as codes."""
+    elements = group.elements if field is None else encode(field, group.elements)
+    return elements, group.table, group.identity, group.name
 
 
 # (p, k, largest vector depth n of the triangular and cusp groups); GF(5)
@@ -858,21 +873,21 @@ def test_coded_tables_equal_the_field_element_oracle(p, k, depth):
         (additive_group(f), additive_group_by_elements(f)),
     ]
     for built, oracle in pairs:
-        assert _table_data(built) == _table_data(oracle)
+        assert _table_data(built) == _table_data(oracle, f)
     quad, quad_proj = quad_units_group(f)
     oracle, oracle_proj = _oracle_quad_units(f)
-    assert _table_data(quad) == _table_data(oracle)
+    assert _table_data(quad) == _table_data(oracle, make_field(p, 2 * k))
     assert quad_proj.mapping == oracle_proj.mapping
     for n in range(depth + 1):
-        if p ** k <= 4:
-            assert _table_data(triangular_group(f, n)) == _table_data(
-                triangular_by_elements(f, n)
-            )
+        oracle, oracle_proj, oracle_tri = _oracle_cusp(f, n)
+        assert _table_data(triangular_group(f, n)) == _table_data(oracle_tri, f)
         if n:
-            built, oracle = cusp_group(f, n), _oracle_cusp(f, n)
-            assert _table_data(built[0]) == _table_data(oracle[0])
-            assert _table_data(built[2]) == _table_data(oracle[2])
-            assert built[1].mapping == oracle[1].mapping
+            # the closed form, the quotient of the coded triangular group
+            # and the quotient of the FieldElement one agree
+            quotient, proj = cusp_by_quotient(f, n)
+            assert _table_data(cusp_group(f, n)) == _table_data(quotient)
+            assert _table_data(quotient) == _table_data(oracle, f)
+            assert proj.mapping == oracle_proj.mapping
 
 
 def _mapping(source, target, fn):
@@ -913,6 +928,69 @@ def test_inclusion_homs_are_unchanged(p, k, depth):
                 triangular_by_elements(f, 0), triangular_by_elements(f, n),
                 lambda key: (key[0], key[1], (zero,) * n),
             )
+
+
+# sha256 of [(name, identity, table)] of the stabilizers, of [mapping] of
+# the inclusions and of the quadratic-unit projection, per (p, k, depth);
+# captured from the route through the triangular group and its quotient,
+# on FieldElement keys, before the cusp groups took their closed form
+TABLE_DIGESTS = {
+    (2, 1, 4): ("8e74b6aa3b039aa8c4d5c8415abccc596831cc0ba4bacd8b13a374cc30bd44d9",
+                "39fb61e9c00ef6a5d6497483229b8cb737783f43cc123e5806e486477e8ef524",
+                "eae0f06c46ca0f14a374a87039c6d6a96af56215c1d208a1bf5776896e66137f"),
+    (3, 1, 2): ("cf60c94ad06911bc2fccae2bfebdd300ccf1dc428676eb5cc5c450dd0f1d100d",
+                "285e86c332fdb4e2b4ab70df8c039a4bc22f8fcef79f04a71da89e9e326ea771",
+                "127780d4a9e868b410c57d4dd634b2cff216fbff6f7e6bc67aecc8e65d6fa0b2"),
+    (2, 2, 2): ("40514494964b19922c037f800b41d046ac2d17669f1c5bcc6edf29bc12538bae",
+                "a20e7475327c82cfa02e525e2c2e5a4ac5d867b707c068c047f38223bff779c9",
+                "c58e84c68ce69afc3498136d7b36d2729232abc65cc86aae840ddc9a578676b4"),
+    (5, 1, 1): ("50b258765c12bad0773ccb771bad60ee9f6c6c779dcc65d331e29bc3a1fa2acc",
+                "c9893cecd4b1ee5acf4b7edf10e3f56e39193b8c360de8f362c9b63c8b004563",
+                "2792bbea9b05861d3332e62bfeaa777063a4632b5464904ebe1c09704611d815"),
+    (7, 1, 1): ("4b9537245bc23c85dc90ede0f069a0c849569e182af9d9adc5d526377f40d9de",
+                "0b01f5355f789ffa1f5a708330a98e2a06462307c3b7608ab35cdf5d5f162c1e",
+                "f9b80e705691a6d2be45802992228538638b0925619952215d8f3428036ce378"),
+    (2, 3, 1): ("5316d5951135809a433484e5e819ede1ff92fb6b7a667f7feacde76022ca1a6f",
+                "bbe8a4a272e6be12d7a82944423e1ea81fd34675f0ad29bbe0ffc0e398cdc8d4",
+                "d2e6d7464cf5a0e0dfa1017d8aa04337d34042285f51ece952176aae93f7f987"),
+    (3, 2, 1): ("c98c0458ea3db72f824871bff1e038dc56d0913f1495f986a2da0bb9cbb92fe9",
+                "c422ded057b2f2aad69e59ec47df73ff0326ff673617b91a7d7582f7c4612f42",
+                "d42b02dec220b05e9ee97892927b5421c03b35a69b3d0bbbb54b8ebee5bf9ffb"),
+}
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("p,k,depth", list(TABLE_DIGESTS), ids=lambda v: str(v))
+def test_tables_and_inclusions_match_their_pinned_digests(p, k, depth):
+    f = make_field(p, k)
+    quad, proj = quad_units_group(f)
+    stabilizers = [pgl2(f), unit_group(f), additive_group(f), quad]
+    stabilizers += [triangular_group(f, n) for n in range(depth + 1)]
+    stabilizers += [cusp_group(f, n) for n in range(1, depth + 1)]
+    homs = [additive_to_cusp(f), units_to_cusp(f), cusp_to_pgl2(f)]
+    homs += [cusp_chain_inclusion(f, n) for n in range(1, depth)]
+    homs += [diagonal_to_triangular(f, n) for n in range(1, depth + 1)]
+    assert (
+        _digest([(g.name, g.identity, g.table) for g in stabilizers]),
+        _digest([h.mapping for h in homs]),
+        _digest(proj.mapping),
+    ) == TABLE_DIGESTS[p, k, depth]
+
+
+def test_cusp_groups_build_no_triangular_group_and_no_quotient(cold_caches, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the cusp groups are built in closed form")
+
+    for name in ("triangular_group", "quotient_by_central", "quotient_by_normal"):
+        monkeypatch.setattr(groups, name, refuse)
+    f = make_field(3, 1)
+    assert cusp_group(f, 2).order == 18
+    for hom in (cusp_chain_inclusion(f, 1), additive_to_cusp(f), units_to_cusp(f),
+                cusp_to_pgl2(f)):
+        assert is_injective(hom)
 
 
 @settings(max_examples=300, deadline=None)
