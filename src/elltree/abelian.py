@@ -19,8 +19,9 @@ free ZG-resolutions and tree incidence maps, are large with few, mostly
 unit, entries; small inputs pass through the same code path.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
+
+from .value import Value
 
 
 # ---------------------------------------------------------------------------
@@ -444,25 +445,30 @@ def invariant_factors(mat):
 # finitely generated abelian groups
 
 
-@dataclass(frozen=True, order=True)
-class FgAbGroup:
+@total_ordering
+class FgAbGroup(Value):
     """Canonical form: rank plus invariant factors d1 | d2 | ..., each >= 2.
 
-    Equality of canonical forms is isomorphism.
+    Equality of canonical forms is isomorphism; groups sort by (rank, torsion).
     """
 
-    rank: int
-    torsion: tuple = ()
+    __slots__ = ("rank", "torsion")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank, torsion=()):
+        super().__init__(rank, torsion)
+        if rank < 0:
             raise ValueError("negative rank")
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError("torsion factors must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion factors must form a divisibility chain")
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() < other._key()
 
     @property
     def is_trivial(self):

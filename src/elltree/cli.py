@@ -22,7 +22,6 @@ from .curve import ClassificationSummary, SingularCurveError, WeierstrassCurve
 from .errors import TooLargeError
 from .field import make_field
 from .groups import BarLimits, DEFAULT_LIMITS
-from .selftest import run_selftest
 from .tree import build_domain
 
 LARGE_LIMITS = BarLimits(max_order=360, dense_columns=9000)
@@ -269,6 +268,9 @@ def _run_reports(args, field, curve):
 
 
 def _run_selftest(args):
+    # imported here, so that the other modes never load the batteries
+    from .selftest import run_selftest
+
     lines = []
     ok = run_selftest(write=lines.append)
     _emit("\n".join(lines) + "\n", args.out)

@@ -48,7 +48,6 @@ one quadratic-units factor per line missing the curve entirely.
 """
 
 import io
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -80,6 +79,7 @@ from .groups import (
     triangular_size,
 )
 from .tree import branch_tree
+from .value import Value
 
 TOKEN_PGL2K = "pgl2k"
 TOKEN_UNITS = "units"
@@ -93,8 +93,7 @@ ZERO_MAP = "zero"
 UNCONSTRAINED = "unconstrained"
 
 
-@dataclass(frozen=True)
-class Instantiation:
+class Instantiation(Value):
     """Token-to-group assignment plus the unconstrained-map resolution.
 
     The four role groups must be pairwise non-isomorphic so that any
@@ -102,20 +101,16 @@ class Instantiation:
     spec, it stands for the symbolic system of a tree.
     """
 
-    name: str
-    pgl2k: FgAbGroup
-    units: FgAbGroup
-    quad: FgAbGroup
-    additive: FgAbGroup
-    resolution: str = ZERO_MAP
+    __slots__ = ("name", "pgl2k", "units", "quad", "additive", "resolution")
 
-    def __post_init__(self):
-        roles = [self.pgl2k, self.units, self.quad, self.additive]
+    def __init__(self, name, pgl2k, units, quad, additive, resolution=ZERO_MAP):
+        super().__init__(name, pgl2k, units, quad, additive, resolution)
+        roles = [pgl2k, units, quad, additive]
         for i in range(len(roles)):
             for j in range(i + 1, len(roles)):
                 if roles[i] == roles[j]:
                     raise ValueError("instantiation roles must be distinguishable")
-        if self.resolution not in (ZERO_MAP, ISO):
+        if resolution not in (ZERO_MAP, ISO):
             raise ValueError("resolution must be the zero or the canonical map")
 
     def group_for(self, token):
@@ -129,7 +124,7 @@ class Instantiation:
         }[token]
 
     def with_resolution(self, resolution):
-        return replace(self, resolution=resolution)
+        return Instantiation(self.name, self.pgl2k, self.units, self.quad, self.additive, resolution)
 
     def system_degree(self, q):
         """The symbolic system is the same in every degree q >= 1."""
@@ -203,19 +198,14 @@ def canonical_max_hom(src, dst):
 # token-level systems
 
 
-@dataclass(frozen=True)
-class EdgeTokens:
-    token: str
-    toward_tail: str
-    toward_head: str
+class EdgeTokens(Value):
+    __slots__ = ("token", "toward_tail", "toward_head")
 
 
-@dataclass
-class TokenSystem:
+class TokenSystem(Value):
     """Role tokens per vertex and per edge, keyed by tree ids."""
 
-    vertex_tokens: dict
-    edge_tokens: dict
+    __slots__ = ("vertex_tokens", "edge_tokens")
 
     def with_flipped_tag(self, eid, side, new_tag):
         """A copy with one endpoint tag replaced; for detectability tests."""
@@ -224,9 +214,9 @@ class TokenSystem:
         edges = dict(self.edge_tokens)
         old = edges[eid]
         if side == "tail":
-            edges[eid] = replace(old, toward_tail=new_tag)
+            edges[eid] = EdgeTokens(old.token, new_tag, old.toward_head)
         else:
-            edges[eid] = replace(old, toward_head=new_tag)
+            edges[eid] = EdgeTokens(old.token, old.toward_tail, new_tag)
         return TokenSystem(dict(self.vertex_tokens), edges)
 
 
@@ -412,12 +402,13 @@ class SizingProvider(ConcreteProvider):
         return AbHom.zero(PresentedGroup(0), PresentedGroup(0))
 
 
-@dataclass(frozen=True)
-class ConcreteSpec:
+class ConcreteSpec(Value):
     """The concrete system over a field, within the homology ceilings."""
 
-    field: object
-    limits: object = DEFAULT_LIMITS
+    __slots__ = ("field", "limits")
+
+    def __init__(self, field, limits=DEFAULT_LIMITS):
+        super().__init__(field, limits)
 
     def system_degree(self, q):
         return q

@@ -17,11 +17,11 @@ print.  WeierstrassCurve.points_on_line gives the points as CurvePoint
 objects.
 """
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .field import coded_field, solve_monic_quadratic
+from .value import Value
 
 INFINITY = "inf"
 
@@ -77,8 +77,7 @@ class LineClass(NamedTuple):
     points: tuple  # () for case 1, (p,) for case 2, (p, q) for case 3
 
 
-@dataclass(frozen=True)
-class ClassificationSummary:
+class ClassificationSummary(Value):
     """Per-line classification plus derived counts.
 
     lines are ordered with affine lines first (coefficient vectors in
@@ -87,7 +86,7 @@ class ClassificationSummary:
     labels.
     """
 
-    lines: tuple  # of LineClass
+    __slots__ = ("lines",)  # lines: a tuple of LineClass
 
     def case_counts(self):
         """The number of lines of case 1, 2 and 3."""
@@ -107,15 +106,14 @@ class ClassificationSummary:
         }
 
 
-@dataclass(frozen=True)
-class LineRows:
+class LineRows(Value):
     """Line classes as report rows {"case", "line", "points"}.
 
     The report writer has them write themselves, from one text template
     per case, so no dict is built per row.
     """
 
-    lines: tuple  # of LineClass
+    __slots__ = ("lines",)  # lines: a tuple of LineClass
 
     def write_json(self, newline, write):
         """Write the rows as an indented JSON list whose lines end with newline."""

@@ -1,8 +1,8 @@
 """Finite groups by multiplication table, and their integral homology.
 
 Groups are small enough here to store complete tables: group axioms are
-verified exhaustively at construction (associativity up to a configurable
-ceiling), and homomorphisms are verified to be multiplicative when built.
+verified at construction (associativity by Light's test up to order 64),
+and homomorphisms are verified to be multiplicative when built.
 
 Homology is computed from a free ZG-resolution of each group, built by
 the lattice method in the resolution module and extended on demand up to
@@ -28,7 +28,6 @@ cusp group is built in closed form on one representative per coset, and
 each inclusion is a map of codes.  No FieldElement arithmetic is done.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -41,14 +40,17 @@ from .abelian import (
 )
 from .errors import TooLargeError
 from .field import coded_field, make_field
+from .value import Value
 
 
 # The highest homology degree computed for any group, whatever its BarLimits.
 MAX_DEGREE = 3
 
+# Tables of at most this order are checked for associativity.
+ASSOC_CEILING = 64
 
-@dataclass(frozen=True)
-class BarLimits:
+
+class BarLimits(Value):
     """Size ceilings for homology computations.
 
     max_order and MAX_DEGREE bound every homology computation;
@@ -57,8 +59,10 @@ class BarLimits:
     the bar complex, but runs are still sized by these counts.
     """
 
-    max_order: int = 24
-    dense_columns: int = 600
+    __slots__ = ("max_order", "dense_columns")
+
+    def __init__(self, max_order=24, dense_columns=600):
+        super().__init__(max_order, dense_columns)
 
 
 DEFAULT_LIMITS = BarLimits()
@@ -104,7 +108,7 @@ class FiniteGroup:
     identical groups share cached homology.
     """
 
-    def __init__(self, elements, table, name="", assoc_ceiling=64):
+    def __init__(self, elements, table, name=""):
         self.elements = tuple(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
@@ -129,14 +133,21 @@ class FiniteGroup:
                 raise ValueError(f"element {i} has no two-sided inverse")
             self.inverses.append(row.index(e))
         self.inverses = tuple(self.inverses)
-        if self.order <= assoc_ceiling:
-            # row ab of the table must be row b read through row a
-            t = self.table
-            for ta in t:
-                through_a = ta.__getitem__
-                for ab, tb in zip(ta, t):
-                    if t[ab] != tuple(map(through_a, tb)):
-                        raise ValueError("multiplication is not associative")
+        if self.order <= ASSOC_CEILING:
+            # Light's test: the g with (xg)y = x(gy) for all x, y (row xg is
+            # row g read through row x) are closed under products, so it
+            # suffices to test a greedy set that generates by right products
+            t, reached, gens = self.table, {e}, []
+            for g in range(self.order):
+                if g in reached:
+                    continue
+                if any(t[tx[g]] != tuple(map(tx.__getitem__, t[g])) for tx in t):
+                    raise ValueError("multiplication is not associative")
+                gens.append(g)
+                frontier = set(reached)
+                while frontier:
+                    frontier = {t[x][s] for x in frontier for s in gens} - reached
+                    reached |= frontier
 
     def mul(self, i, j):
         return self.table[i][j]
@@ -153,7 +164,7 @@ class FiniteGroup:
         return f"{self.name}[order {self.order}]"
 
 
-def group_from_elements(elements, mul, name="", assoc_ceiling=64):
+def group_from_elements(elements, mul, name=""):
     """Build a FiniteGroup from elements and a multiplication function."""
     elements = list(elements)
     index = {e: i for i, e in enumerate(elements)}
@@ -164,7 +175,7 @@ def group_from_elements(elements, mul, name="", assoc_ceiling=64):
             c = mul(a, elements[row.index(None)])
             raise ValueError(f"product {c!r} escapes the element set")
         table.append(row)
-    return FiniteGroup(elements, table, name=name, assoc_ceiling=assoc_ceiling)
+    return FiniteGroup(elements, table, name=name)
 
 
 class GroupHom:

@@ -19,18 +19,16 @@ branch_tree: a branch depends on its line's case, the depth and the cap
 attachment, so one one-line tree stands for every line of a case.
 """
 
-from dataclasses import dataclass
-
 from .curve import ClassificationSummary
 from .errors import TooLargeError
+from .value import Value
 
 # A whole tree takes about 0.7 KB of memory per vertex, so this bounds a
 # domain run near 700 MB.
 MAX_DOMAIN_VERTICES = 1_000_000
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(Value):
     """A tree vertex; line/point/depth narrow down its role.
 
     kind is one of root, line, cusp, cap.  line is the owning line's
@@ -38,11 +36,10 @@ class Vertex:
     and cap vertices carry the point they close off.
     """
 
-    vid: int
-    kind: str
-    line: str = ""
-    point: str = ""
-    depth: int = 0
+    __slots__ = ("vid", "kind", "line", "point", "depth")
+
+    def __init__(self, vid, kind, line="", point="", depth=0):
+        super().__init__(vid, kind, line, point, depth)
 
     @property
     def tag(self):
@@ -55,20 +52,17 @@ class Vertex:
         return f"cap[{self.point}]"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Value):
     """Oriented edge: tail is nearer the root than head.
 
     kind is root-line, line-cusp, cusp-cusp, or cusp-cap.  depth is the
     tail's cusp depth for cusp-cusp and cusp-cap edges, otherwise 0.
     """
 
-    eid: int
-    tail: int
-    head: int
-    kind: str
-    line: str = ""
-    depth: int = 0
+    __slots__ = ("eid", "tail", "head", "kind", "line", "depth")
+
+    def __init__(self, eid, tail, head, kind, line="", depth=0):
+        super().__init__(eid, tail, head, kind, line, depth)
 
 
 class DomainTree:

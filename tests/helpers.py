@@ -58,6 +58,18 @@ def is_abelian(group):
     return all(t[i][j] == t[j][i] for i in range(group.order) for j in range(group.order))
 
 
+def is_associative(table):
+    """Every triple: row ab of the table must be row b read through row a.
+    The O(n^3) oracle for FiniteGroup, which runs Light's test."""
+    t = tuple(tuple(row) for row in table)
+    for ta in t:
+        through_a = ta.__getitem__
+        for ab, tb in zip(ta, t):
+            if t[ab] != tuple(map(through_a, tb)):
+                return False
+    return True
+
+
 # The normalized inhomogeneous bar complex, the oracle for the package's
 # free-resolution route: chains in degree q are spanned by q-tuples of
 # non-identity elements, and tuples that acquire an identity entry under a

@@ -79,6 +79,7 @@ from helpers import (
     encode,
     gl2,
     is_abelian,
+    is_associative,
     is_injective,
     kernel_basis,
     pgl2_by_elements,
@@ -170,6 +171,65 @@ def test_non_associative_rejected():
     # subtraction mod 3 has an identity-like element but fails associativity
     with pytest.raises(ValueError):
         group_from_elements(range(3), lambda a, b: (a - b) % 3)
+
+
+def test_order_five_loop_is_not_associative():
+    # a loop with identity 0 in which every element is its own inverse:
+    # each row and column is a permutation, but no group has order 5 and
+    # exponent 2
+    rows = ["01234", "10342", "24013", "32401", "43120"]
+    table = [[int(c) for c in row] for row in rows]
+    assert not is_associative(table)
+    with pytest.raises(ValueError, match="multiplication is not associative"):
+        FiniteGroup(range(5), table)
+
+
+def _loop_tables(draw):
+    """A random table with two-sided identity 0 and two-sided inverses."""
+    n = draw(st.integers(2, 9))
+    if draw(st.booleans()):
+        # a group table (C_n or S3) with one entry off the identity's row
+        # and column moved to another non-identity value, or left as it is
+        if draw(st.booleans()):
+            table = [list(row) for row in symmetric_group(3).table]
+        else:
+            table = [[(a + b) % n for b in range(n)] for a in range(n)]
+        n = len(table)
+        if n > 2 and draw(st.booleans()):
+            h, g = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+            if table[h][g] != 0:
+                table[h][g] = draw(st.sampled_from(
+                    [v for v in range(1, n) if v != table[h][g]]))
+        return table
+    # a random inverse pairing, then random non-identity products
+    rest = list(range(1, n))
+    order = draw(st.permutations(rest))
+    inverse = {}
+    for i in order:
+        if i not in inverse:
+            j = draw(st.sampled_from([j for j in rest if j not in inverse]))
+            inverse[i], inverse[j] = j, i
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if a == 0 or b == 0:
+                table[a][b] = a + b
+            elif inverse[a] != b:
+                table[a][b] = draw(st.integers(1, n - 1))
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_light_verdict_equals_the_triple_oracle(data):
+    table = _loop_tables(data.draw)
+    try:
+        FiniteGroup(range(len(table)), table)
+    except ValueError as exc:
+        assert str(exc) == "multiplication is not associative"
+        assert not is_associative(table)
+    else:
+        assert is_associative(table)
 
 
 def test_hom_verification():
