@@ -540,10 +540,6 @@ class PresentedGroup:
         self._lattice = None
 
     @staticmethod
-    def free(n):
-        return PresentedGroup(n)
-
-    @staticmethod
     def from_group(fg):
         """Canonical presentation: free generators first, then torsion ones."""
         g = fg.rank + len(fg.torsion)
@@ -655,13 +651,12 @@ class AbHom:
 
     def is_isomorphism(self):
         """Bijective on the underlying quotient groups."""
-        # surjective: generators of the target are hit modulo relations
-        cok = PresentedGroup(self.target.gens, self.matrix.hstack(self.target.relations))
-        if not cok.canonical().is_trivial:
+        eng = _engine_for(self.matrix.hstack(self.target.relations), want_v=True)
+        # surjective: [matrix | relations] presents the cokernel, which is
+        # trivial when its invariant factors are all 1 and fill every row
+        if eng.rank != self.target.gens or any(d != 1 for d in eng.diag[:eng.rank]):
             return False
         # injective: anything mapped into the target lattice was already a relation
-        aug = self.matrix.hstack(self.target.relations)
-        eng = _engine_for(aug, want_v=True)
         src_lat = self.source.lattice()
         for col in eng.kernel_cols():
             head = {i: v for i, v in col.items() if i < self.source.gens}

@@ -18,11 +18,11 @@ fields.  Two specs:
     torsion so wiring mistakes show up in the canonical form; the system
     is the same in every degree q >= 1.
 
-  concrete (ConcreteSpec): groups are the integral homology of actual
-    finite stabilizer groups over a chosen field, and maps are induced by
-    explicit inclusion homomorphisms.  Its preflight assembles the same
-    system with SizingProvider, which checks the ceilings on each
-    stabilizer's closed-form (name, order) and builds nothing.
+  concrete (ConcreteSpec): the same token system over a chosen field;
+    each role token names a finite stabilizer whose integral homology is
+    the group, and maps are induced by the inclusions.  Its preflight
+    assembles each line's own branch with SizingProvider, which checks
+    the stabilizers' closed-form (name, order) and builds nothing.
 
 Each system yields a two-term chain complex: degree 0 sums the vertex
 groups, degree 1 sums the edge groups, and the boundary of an edge is
@@ -224,7 +224,18 @@ _LINE_TOKEN_BY_CASE = {1: TOKEN_QUAD, 2: TOKEN_ADDITIVE, 3: TOKEN_UNITS}
 
 
 def symbolic_tokens(tree):
-    """The role-token system of a tree, uniform in the homology degree."""
+    """The role-token system of a tree, uniform in the homology degree.
+
+    >>> tree = branch_tree(synthetic_summary(case2=1).lines[0], 2)  # case 2
+    >>> edge_tokens = symbolic_tokens(tree).edge_tokens
+    >>> for e in tree.edges:
+    ...     et = edge_tokens[e.eid]
+    ...     print(e.kind, et.token, et.toward_tail, et.toward_head)
+    root-line zero zero zero
+    line-cusp additive iso zero
+    cusp-cusp units iso iso
+    cusp-cap units iso unconstrained
+    """
     case_of_line = {lc.line: lc.case for lc in tree.summary.lines}
     vertex_tokens = {}
     for v in tree.vertices:
@@ -305,38 +316,23 @@ class TokenProvider:
 # concrete systems over a finite field
 
 
-# The stabilizer kind (see groups.stabilizer) behind each role token.
-_KIND_OF_TOKEN = {
-    TOKEN_PGL2K: "pgl2",
-    TOKEN_UNITS: "units",
-    TOKEN_QUAD: "quad_units",
-    TOKEN_ADDITIVE: "additive",
-}
-
-
-def _vertex_stabilizer(vertex, case_of_line):
-    """The key of a non-root vertex's group."""
-    if vertex.kind == "line":
-        return (_KIND_OF_TOKEN[_LINE_TOKEN_BY_CASE[case_of_line[vertex.line]]],)
-    if vertex.kind == "cusp":
-        return ("cusp", vertex.depth)
-    return ("pgl2",)
-
-
-def _edge_stabilizer(edge, case_of_line):
-    """The key of a non-root edge's group; it maps into both endpoints'."""
-    if edge.kind == "line-cusp":
-        return ("additive",) if case_of_line[edge.line] == 2 else ("units",)
-    if edge.kind == "cusp-cusp":
-        return ("cusp", edge.depth)
-    # cusp-cap: the depth-1 group, included up to the attachment depth
-    # toward the cusp and into the full projective group toward the cap
-    return ("cusp", 1)
+def _stabilizer_key(simplex, token):
+    """The groups.stabilizer key of a simplex with this role token, or None
+    for TOKEN_ZERO's trivial group.  A cusp-cusp edge carries its tail's
+    group and a cap edge the depth-1 group, whatever the attachment."""
+    if token == TOKEN_ZERO:
+        return None
+    if simplex.kind in ("cusp", "cusp-cusp"):
+        return ("cusp", simplex.depth)
+    if simplex.kind == "cusp-cap":
+        return ("cusp", 1)
+    return (token,)
 
 
 class ConcreteProvider:
     """Degree-q homology of the stabilizers over a field, with induced maps.
 
+    Each simplex's stabilizer is named by its role token in symbolic_tokens.
     Raises TooLargeError when a stabilizer exceeds the homology ceilings.
     """
 
@@ -345,33 +341,26 @@ class ConcreteProvider:
         self.field = field
         self.q = q
         self.limits = limits
-        self.case_of_line = {lc.line: lc.case for lc in tree.summary.lines}
-        self.presented = {}
-
-    def _vertex_key(self, vid):
-        return _vertex_stabilizer(self.tree.vertices[vid], self.case_of_line)
+        tokens = symbolic_tokens(tree)
+        self.vertex_keys = [_stabilizer_key(v, tokens.vertex_tokens[v.vid]) for v in tree.vertices]
+        self.edge_keys = [_stabilizer_key(e, tokens.edge_tokens[e.eid].token) for e in tree.edges]
 
     def vertex_group(self, vid):
-        if vid not in self.presented:
-            if self.tree.vertices[vid].kind == "root":
-                # the root's stabilizer is trivial, with H_q = 0 for q >= 1
-                self.presented[vid] = PresentedGroup(0)
-            else:
-                self.presented[vid] = self._presentation(self._vertex_key(vid))
-        return self.presented[vid]
+        return self._group(self.vertex_keys[vid])
 
     def edge_data(self, eid):
-        e = self.tree.edges[eid]
-        if e.kind == "root-line":
-            trivial = PresentedGroup(0)
-            tail, head = self.vertex_group(e.tail), self.vertex_group(e.head)
-            return trivial, AbHom.zero(trivial, tail), AbHom.zero(trivial, head)
-        key = _edge_stabilizer(e, self.case_of_line)
-        return (
-            self._presentation(key),
-            self._induced(key, self._vertex_key(e.tail)),
-            self._induced(key, self._vertex_key(e.head)),
-        )
+        e, key = self.tree.edges[eid], self.edge_keys[eid]
+        tail, head = self.vertex_keys[e.tail], self.vertex_keys[e.head]
+        return self._group(key), self._map(key, tail), self._map(key, head)
+
+    def _group(self, key):
+        # the trivial group of TOKEN_ZERO has H_q = 0 for q >= 1
+        return PresentedGroup(0) if key is None else self._presentation(key)
+
+    def _map(self, source, target):
+        if source is None:
+            return AbHom.zero(PresentedGroup(0), self._group(target))
+        return self._induced(source, target)
 
     def _presentation(self, key):
         return homology_presentation(stabilizer(self.field, key), self.q, self.limits)
@@ -423,25 +412,19 @@ class ConcreteSpec(Value):
         the real assembler, so the first refusal is the run's own and its
         tags name the line's own points.
         """
-        sizing = _Sizing(self.field, self.limits)
+        def sized(line):
+            tree = branch_tree(line, depth, attach)
+            return e2_pair(assemble_system(tree, SizingProvider(tree, self.field, q, self.limits)))
+
         for q in range(1, q_max + 1):
-            assemble_over_branches(
-                summary, lambda line: e2_whole_tree(branch_tree(line, depth, attach), sizing, q)
-            )
+            assemble_over_branches(summary, sized)
 
     def rhs_group(self, token, i):
-        return bar_homology(stabilizer(self.field, (_KIND_OF_TOKEN[token],)), i, self.limits)
+        return bar_homology(stabilizer(self.field, (token,)), i, self.limits)
 
     def report_fields(self, depth, q_max):
         diagonal = measure_diagonal_reduction(self.field, depth, q_max, self.limits)
         return {"mode": "concrete", "battery": None, "resolution": None, "diagonal_reduction": diagonal}
-
-
-class _Sizing(ConcreteSpec):
-    """ConcreteSpec with SizingProvider's closed-form checks; for preflight."""
-
-    def provider(self, tree, q):
-        return SizingProvider(tree, self.field, q, self.limits)
 
 
 # ---------------------------------------------------------------------------

@@ -376,7 +376,7 @@ def _power_text(p, k):
     return p ** k if k * math.log10(p) < 4300 else f"{p}^{k}"
 
 
-def make_field(p, k, ceiling=DEFAULT_ORDER_CEILING):
+def make_field(p, k):
     """Construct F_{p^k} with the canonical modulus.
 
     The modulus is the first monic irreducible polynomial of degree k when
@@ -393,8 +393,8 @@ def make_field(p, k, ceiling=DEFAULT_ORDER_CEILING):
     if k < 1:
         raise ValueError("k must be positive")
     # the ceiling comes first: trial division of a huge p would not end
-    if _power_exceeds(p, k, ceiling):
-        raise TooLargeError(f"field F_{p}^{k}", _power_text(p, k), ceiling)
+    if _power_exceeds(p, k, DEFAULT_ORDER_CEILING):
+        raise TooLargeError(f"field F_{p}^{k}", _power_text(p, k), DEFAULT_ORDER_CEILING)
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     # for k > 1 a zero constant term makes x a factor, so the search

@@ -599,11 +599,11 @@ def diagonal_to_triangular(field, n):
 # the tree's stabilizers by key: (kind, *arguments after the field)
 
 
-# kind -> (constructor, closed form).  Constructors are looked up when
-# called so that rebinding a module-level name (as perfbench/traced.py
-# does) reaches them.
+# kind -> (constructor, closed form); every role token of coefficients
+# is a kind.  Constructors are looked up when called so that rebinding a
+# module-level name (as perfbench/traced.py does) reaches them.
 _STABILIZERS = {
-    "pgl2": (lambda field: pgl2(field), pgl2_size),
+    "pgl2k": (lambda field: pgl2(field), pgl2_size),
     "units": (lambda field: unit_group(field), unit_group_size),
     "quad_units": (lambda field: quad_units_group(field)[0], quad_units_size),
     "additive": (lambda field: additive_group(field), additive_group_size),
@@ -616,12 +616,12 @@ _INCLUSIONS = {
     ("additive", "cusp"): lambda field, source: additive_to_cusp(field),
     ("units", "cusp"): lambda field, source: units_to_cusp(field),
     ("cusp", "cusp"): lambda field, source: cusp_chain_inclusion(field, source[1]),
-    ("cusp", "pgl2"): lambda field, source: cusp_to_pgl2(field),
+    ("cusp", "pgl2k"): lambda field, source: cusp_to_pgl2(field),
 }
 
 
 def stabilizer(field, key):
-    """The group a key names, such as ("pgl2",) or ("cusp", 2)."""
+    """The group a key names, such as ("pgl2k",) or ("cusp", 2)."""
     return _STABILIZERS[key[0]][0](field, *key[1:])
 
 

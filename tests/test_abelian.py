@@ -8,7 +8,8 @@ against an independent rank-nullity computation over the rationals.
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
 
 import pytest
 import sympy
@@ -277,11 +278,48 @@ def test_abhom_is_isomorphism():
     assert not AbHom(z, z, IntMatrix([[2]])).is_isomorphism()
 
 
+def _cyclic_sum(orders):
+    """Z/s_1 + ... + Z/s_m, one generator per order (an order of 1 is 0)."""
+    n = len(orders)
+    return PresentedGroup(n, IntMatrix.from_sparse_cols([{j: s} for j, s in enumerate(orders)], n))
+
+
+_SMALL_ORDERS = st.lists(st.integers(1, 8), max_size=3).filter(lambda s: prod(s) <= 64)
+
+
+@st.composite
+def _finite_homs(draw):
+    """(source orders, target orders, 3 x 3 multipliers) of a well-defined hom."""
+    s = draw(_SMALL_ORDERS)
+    t = draw(st.one_of(_SMALL_ORDERS, st.permutations(s)))
+    return s, t, draw(st.lists(st.integers(-3, 3), min_size=9, max_size=9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_finite_homs())
+@example(([6], [2, 3], [1] * 9))
+@example(([2, 4], [4, 2], [0, 1, 0, 1, 0, 0, 0, 0, 0]))
+@example(([2, 4], [4, 2], [0, 1, 0, 1, 1, 0, 0, 0, 0]))
+@example(([], [], [0] * 9))
+def test_is_isomorphism_is_bijectivity_on_finite_groups(hom_data):
+    # entry (i, j) is a multiple of t_i / gcd(s_j, t_i), so the generator of
+    # order s_j goes to an element whose order divides s_j
+    s, t, mult = hom_data
+    rows = [[mult[3 * i + j] * (ti // gcd(sj, ti)) for j, sj in enumerate(s)]
+            for i, ti in enumerate(t)]
+    f = AbHom(_cyclic_sum(s), _cyclic_sum(t), IntMatrix(rows, len(t), len(s)))
+    images = {
+        tuple(sum(r * x for r, x in zip(row, xs)) % ti for row, ti in zip(rows, t))
+        for xs in product(*[range(sj) for sj in s])
+    }
+    assert f.is_isomorphism() == (len(images) == prod(s) == prod(t))
+
+
 def free_complex(mats):
     """Complex of free groups from boundary matrices d1, d2, ..."""
-    groups = [PresentedGroup.free(mats[0].nrows)]
+    groups = [PresentedGroup(mats[0].nrows)]
     for m in mats:
-        groups.append(PresentedGroup.free(m.ncols))
+        groups.append(PresentedGroup(m.ncols))
     bnds = [
         AbHom(groups[i + 1], groups[i], m, check=False) for i, m in enumerate(mats)
     ]
@@ -368,7 +406,7 @@ def test_cyclic_homology_closed_form():
 
 
 def test_chain_complex_rejects_nonzero_composite():
-    g = [PresentedGroup.free(1), PresentedGroup.free(1), PresentedGroup.free(1)]
+    g = [PresentedGroup(1), PresentedGroup(1), PresentedGroup(1)]
     good = ChainComplexFg(
         g, [AbHom(g[1], g[0], IntMatrix([[2]]), check=False), AbHom(g[2], g[1], IntMatrix([[0]]), check=False)]
     )

@@ -9,11 +9,12 @@ once consecutive inclusions are glued.
 
 import json
 import re
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elltree.abelian import FgAbGroup, IntMatrix, PresentedGroup, TRIVIAL_GROUP
+from elltree.abelian import FgAbGroup, IntMatrix, PresentedGroup, TRIVIAL_GROUP, prime_powers
 from elltree.coefficients import (
     BATTERIES,
     BATTERY_A,
@@ -28,6 +29,7 @@ from elltree.coefficients import (
     TOKEN_ZERO,
     UNCONSTRAINED,
     ZERO_MAP,
+    ConcreteProvider,
     ConcreteSpec,
     EdgeTokens,
     Instantiation,
@@ -655,6 +657,122 @@ def test_equal_stabilizer_keys_map_by_the_identity(monkeypatch):
                     assert f.source is group and f.matrix == IntMatrix.identity(group.gens)
                     identities += 1
     assert identities >= 4
+
+
+# The stabilizer key of every non-root simplex of each case's depth-3
+# branch, by simplex tag, as the per-kind walk that the token-driven
+# ConcreteProvider replaced gave them (its "pgl2" read as "pgl2k").
+_LINE_BRANCH_KEYS = {
+    1: {"vertex line[s1.0]": ("quad_units",)},
+    2: {
+        "vertex line[s2.0]": ("additive",),
+        "vertex cusp[pt2.0,1]": ("cusp", 1),
+        "vertex cusp[pt2.0,2]": ("cusp", 2),
+        "vertex cusp[pt2.0,3]": ("cusp", 3),
+        "vertex cap[pt2.0]": ("pgl2k",),
+        "edge line[s2.0]--cusp[pt2.0,1]": ("additive",),
+        "edge cusp[pt2.0,1]--cusp[pt2.0,2]": ("cusp", 1),
+        "edge cusp[pt2.0,2]--cusp[pt2.0,3]": ("cusp", 2),
+    },
+    3: {
+        "vertex line[s3.0]": ("units",),
+        "vertex cusp[pt3.0+,1]": ("cusp", 1),
+        "vertex cusp[pt3.0+,2]": ("cusp", 2),
+        "vertex cusp[pt3.0+,3]": ("cusp", 3),
+        "vertex cusp[pt3.0-,1]": ("cusp", 1),
+        "vertex cusp[pt3.0-,2]": ("cusp", 2),
+        "vertex cusp[pt3.0-,3]": ("cusp", 3),
+        "edge line[s3.0]--cusp[pt3.0+,1]": ("units",),
+        "edge cusp[pt3.0+,1]--cusp[pt3.0+,2]": ("cusp", 1),
+        "edge cusp[pt3.0+,2]--cusp[pt3.0+,3]": ("cusp", 2),
+        "edge line[s3.0]--cusp[pt3.0-,1]": ("units",),
+        "edge cusp[pt3.0-,1]--cusp[pt3.0-,2]": ("cusp", 1),
+        "edge cusp[pt3.0-,2]--cusp[pt3.0-,3]": ("cusp", 2),
+    },
+}
+# the cap edge of the case-2 branch leaves the cusp vertex at the attachment depth
+_CAP_EDGE_KEYS = {
+    1: {"edge cusp[pt2.0,1]--cap[pt2.0]": ("cusp", 1)},
+    2: {"edge cusp[pt2.0,2]--cap[pt2.0]": ("cusp", 1)},
+}
+
+
+def _simplex_keys(tree, provider):
+    """{simplex tag: stabilizer key} of a provider, in assemble_system's tags."""
+    keys = {f"vertex {v.tag}": provider.vertex_keys[v.vid] for v in tree.vertices}
+    for e in tree.edges:
+        tag = f"{tree.vertices[e.tail].tag}--{tree.vertices[e.head].tag}"
+        keys[f"edge {tag}"] = provider.edge_keys[e.eid]
+    return keys
+
+
+@pytest.mark.parametrize("attach", [1, 2])
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_stabilizer_keys_follow_role_tokens(case, attach):
+    tree = branch_tree(coefficients._CASE_LINES[case], 3, attach)
+    keys = _simplex_keys(tree, ConcreteSpec(F2).provider(tree, 1))
+    # the root and its edge carry TOKEN_ZERO, whose group is trivial
+    line = tree.vertices[1].tag
+    assert keys.pop("vertex root") is None
+    assert keys.pop(f"edge root--{line}") is None
+    expected = dict(_LINE_BRANCH_KEYS[case], **(_CAP_EDGE_KEYS[attach] if case == 2 else {}))
+    assert keys == expected
+
+
+def _valuation(n, ell):
+    v = 0
+    while n % ell == 0:
+        n //= ell
+        v += 1
+    return v
+
+
+def _order(group):
+    fg_ = group.canonical()
+    assert fg_.rank == 0, "H_q of a finite group is finite for q >= 1"
+    return prod(fg_.torsion)
+
+
+@pytest.mark.parametrize(
+    "p,k,depth,q_max",
+    [(2, 1, 3, 3), (3, 1, 3, 2), (2, 2, 2, 2), (5, 1, 2, 2)],
+    ids=["gf2", "gf3", "gf4", "gf5"],
+)
+@pytest.mark.parametrize("attach", [1, 2])
+def test_symbolic_tags_hold_ell_locally(p, k, depth, q_max, attach):
+    # Each iso / zero tag of the symbolic system is a claim about the map
+    # the concrete system induces on H_q along that edge; it holds after
+    # localizing at every prime ell != p dividing |PGL2(GF(q))| = q(q^2-1),
+    # the coefficients of the rigidity question.  From orders alone, with C
+    # the cokernel: iso iff v(|C|) = 0 and v(|src|) = v(|tgt|), zero iff
+    # v(|C|) = v(|tgt|).  Unconstrained maps (cusp -> PGL2) are not checked.
+    field = make_field(p, k)
+    order = field.order
+    ells = [ell for ell, _ in prime_powers(order * (order ** 2 - 1)) if ell != p]
+    limits = BarLimits(max_order=400, dense_columns=10**9)
+    checked = 0
+    for case, line in coefficients._CASE_LINES.items():
+        tree = branch_tree(line, depth, attach)
+        tokens = symbolic_tokens(tree)
+        for q in range(1, q_max + 1):
+            provider = ConcreteProvider(tree, field, q, limits)
+            for e in tree.edges:
+                _, to_tail, to_head = provider.edge_data(e.eid)
+                et = tokens.edge_tokens[e.eid]
+                for tag, f in ((et.toward_tail, to_tail), (et.toward_head, to_head)):
+                    if tag == UNCONSTRAINED:
+                        continue
+                    cok = PresentedGroup(f.target.gens, f.matrix.hstack(f.target.relations))
+                    src, tgt, c = _order(f.source), _order(f.target), _order(cok)
+                    for ell in ells:
+                        where = (case, e.kind, q, ell, tag)
+                        if tag == ISO:
+                            assert _valuation(c, ell) == 0, where
+                            assert _valuation(src, ell) == _valuation(tgt, ell), where
+                        else:
+                            assert _valuation(c, ell) == _valuation(tgt, ell), where
+                        checked += 1
+    assert checked > 0
 
 
 def test_larger_ceiling_admits_larger_fields():
