@@ -1,9 +1,10 @@
 """Exact linear algebra over the integers and finitely generated abelian groups.
 
 Everything here works with arbitrary-precision Python ints.  The central
-routine is Smith normal form with unimodular transform tracking; on top of
-it sit canonical forms of presented abelian groups, homomorphisms checked
-for well-definedness at construction, and homology of chain complexes of
+routine is one Smith elimination that logs its operations, so each caller
+reads only the transforms it needs (Cohen, GTM 138, 2.4); on top of it
+sit canonical forms of presented abelian groups, homomorphisms checked for
+well-definedness at construction, and homology of chain complexes of
 presented groups computed by lifting through the presentations.
 
 The Smith elimination is deterministic: the pivot is a +-1 entry in the
@@ -19,7 +20,7 @@ free ZG-resolutions and tree incidence maps, are large with few, mostly
 unit, entries; small inputs pass through the same code path.
 """
 
-from functools import lru_cache, total_ordering
+from functools import cached_property, lru_cache, total_ordering
 
 from .value import Value
 
@@ -174,25 +175,39 @@ def _dict_addmul(dst, src, c):
             dst.pop(k, None)
 
 
-class _SmithEngine:
-    """Sparse Smith elimination with optional transform tracking.
+def _replay(ops, size, inverse):
+    """Replay a log of ops on size indices: (dst, src, c) adds c * src to
+    dst, (i, j) swaps, (i,) negates.  Forward, row ops give U's rows and
+    column ops V's columns; inverse, each add is undone from the other
+    side, giving U^-1's columns and V^-1's rows."""
+    vecs = [{i: 1} for i in range(size)]
+    for op in ops:
+        if len(op) == 3:
+            dst, src, c = (op[1], op[0], -op[2]) if inverse else op
+            _dict_addmul(vecs[dst], vecs[src], c)
+        elif len(op) == 2:
+            vecs[op[0]], vecs[op[1]] = vecs[op[1]], vecs[op[0]]
+        else:
+            vecs[op[0]] = {k: -v for k, v in vecs[op[0]].items()}
+    return vecs
 
-    Maintains U * M * V = S throughout, where U and V are products of
-    elementary row and column operations.  U and Vinv are stored row-major,
-    V and Uinv column-major, so each update touches one vector.  The row
-    dicts of M are taken over and reduced in place.  After run(), u_matrix()
-    and vinv_matrix() are column-major copies, so applying one to a sparse
-    vector costs only the nonzeros it touches.
+
+class _SmithEngine:
+    """Sparse Smith elimination that logs its elementary operations.
+
+    The row dicts of M are taken over and reduced in place to S, and each
+    row and column operation is appended to row_ops or col_ops.  U and V
+    with U * M * V = S, and their inverses, are replayed from the logs on
+    first read (u, v, uinv, vinv, column-major), so a run that needs only
+    the diagonal builds none of them.
 
     Each step takes a unit pivot from a short row and a short column when
     the active region has one, else the entry of least absolute value
-    (see _find_pivot).  When neither V nor Vinv is tracked, a pivot row
-    that the pivot divides is cleared in one assignment instead of by
-    column operations, which could only change that row.
+    (see _find_pivot).  A pivot row that the pivot divides is cleared in
+    one assignment; the column additions that stand for it are logged.
     """
 
-    def __init__(self, row_dicts, nrows, ncols, want_u=False, want_v=False, want_vinv=False,
-                 want_uinv=False):
+    def __init__(self, row_dicts, nrows, ncols):
         self.m = nrows
         self.n = ncols
         self.rows = row_dicts
@@ -200,14 +215,11 @@ class _SmithEngine:
         for i, r in enumerate(self.rows):
             for j in r:
                 self.colmap[j].add(i)
-        self.U = [{i: 1} for i in range(nrows)] if want_u else None
-        self.Uinv = [{i: 1} for i in range(nrows)] if want_uinv else None
-        self.V = [{j: 1} for j in range(ncols)] if want_v else None
-        self.Vinv = [{j: 1} for j in range(ncols)] if want_vinv else None
+        self.row_ops, self.col_ops = [], []
         self.rank = 0
         self.diag = []
 
-    # elementary operations; each also updates the tracked transforms
+    # elementary operations, each logged
 
     def _row_add(self, dst, src, c):
         rd = self.rows[dst]
@@ -219,10 +231,7 @@ class _SmithEngine:
             else:
                 rd.pop(j, None)
                 self.colmap[j].discard(dst)
-        if self.U is not None:
-            _dict_addmul(self.U[dst], self.U[src], c)
-        if self.Uinv is not None:
-            _dict_addmul(self.Uinv[src], self.Uinv[dst], -c)
+        self.row_ops.append((dst, src, c))
 
     def _row_swap(self, i1, i2):
         if i1 == i2:
@@ -236,17 +245,11 @@ class _SmithEngine:
             self.colmap[j].discard(i2)
             self.colmap[j].add(i1)
         self.rows[i1], self.rows[i2] = r2, r1
-        if self.U is not None:
-            self.U[i1], self.U[i2] = self.U[i2], self.U[i1]
-        if self.Uinv is not None:
-            self.Uinv[i1], self.Uinv[i2] = self.Uinv[i2], self.Uinv[i1]
+        self.row_ops.append((i1, i2))
 
     def _row_negate(self, i):
         self.rows[i] = {j: -v for j, v in self.rows[i].items()}
-        if self.U is not None:
-            self.U[i] = {j: -v for j, v in self.U[i].items()}
-        if self.Uinv is not None:
-            self.Uinv[i] = {j: -v for j, v in self.Uinv[i].items()}
+        self.row_ops.append((i,))
 
     def _col_add(self, dst, src, c):
         for i in list(self.colmap[src]):
@@ -258,10 +261,7 @@ class _SmithEngine:
             else:
                 self.rows[i].pop(dst, None)
                 self.colmap[dst].discard(i)
-        if self.V is not None:
-            _dict_addmul(self.V[dst], self.V[src], c)
-        if self.Vinv is not None:
-            _dict_addmul(self.Vinv[src], self.Vinv[dst], -c)
+        self.col_ops.append((dst, src, c))
 
     def _col_swap(self, j1, j2):
         if j1 == j2:
@@ -274,10 +274,7 @@ class _SmithEngine:
             if v1 is not None:
                 r[j2] = v1
         self.colmap[j1], self.colmap[j2] = self.colmap[j2], self.colmap[j1]
-        if self.V is not None:
-            self.V[j1], self.V[j2] = self.V[j2], self.V[j1]
-        if self.Vinv is not None:
-            self.Vinv[j1], self.Vinv[j2] = self.Vinv[j2], self.Vinv[j1]
+        self.col_ops.append((j1, j2))
 
     # pivoting
 
@@ -331,15 +328,15 @@ class _SmithEngine:
             if redo:
                 continue
             pivot_row = self.rows[t]
-            if self.V is None and self.Vinv is None and all(
-                v % pivot_row[t] == 0 for v in pivot_row.values()
-            ):
-                # column t is clear, so the column operations would only
-                # zero the rest of row t
-                for j in pivot_row:
+            p = pivot_row[t]
+            if all(v % p == 0 for v in pivot_row.values()):
+                # column t is clear, so the column operations only zero
+                # the rest of row t: log them and clear it at once
+                for j in sorted(pivot_row):
                     if j != t:
                         self.colmap[j].discard(t)
-                self.rows[t] = {t: pivot_row[t]}
+                        self.col_ops.append((j, t, -(pivot_row[j] // p)))
+                self.rows[t] = {t: p}
                 return
             for j in sorted(self.rows[t]):
                 if j == t:
@@ -385,38 +382,36 @@ class _SmithEngine:
             else:
                 i += 1
         self.diag = [self.rows[i].get(i, 0) for i in range(limit)]
-        if self.U is not None:
-            self._u = IntMatrix.from_sparse_cols(_transpose_dicts(self.U, self.m), self.m)
-        if self.Vinv is not None:
-            self._vinv = IntMatrix.from_sparse_cols(_transpose_dicts(self.Vinv, self.n), self.n)
         return self
 
-    # exports
+    # exports, each built from the logs on first read
 
-    def smith_matrix(self):
-        cols = [{j: d} for j, d in enumerate(self.diag)]
-        return IntMatrix.from_sparse_cols(cols + [{}] * (self.n - len(cols)), self.m)
+    @cached_property
+    def u(self):
+        return IntMatrix.from_sparse_cols(
+            _transpose_dicts(_replay(self.row_ops, self.m, False), self.m), self.m)
 
-    def u_matrix(self):
-        return self._u
+    @cached_property
+    def v(self):
+        return IntMatrix.from_sparse_cols(_replay(self.col_ops, self.n, False), self.n)
 
-    def vinv_matrix(self):
-        return self._vinv
+    @cached_property
+    def uinv(self):
+        return IntMatrix.from_sparse_cols(_replay(self.row_ops, self.m, True), self.m)
 
-    def uinv_matrix(self):
-        return IntMatrix.from_sparse_cols(self.Uinv, self.m)
-
-    def v_matrix(self):
-        return IntMatrix.from_sparse_cols(self.V, self.n)
+    @cached_property
+    def vinv(self):
+        return IntMatrix.from_sparse_cols(
+            _transpose_dicts(_replay(self.col_ops, self.n, True), self.n), self.n)
 
     def kernel_cols(self):
-        """Sparse basis columns of the integer kernel (needs V tracking)."""
-        return [dict(self.V[j]) for j in range(self.rank, self.n)]
+        """Sparse basis columns of the integer kernel, shared with v."""
+        return self.v.cols[self.rank:]
 
 
-def _engine_for(mat, **want):
+def _engine_for(mat):
     rows = _transpose_dicts(mat.cols, mat.nrows)
-    return _SmithEngine(rows, mat.nrows, mat.ncols, **want).run()
+    return _SmithEngine(rows, mat.nrows, mat.ncols).run()
 
 
 def smith_normal_form(mat):
@@ -431,8 +426,9 @@ def smith_normal_form(mat):
     >>> S2.rows
     ((2, 0), (0, 2))
     """
-    eng = _engine_for(mat, want_u=True, want_v=True)
-    return eng.u_matrix(), eng.smith_matrix(), eng.v_matrix()
+    eng = _engine_for(mat)
+    cols = [{j: d} for j, d in enumerate(eng.diag)] + [{}] * (mat.ncols - len(eng.diag))
+    return eng.u, IntMatrix.from_sparse_cols(cols, mat.nrows), eng.v
 
 
 def invariant_factors(mat):
@@ -558,7 +554,7 @@ class PresentedGroup:
 
     def lattice(self):
         if self._lattice is None:
-            self._lattice = _SmithCoordinates(self.relations)
+            self._lattice = _SmithCoordinates(_engine_for(self.relations))
         return self._lattice
 
     @staticmethod
@@ -573,26 +569,26 @@ class PresentedGroup:
 
 
 class _SmithCoordinates:
-    """Coordinates on Z^m / (column lattice of rels) in its canonical basis.
+    """Z^m / (column lattice of rels), read off one elimination of rels.
 
-    From the Smith form U * rels * W = S, the generators are the free rows
+    From the Smith form U * rels * V = S, the generators are the free rows
     of S, then the rows whose invariant factor d is > 1, as in
     PresentedGroup.from_group; rows with d = 1 carry no coordinate.  A
     vector's coordinates are those rows of U applied to it, each torsion
     one reduced into [0, d) (Cohen, GTM 138, 2.4), so the vector lies in
-    the lattice exactly when it has none.  With want_uinv, Uinv is kept
-    too: its column for a generator's row lifts that generator.
+    the lattice exactly when it has none; solve divides a lattice vector
+    by the diagonal instead.  The engine's uinv column for a generator's
+    row lifts that generator.
     """
 
-    def __init__(self, rels, want_uinv=False):
-        eng = _engine_for(rels, want_u=True, want_uinv=want_uinv)
+    def __init__(self, eng):
         torsion = [i for i in range(eng.rank) if eng.diag[i] > 1]
-        self.rows = list(range(eng.rank, rels.nrows)) + torsion
-        self.group = FgAbGroup(rels.nrows - eng.rank, tuple(eng.diag[i] for i in torsion))
+        self.rows = list(range(eng.rank, eng.m)) + torsion
+        self.group = FgAbGroup(eng.m - eng.rank, tuple(eng.diag[i] for i in torsion))
         self._slot = {row: (k, eng.diag[row] if row < eng.rank else 0)
                       for k, row in enumerate(self.rows)}
-        self.u = eng.u_matrix()
-        self.uinv = eng.uinv_matrix() if want_uinv else None
+        self._diag = eng.diag[:eng.rank]
+        self.u = eng.u
 
     def coords(self, vec):
         """Coordinates of a sparse vector, as a sparse {generator: value} dict."""
@@ -608,6 +604,15 @@ class _SmithCoordinates:
 
     def contains(self, vec):
         return not self.coords(vec)
+
+    def solve(self, vec):
+        """The w with U vec = S w, so rels V w = vec; AssertionError off the lattice."""
+        w = {}
+        for i, v in self.u.matvec(vec).items():
+            if i >= len(self._diag) or v % self._diag[i]:
+                raise AssertionError("vector does not lie in the lattice")
+            w[i] = v // self._diag[i]
+        return w
 
 
 class AbHom:
@@ -651,18 +656,15 @@ class AbHom:
 
     def is_isomorphism(self):
         """Bijective on the underlying quotient groups."""
-        eng = _engine_for(self.matrix.hstack(self.target.relations), want_v=True)
+        eng = _engine_for(self.matrix.hstack(self.target.relations))
         # surjective: [matrix | relations] presents the cokernel, which is
         # trivial when its invariant factors are all 1 and fill every row
         if eng.rank != self.target.gens or any(d != 1 for d in eng.diag[:eng.rank]):
             return False
         # injective: anything mapped into the target lattice was already a relation
-        src_lat = self.source.lattice()
-        for col in eng.kernel_cols():
-            head = {i: v for i, v in col.items() if i < self.source.gens}
-            if not src_lat.contains(head):
-                return False
-        return True
+        src_lat, g = self.source.lattice(), self.source.gens
+        return all(src_lat.contains({i: v for i, v in col.items() if i < g})
+                   for col in eng.kernel_cols())
 
 
 # ---------------------------------------------------------------------------
@@ -711,18 +713,19 @@ class CyclePresentation:
     Uinv and the kernel basis.
     """
 
-    __slots__ = ("presented", "_vinv", "_rank", "_basis", "_smith")
+    __slots__ = ("presented", "_vinv", "_rank", "_basis", "_smith", "_uinv")
 
     def __init__(self, g, d_n, d_next):
         # the kernel basis is columns rank.. of V; a cycle's coordinates in
         # it are the trailing entries of Vinv applied to the cycle
-        kernel = _engine_for(d_n, want_v=True, want_vinv=True)
-        self._vinv, self._rank = kernel.vinv_matrix(), kernel.rank
+        kernel = _engine_for(d_n)
+        self._vinv, self._rank = kernel.vinv, kernel.rank
         self._basis = kernel.kernel_cols()
         rels = IntMatrix.from_sparse_cols(
             [_kernel_coords(self._vinv, self._rank, col) for col in d_next.cols], g - self._rank
         )
-        self._smith = _SmithCoordinates(rels, want_uinv=True)
+        eng = _engine_for(rels)
+        self._smith, self._uinv = _SmithCoordinates(eng), eng.uinv
         self.presented = PresentedGroup.from_group(self._smith.group)
 
     def coords_of_cycle(self, chain_dict):
@@ -732,7 +735,7 @@ class CyclePresentation:
     def cycle_of_generator(self, i):
         """The chain representing presented generator i, as a sparse dict."""
         chain = {}
-        for j, c in self._smith.uinv.cols[self._smith.rows[i]].items():
+        for j, c in self._uinv.cols[self._smith.rows[i]].items():
             _dict_addmul(chain, self._basis[j], c)
         return chain
 
@@ -760,30 +763,17 @@ def homology_at(complex_, n):
     # cycles: x with d_n(x) in the lattice below, found via the kernel of
     # [d_n | prev_rels] projected onto the x block
     aug = d_n.hstack(prev_rels)
-    eng1 = _engine_for(aug, want_v=True)
-    cycle_gens = []
-    for col in eng1.kernel_cols():
-        head = {i: v for i, v in col.items() if i < g}
-        cycle_gens.append(head)
-    kmat = IntMatrix.from_sparse_cols(cycle_gens, g)
-    eng2 = _engine_for(kmat, want_u=True)
-    s = eng2.rank
+    cycle_gens = [{i: v for i, v in col.items() if i < g}
+                  for col in _engine_for(aug).kernel_cols()]
+    cycles = _engine_for(IntMatrix.from_sparse_cols(cycle_gens, g))
+    s = cycles.rank
     if s == 0:
         return TRIVIAL_GROUP
-    # rewrite the image of d_next and the relations at n in the basis of
-    # the cycle lattice; both lie inside it, so the division is exact
+    # rewrite the image of d_next and the relations at n in the Smith
+    # basis of the cycle lattice; both lie inside it
     mod_cols = (d_next.cols if d_next is not None else ()) + group.relations.cols
-    rel_cols = []
-    u = eng2.u_matrix()
-    for m in mod_cols:
-        y = u.matvec(m)
-        col = {}
-        for i, v in y.items():
-            if i >= s or v % eng2.diag[i]:
-                raise AssertionError("column does not lie in the cycle lattice")
-            col[i] = v // eng2.diag[i]
-        rel_cols.append(col)
-    return PresentedGroup(s, IntMatrix.from_sparse_cols(rel_cols, s)).canonical()
+    rels = IntMatrix.from_sparse_cols(map(_SmithCoordinates(cycles).solve, mod_cols), s)
+    return PresentedGroup(s, rels).canonical()
 
 
 @lru_cache(maxsize=None)

@@ -21,6 +21,15 @@ map (comparison theorem; K. Brown, Cohomology of Groups, I.7): phi_0
 sends e_g to e_f(g), and phi_n(x_i) solves d_n(y) = phi_(n-1)(d_n(x_i))
 in H's resolution, through the Smith form of its d_n that the extension
 step computed.
+
+>>> from elltree.field import make_field
+>>> from elltree.groups import cyclic, pgl2
+>>> res = resolution(pgl2(make_field(3, 1)))
+>>> res.extend(4)
+>>> res.ranks
+[1, 2, 3, 4, 6]
+>>> [resolution(cyclic(6)).homology(q).presented.canonical() for q in (1, 2, 3)]
+[Z/6, 0, Z/6]
 """
 
 from functools import lru_cache
@@ -31,13 +40,19 @@ from .groups import subgroup_closure
 
 def _generating_set(group):
     """Greedy: add the element whose subgroup with those chosen is largest,
-    the lowest index among ties, until the group is generated."""
+    the lowest index among ties, until the group is generated.  Each scan
+    stops at the first element that completes the group."""
     gens, members = [], {group.identity}
     while len(members) < group.order:
-        _, g = max((len(subgroup_closure(group, gens + [g])), -g)
-                   for g in range(group.order) if g not in members)
-        gens.append(-g)
-        members = set(subgroup_closure(group, gens))
+        best = ()
+        for g in range(group.order):
+            closure = () if g in members else subgroup_closure(group, gens + [g])
+            if len(closure) > len(best):
+                pick, best = g, closure
+                if len(best) == group.order:
+                    break
+        gens.append(pick)
+        members = set(best)
     return gens
 
 
@@ -58,7 +73,7 @@ class Resolution:
         # images[n][i] = d_n(x_i) in F_(n-1); F_0 = ZG has no d_0 images
         self.images = [None, [{s: 1, group.identity: -1} for s in gens]]
         self.ranks = [1, len(gens)]
-        # (U, V, diagonal) of the Smith form of d_n, for n >= 1
+        # (column lattice, V) of the Smith form U d_n V = S, for n >= 1
         self._smith = [None]
 
     def translate(self, vec, h):
@@ -80,13 +95,13 @@ class Resolution:
         """Build F_n and d_n for every n <= top."""
         while len(self.images) <= top:
             n = len(self.images) - 1
-            eng = _engine_for(self.matrix(n), want_u=True, want_v=True)
-            self._smith.append((eng.u_matrix(), eng.v_matrix(), eng.diag[:eng.rank]))
+            eng = _engine_for(self.matrix(n))
+            self._smith.append((_SmithCoordinates(eng), eng.v))
             chosen, span = [], None
             for vec in sorted(eng.kernel_cols(), key=len):
                 if span is None or not span.contains(vec):
                     chosen.append(vec)
-                    span = _SmithCoordinates(self._translates(chosen, self.ranks[n]))
+                    span = _SmithCoordinates(_engine_for(self._translates(chosen, self.ranks[n])))
             self.images.append(chosen)
             self.ranks.append(len(chosen))
 
@@ -107,13 +122,8 @@ class Resolution:
     def solve(self, n, target):
         """A vector y of F_n with d_n(y) = target, for a target in the image of d_n."""
         self.extend(n + 1)
-        u, v, diag = self._smith[n]
-        w = {}
-        for i, c in u.matvec(target).items():
-            if i >= len(diag) or c % diag[i]:
-                raise AssertionError(f"vector is not a boundary of d_{n}")
-            w[i] = c // diag[i]
-        return v.matvec(w)
+        lattice, v = self._smith[n]
+        return v.matvec(lattice.solve(target))
 
 
 class ChainMap:

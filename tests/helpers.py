@@ -37,7 +37,7 @@ def matrix_rank(mat):
 
 def kernel_basis(mat):
     """Columns forming a basis of {x : mat @ x == 0}, as an IntMatrix."""
-    return IntMatrix.from_sparse_cols(_engine_for(mat, want_v=True).kernel_cols(), mat.ncols)
+    return IntMatrix.from_sparse_cols(_engine_for(mat).kernel_cols(), mat.ncols)
 
 
 def direct_product(g, h):

@@ -6,6 +6,7 @@ against a prime-factorization oracle; homology of free complexes is checked
 against an independent rank-nullity computation over the rationals.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -27,11 +28,15 @@ from elltree.abelian import (
     homology_at,
     invariant_factors,
     smith_normal_form,
+    _SmithCoordinates,
     _SmithEngine,
+    _dict_addmul,
     _engine_for,
     _transpose_dicts,
 )
-from elltree.groups import cyclic
+from elltree.field import make_field
+from elltree.groups import cyclic, pgl2
+from elltree.resolution import resolution
 from elltree.selftest import _dense_product, _det_bareiss
 from helpers import _bar_boundary_cols, _bar_tuples, kernel_basis, matrix_rank
 
@@ -518,16 +523,15 @@ def test_hstack_and_block_diag_agree_with_dense_arithmetic(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_tracked_uinv_inverts_u(data):
-    # Uinv is updated alongside U by the inverse of every row operation
+    # Uinv is replayed from the same log as U, each row operation undone
     m, n, rows = data.draw(dense(nrows=data.draw(st.integers(0, 7)),
                                  ncols=data.draw(st.integers(0, 7))))
     mat = IntMatrix(rows, m, n)
-    eng = _engine_for(mat, want_u=True, want_uinv=True)
-    u, uinv = eng.u_matrix(), eng.uinv_matrix()
+    eng = _engine_for(mat)
+    u, uinv = eng.u, eng.uinv
     ident = IntMatrix.identity(m).rows
     assert _dense_product(u.rows, uinv.rows, m) == ident
     assert _dense_product(uinv.rows, u.rows, m) == ident
-    assert u == _engine_for(mat, want_u=True).u_matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +555,7 @@ def test_smith_on_bar_like_matrices(mat):
     nz = check_snf(mat)
     want = sympy_invariant_factors(sympy.Matrix(mat.rows), domain=sympy.ZZ)
     assert nz == [int(d) for d in want if d]
-    assert invariant_factors(mat) == nz  # tracks no transform
+    assert invariant_factors(mat) == nz  # builds no transform
 
 
 def _bar_boundary(group, q):
@@ -560,18 +564,54 @@ def _bar_boundary(group, q):
         _bar_boundary_cols(group, q, _bar_tuples(group, q), prev), len(prev))
 
 
+def _transform_digest(mats):
+    """sha256 over the rank, the diagonal and the columns of U, V, U^-1, V^-1."""
+    parts = []
+    for mat in mats:
+        eng = _engine_for(mat)
+        transforms = (eng.u, eng.v, eng.uinv, eng.vinv)
+        parts.append((eng.rank, list(eng.diag),
+                      [[sorted(col.items()) for col in t.cols] for t in transforms]))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def test_transforms_match_the_pinned_digest():
+    # pinned from an engine that updated all four transforms inside each
+    # elementary operation; the transforms replayed from the logs, with a
+    # divisible pivot row cleared at once, must be the same matrices
+    rng = random.Random(20)
+    entries = [0, 1, -1, 2, -2, 3, 4, -6]
+    mats = []
+    for _ in range(200):
+        m, n = rng.randint(0, 8), rng.randint(0, 12)
+        mats.append(IntMatrix([[rng.choice(entries) for _ in range(n)] for _ in range(m)], m, n))
+    mats += [_bar_boundary(cyclic(4), 3), _bar_boundary(cyclic(5), 2), _bar_boundary(cyclic(6), 2)]
+    res = resolution(pgl2(make_field(3, 1)))
+    res.extend(3)
+    mats += [res.matrix(n) for n in (1, 2, 3)]
+    assert _transform_digest(mats) == (
+        "88036d4c7ad48d3a77d5ec7707e858cf82b7b4a5cb2eb4d498683a93dba73270")
+
+
 @settings(max_examples=100, deadline=None)
-@given(bar_like())
-@example(_bar_boundary(cyclic(4), 3))
-@example(_bar_boundary(cyclic(5), 2))
-@example(_bar_boundary(cyclic(6), 2))
-def test_u_does_not_depend_on_column_tracking(mat):
-    # without V or Vinv a pivot row is cleared in one step; the row
-    # operations, and so U and the diagonal, are those of a tracked run
-    light = _engine_for(mat, want_u=True)
-    full = _engine_for(mat, want_u=True, want_v=True, want_vinv=True)
-    assert light.diag == full.diag
-    assert light.u_matrix() == full.u_matrix()
+@given(bar_like(), st.data())
+def test_solve_reads_lattice_vectors_in_the_smith_basis(mat, data):
+    eng = _engine_for(mat)
+    lattice = _SmithCoordinates(eng)
+    x = data.draw(st.dictionaries(st.integers(0, mat.ncols - 1), st.integers(-3, 3)))
+    on = mat.matvec(x)
+    off = dict(on)
+    _dict_addmul(off, {data.draw(st.integers(0, mat.nrows - 1)): 1}, 1)
+    assert lattice.contains(on)
+    for vec in (on, off):
+        if lattice.contains(vec):
+            w = lattice.solve(vec)
+            # U vec = S w, so U^-1 S w rebuilds vec, and so does M V w
+            assert eng.uinv.matvec({i: eng.diag[i] * c for i, c in w.items()}) == vec
+            assert mat.matvec(eng.v.matvec(w)) == vec
+        else:
+            with pytest.raises(AssertionError):
+                lattice.solve(vec)
 
 
 def test_pivot_choice_does_not_depend_on_dict_order():
@@ -582,16 +622,16 @@ def test_pivot_choice_does_not_depend_on_dict_order():
         shuffled = IntMatrix.from_sparse_cols(
             [dict(sorted(col.items(), reverse=True)) for col in mat.cols], mat.nrows)
         assert [list(c) for c in shuffled.cols] != [list(c) for c in mat.cols]
-        a = _engine_for(mat, want_u=True, want_v=True)
-        b = _engine_for(shuffled, want_u=True, want_v=True)
+        a = _engine_for(mat)
+        b = _engine_for(shuffled)
         # the engine's own row dicts, in reversed key order too
         rows = [dict(sorted(r.items(), reverse=True))
                 for r in _transpose_dicts(mat.cols, mat.nrows)]
-        c = _SmithEngine(rows, mat.nrows, mat.ncols, want_u=True, want_v=True).run()
+        c = _SmithEngine(rows, mat.nrows, mat.ncols).run()
         for eng in (b, c):
             assert eng.diag == a.diag
-            assert eng.u_matrix() == a.u_matrix()
-            assert eng.v_matrix() == a.v_matrix()
+            assert eng.u == a.u
+            assert eng.v == a.v
 
 
 def test_unit_pivot_from_the_shortest_row_and_column():

@@ -4,10 +4,11 @@ import doctest
 
 import pytest
 
-from elltree import abelian, coefficients, field, groups
+from elltree import abelian, coefficients, field, groups, resolution
 
 
-@pytest.mark.parametrize("module", [abelian, coefficients, field, groups], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [abelian, coefficients, field, groups, resolution],
+                         ids=lambda m: m.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

@@ -23,6 +23,7 @@ from elltree.abelian import (
     PresentedGroup,
     TRIVIAL_GROUP,
     _SmithCoordinates,
+    _engine_for,
     cyclic_group_homology,
 )
 from elltree.errors import TooLargeError
@@ -68,7 +69,7 @@ from elltree.groups import (
     unit_group_size,
     units_to_cusp,
 )
-from elltree.resolution import chain_map
+from elltree.resolution import _generating_set, chain_map
 from elltree.selftest import _stabilizer_zoo
 from helpers import (
     additive_group_by_elements,
@@ -819,8 +820,45 @@ def test_lifted_chain_maps_commute_with_exact_resolutions(k, n):
         res.extend(n + 1)
         # d_n d_(n+1) = 0, and the translates of F_(n+1)'s generators span ker d_n
         assert (res.matrix(n) @ res.matrix(n + 1)).is_zero()
-        span = _SmithCoordinates(res.matrix(n + 1))
+        span = _SmithCoordinates(_engine_for(res.matrix(n + 1)))
         assert all(span.contains(col) for col in kernel_basis(res.matrix(n)).cols)
+
+
+# the greedy generating sets, as chosen before each scan stopped at the
+# first element completing the group
+GENERATING_SETS = {
+    (2, 1): {"units": [], "additive": [1], "cusp1": [1], "quad_units": [0],
+             "pgl2k": [1, 0], "cusp2": [1, 2], "tri1": [1]},
+    (2, 2): {"units": [0], "additive": [1, 2], "cusp1": [4, 1], "quad_units": [0],
+             "pgl2k": [1, 2], "cusp2": [16, 1, 4], "tri1": [1, 4]},
+    (3, 1): {"units": [1], "additive": [1], "cusp1": [1, 3], "quad_units": [2],
+             "pgl2k": [1, 0], "cusp2": [1, 3, 9], "tri1": [10, 3]},
+    (5, 1): {"units": [1], "additive": [1], "cusp1": [1, 5], "quad_units": [4],
+             "pgl2k": [7, 0], "cusp2": [1, 5, 25], "tri1": [26, 5]},
+    (7, 1): {"units": [2], "additive": [1], "cusp1": [1, 14], "quad_units": [3],
+             "pgl2k": [1, 0], "cusp2": [1, 7, 98], "tri1": [99, 14]},
+    (2, 3): {"units": [0], "additive": [1, 2, 4], "cusp1": [8, 1], "quad_units": [0]},
+    (3, 2): {"units": [3], "additive": [1, 3], "cusp1": [27, 1], "quad_units": [2]},
+}
+
+GENERATED_GROUPS = {
+    "units": unit_group,
+    "additive": additive_group,
+    "cusp1": lambda f: cusp_group(f, 1),
+    "quad_units": lambda f: quad_units_group(f)[0],
+    "pgl2k": pgl2,
+    "cusp2": lambda f: cusp_group(f, 2),
+    "tri1": lambda f: triangular_group(f, 1),
+}
+
+
+@pytest.mark.parametrize("p,k", GENERATING_SETS, ids=str)
+def test_generating_sets_are_pinned(p, k):
+    field = make_field(p, k)
+    for kind, want in GENERATING_SETS[p, k].items():
+        g = GENERATED_GROUPS[kind](field)
+        assert _generating_set(g) == want, kind
+        assert len(subgroup_closure(g, want)) == g.order, kind
 
 
 # ---------------------------------------------------------------------------
