@@ -16,7 +16,9 @@ The whole tree serves the domain dump and the whole-tree reference
 assembly; build_domain counts its vertices from the summary and refuses
 it before building when there are too many.  Reports need only
 branch_tree: a branch depends on its line's case, the depth and the cap
-attachment, so one one-line tree stands for every line of a case.
+attachment, so one one-line tree stands for every line of a case.  A
+branch is refused by the same count, so no report builds a tree over
+the ceiling.
 """
 
 from .curve import ClassificationSummary
@@ -134,10 +136,11 @@ def build_domain(summary, depth, attach=1):
 
 
 def branch_tree(line_class, depth, attach=1):
-    """The one-line tree of a line's branch.
+    """The one-line tree of a line's branch, refused as build_domain refuses
+    a whole tree, before it is built.
 
     Its root is vertex 0 and its root edge is edge 0; every other simplex
     belongs to the branch.  In degrees q >= 1 the root and its edge carry
     0, so assembling this whole tree gives the branch's E2.
     """
-    return DomainTree(ClassificationSummary((line_class,)), depth, attach)
+    return build_domain(ClassificationSummary((line_class,)), depth, attach)

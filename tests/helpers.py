@@ -9,9 +9,11 @@ from itertools import product
 from elltree.abelian import (
     TRIVIAL_GROUP,
     AbHom,
+    ChainComplexFg,
     CyclePresentation,
     FgAbGroup,
     IntMatrix,
+    PresentedGroup,
     _engine_for,
     invariant_factors,
 )
@@ -402,6 +404,28 @@ def tag_edge_set(tree):
 
 def tag_set(tree):
     return {v.tag for v in tree.vertices}
+
+
+def assemble_uncontracted(tree, provider):
+    """The two-term complex of a provider's system with nothing contracted:
+    every vertex and edge group, the boundary of an edge being its map
+    toward the head minus its map toward the tail.  The oracle for
+    coefficients.assemble_system, which eliminates the identity edges."""
+    vertex_groups = [provider.vertex_group(v.vid) for v in tree.vertices]
+    offset = [0]
+    for group in vertex_groups:
+        offset.append(offset[-1] + group.gens)
+    edge_groups, cols = [], []
+    for e in tree.edges:
+        group, to_tail, to_head = provider.edge_data(e.eid)
+        edge_groups.append(group)
+        for head_col, tail_col in zip(to_head.matrix.cols, to_tail.matrix.cols):
+            col = {offset[e.head] + i: v for i, v in head_col.items()}
+            col.update((offset[e.tail] + i, -v) for i, v in tail_col.items())
+            cols.append(col)
+    c0 = PresentedGroup.direct_sum(vertex_groups)
+    c1 = PresentedGroup.direct_sum(edge_groups)
+    return ChainComplexFg([c0, c1], [AbHom(c1, c0, IntMatrix.from_sparse_cols(cols, c0.gens))])
 
 
 def degree_zero_row(tree):

@@ -39,7 +39,7 @@ from elltree.selftest import (
     cyclic_battery,
     snf_battery,
 )
-from elltree.tree import branch_tree, build_domain
+from elltree.tree import MAX_DOMAIN_VERTICES, DomainTree, branch_tree, build_domain
 from helpers import case_lines, degree_zero_row, enumerate_points, is_two_torsion, total_points
 
 
@@ -211,6 +211,38 @@ def test_reach_symbolic_p16381_depth_2(tmp_path):
     degrees = json.loads(out.read_text())["degrees"]
     assert [d["i"] for d in degrees] == [1, 2, 3, 4, 5]
     assert all(d["verdict"] != "mismatch" for d in degrees)
+
+
+def test_reach_symbolic_deep_ray(tmp_path):
+    # item 7: with the cusp rays contracted before elimination, a report's
+    # cost is linear in depth
+    out = tmp_path / "report.json"
+    argv = ["symbolic", "--p", "101", "--curve", "0,0,0,-1,0", "--depth", "2000", "--out", str(out)]
+    with _Clock(2.0, "reach: symbolic p=101, depth 2000"):
+        assert cli.main(argv) == 0
+    degrees = json.loads(out.read_text())["degrees"]
+    assert [d["verdict"] for d in degrees] == ["match"] * 5
+
+
+def test_ray_over_the_tree_ceiling_refused_before_building(capsys, monkeypatch):
+    # a case-2 branch has depth + 3 vertices and a case-3 branch 2 depth + 2,
+    # so at this depth every ray is over the ceiling and no tree is built
+    def refuse(*args):
+        raise AssertionError("a tree over the ceiling is refused before it is built")
+
+    monkeypatch.setattr(DomainTree, "__init__", refuse)
+    depth = str(MAX_DOMAIN_VERTICES - 2)
+    runs = [
+        (["symbolic", "--p", "5", "--curve", "0,0,0,-1,0", "--depth", depth], 1000001),
+        (["concrete", "--p", "2", "--curve", "0,0,1,0,0", "--depth", depth, "--q-max", "1"], 1999998),
+    ]
+    for argv, size in runs:
+        with _Clock(0.05, f"refusal: {argv[0]} at depth {depth} before building the ray"):
+            assert cli.main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"too large: domain tree vertices (1 lines, depth {depth}) [line x=0]: "
+            f"size {size} exceeds ceiling 1000000\n"
+        )
 
 
 def test_large_field_refused_before_classifying(capsys, cold_caches):

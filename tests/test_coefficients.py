@@ -47,7 +47,7 @@ from elltree.coefficients import (
     rhs_tokens,
     symbolic_tokens,
 )
-from elltree import coefficients, groups
+from elltree import abelian, coefficients, groups
 from elltree.cli import LARGE_LIMITS
 from elltree.coefficients import _branch_e2
 from elltree.curve import ClassificationSummary, WeierstrassCurve, synthetic_summary
@@ -55,7 +55,7 @@ from elltree.errors import TooLargeError
 from elltree.field import make_field
 from elltree.groups import DEFAULT_LIMITS, BarLimits
 from elltree.tree import branch_tree, build_domain
-from helpers import degree_zero_row
+from helpers import assemble_uncontracted, degree_zero_row
 
 
 def fg(rank, *torsion):
@@ -418,6 +418,98 @@ def test_flip_requires_real_edge_side():
     eid = tree.edges[0].eid
     with pytest.raises(ValueError):
         tokens.with_flipped_tag(eid, "middle", ZERO_MAP)
+
+
+# ---------------------------------------------------------------------------
+# the contracted assembly against the uncontracted oracle
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_contraction_keeps_symbolic_e2(data):
+    # 0-3 lines of each case, batteries A and B with both resolutions, and
+    # in half the examples one edge tag flipped, which can make a cusp-cusp
+    # map toward its tail non-identity and so leave that edge in place
+    counts = [data.draw(st.integers(0, 3), label=f"case{c}") for c in (1, 2, 3)]
+    depth = data.draw(st.integers(1, 12), label="depth")
+    attach = data.draw(st.integers(1, min(2, depth)), label="attach")
+    inst = BATTERIES[data.draw(st.sampled_from("AB"))].with_resolution(
+        data.draw(st.sampled_from([ZERO_MAP, ISO])))
+    tree = build_domain(synthetic_summary(*counts), depth, attach)
+    tokens = symbolic_tokens(tree)
+    if tree.edges and data.draw(st.booleans(), label="flip"):
+        eid = data.draw(st.integers(0, len(tree.edges) - 1), label="edge")
+        side = data.draw(st.sampled_from(["tail", "head"]))
+        tokens = tokens.with_flipped_tag(eid, side, data.draw(st.sampled_from([ZERO_MAP, UNCONSTRAINED])))
+    provider = TokenProvider(tree, tokens, inst)
+    assert e2_pair(assemble_system(tree, provider)) == e2_pair(assemble_uncontracted(tree, provider))
+
+
+_ROLES = [TOKEN_PGL2K, TOKEN_UNITS, TOKEN_QUAD, TOKEN_ADDITIVE]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_contraction_keeps_e2_of_random_systems(data):
+    # random role tokens on every simplex off the root, through DESIGNED,
+    # whose canonical maps between differing roles carry free parts and
+    # multipliers such as Z/6 -> Z + Z/4, 1 -> 2: an edge sharing its
+    # tail's token is tagged iso toward it and contracts, and the maps it
+    # composes into the moved edges are not all identities
+    counts = [data.draw(st.integers(0, 2), label=f"case{c}") for c in (1, 2, 3)]
+    depth = data.draw(st.integers(1, 6), label="depth")
+    tree = build_domain(synthetic_summary(*counts), depth, data.draw(st.integers(1, min(2, depth))))
+    tokens = symbolic_tokens(tree)
+    role = st.sampled_from(_ROLES)
+    for v in tree.vertices[1:]:
+        tokens.vertex_tokens[v.vid] = data.draw(role)
+    for e in tree.edges:
+        if e.tail == 0:
+            continue
+        ends = [tokens.vertex_tokens[e.tail], tokens.vertex_tokens[e.head]]
+        token = data.draw(st.sampled_from(ends + _ROLES))
+        tail, head = (ISO if end == token else data.draw(st.sampled_from([ZERO_MAP, UNCONSTRAINED]))
+                      for end in ends)
+        tokens.edge_tokens[e.eid] = EdgeTokens(token, tail, head)
+    provider = TokenProvider(tree, tokens, DESIGNED)
+    assert e2_pair(assemble_system(tree, provider)) == e2_pair(assemble_uncontracted(tree, provider))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_contraction_keeps_concrete_e2(data):
+    # inclusions between cusp groups of different depths are not the
+    # identity, so only the edges whose group is their tail's contract
+    field = data.draw(st.sampled_from([F2, make_field(3, 1)]), label="field")
+    counts = [data.draw(st.integers(0, 1), label=f"case{c}") for c in (1, 2, 3)]
+    depth = data.draw(st.integers(1, 3), label="depth")
+    attach = data.draw(st.integers(1, min(2, depth)), label="attach")
+    q = data.draw(st.integers(1, 2), label="q")
+    tree = build_domain(synthetic_summary(*counts), depth, attach)
+    provider = ConcreteProvider(tree, field, q, BarLimits(max_order=400, dense_columns=10**9))
+    assert e2_pair(assemble_system(tree, provider)) == e2_pair(assemble_uncontracted(tree, provider))
+
+
+def test_elimination_size_does_not_grow_with_depth(cold_caches, monkeypatch):
+    # a structural guard, not a timing: with the cusp rays contracted, the
+    # largest matrix a symbolic report eliminates does not depend on depth
+    cells = []
+    init = abelian._SmithEngine.__init__
+
+    def recorded(self, row_dicts, nrows, ncols):
+        cells.append(nrows * ncols)
+        init(self, row_dicts, nrows, ncols)
+
+    monkeypatch.setattr(abelian._SmithEngine, "__init__", recorded)
+    summary = synthetic_summary(1, 1, 1)
+    largest = {}
+    for depth in (5, 200):
+        cells.clear()
+        for inst in (BATTERY_A, BATTERY_B.with_resolution(ISO)):
+            report(summary, depth, 1, inst, 5)
+            report(summary, depth, 2, inst, 5)
+        largest[depth] = max(cells)
+    assert largest[200] == largest[5]
 
 
 # ---------------------------------------------------------------------------

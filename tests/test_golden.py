@@ -141,6 +141,11 @@ DIGESTS = [
     ("compare-p3-d1-q1", 0,
      "a2cefeabb5d73d04b2c9641ff187b16064bdb79ca23472f8df96293ffab088ef",
      ["compare", "--p", "3", "--curve", E5, "--depth", "1", "--q-max", "1"]),
+    # written before the cusp rays were contracted ahead of elimination,
+    # when this run eliminated a 400-row triangle per ray
+    ("symbolic-p101-d400", 0,
+     "ee0a15b6a899a9aeb710ba43d722205fbd109f24a3bc31e2cf4648a6c2454d1d",
+     ["symbolic", "--p", "101", "--curve", E5, "--depth", "400"]),
 ]
 
 
