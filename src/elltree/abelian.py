@@ -4,8 +4,8 @@ Everything here works with arbitrary-precision Python ints.  The central
 routine is one Smith elimination that logs its operations, so each caller
 reads only the transforms it needs (Cohen, GTM 138, 2.4); on top of it
 sit canonical forms of presented abelian groups, homomorphisms checked for
-well-definedness at construction, and homology of chain complexes of
-presented groups computed by lifting through the presentations.
+well-definedness at construction, and one homology routine for complexes
+of presented groups, CyclePresentation, which every other one reads.
 
 The Smith elimination is deterministic: the pivot is a +-1 entry in the
 shortest active row that holds one, taken in the shortest column among
@@ -195,8 +195,9 @@ def _replay(ops, size, inverse):
 class _SmithEngine:
     """Sparse Smith elimination that logs its elementary operations.
 
-    The row dicts of M are taken over and reduced in place to S, and each
-    row and column operation is appended to row_ops or col_ops.  U and V
+    The row dicts of M are taken over and reduced in place to S, whose
+    diagonal run() reads into diag before it drops them, and each row and
+    column operation is appended to row_ops or col_ops.  U and V
     with U * M * V = S, and their inverses, are replayed from the logs on
     first read (u, v, uinv, vinv, column-major), so a run that needs only
     the diagonal builds none of them.
@@ -382,6 +383,8 @@ class _SmithEngine:
             else:
                 i += 1
         self.diag = [self.rows[i].get(i, 0) for i in range(limit)]
+        # the logs are all a kept engine needs
+        self.rows = self.colmap = None
         return self
 
     # exports, each built from the logs on first read
@@ -523,7 +526,7 @@ def direct_sum_groups(groups):
 class PresentedGroup:
     """Z^gens modulo the column lattice of a relation matrix."""
 
-    __slots__ = ("gens", "relations", "_canonical", "_lattice")
+    __slots__ = ("gens", "relations", "_canonical", "_lattice", "_identity")
 
     def __init__(self, gens, relations=None):
         self.gens = gens
@@ -534,6 +537,7 @@ class PresentedGroup:
         self.relations = relations
         self._canonical = None
         self._lattice = None
+        self._identity = None
 
     @staticmethod
     def from_group(fg):
@@ -577,8 +581,9 @@ class _SmithCoordinates:
     vector's coordinates are those rows of U applied to it, each torsion
     one reduced into [0, d) (Cohen, GTM 138, 2.4), so the vector lies in
     the lattice exactly when it has none; solve divides a lattice vector
-    by the diagonal instead.  The engine's uinv column for a generator's
-    row lifts that generator.
+    by the diagonal instead, and preimage takes it back through V.  The
+    engine's uinv column for a generator's row lifts that generator.  The
+    engine is kept, so each transform is built on first use.
     """
 
     def __init__(self, eng):
@@ -588,12 +593,12 @@ class _SmithCoordinates:
         self._slot = {row: (k, eng.diag[row] if row < eng.rank else 0)
                       for k, row in enumerate(self.rows)}
         self._diag = eng.diag[:eng.rank]
-        self.u = eng.u
+        self.engine = eng
 
     def coords(self, vec):
         """Coordinates of a sparse vector, as a sparse {generator: value} dict."""
         out = {}
-        for i, v in self.u.matvec(vec).items():
+        for i, v in self.engine.u.matvec(vec).items():
             if i in self._slot:
                 k, d = self._slot[i]
                 if d:
@@ -608,11 +613,15 @@ class _SmithCoordinates:
     def solve(self, vec):
         """The w with U vec = S w, so rels V w = vec; AssertionError off the lattice."""
         w = {}
-        for i, v in self.u.matvec(vec).items():
+        for i, v in self.engine.u.matvec(vec).items():
             if i >= len(self._diag) or v % self._diag[i]:
                 raise AssertionError("vector does not lie in the lattice")
             w[i] = v // self._diag[i]
         return w
+
+    def preimage(self, vec):
+        """A y with rels y = vec; AssertionError off the lattice."""
+        return self.engine.v.matvec(self.solve(vec))
 
 
 class AbHom:
@@ -638,33 +647,20 @@ class AbHom:
 
     @staticmethod
     def identity(group):
-        return AbHom(group, group, IntMatrix.identity(group.gens), check=False)
+        """The identity of a presentation, one object per PresentedGroup."""
+        if group._identity is None:
+            group._identity = AbHom(group, group, IntMatrix.identity(group.gens), check=False)
+        return group._identity
 
     @staticmethod
     def zero(source, target):
         return AbHom(source, target, IntMatrix.zeros(target.gens, source.gens), check=False)
 
-    def compose(self, other):
-        """self after other."""
-        if other.target is not self.source and other.target.relations != self.source.relations:
-            raise ValueError("composition mismatch")
-        return AbHom(other.source, self.target, self.matrix @ other.matrix, check=False)
-
-    def is_zero_hom(self):
-        lat = self.target.lattice()
-        return all(lat.contains(col) for col in self.matrix.cols)
-
     def is_isomorphism(self):
-        """Bijective on the underlying quotient groups."""
-        eng = _engine_for(self.matrix.hstack(self.target.relations))
-        # surjective: [matrix | relations] presents the cokernel, which is
-        # trivial when its invariant factors are all 1 and fill every row
-        if eng.rank != self.target.gens or any(d != 1 for d in eng.diag[:eng.rank]):
-            return False
-        # injective: anything mapped into the target lattice was already a relation
-        src_lat, g = self.source.lattice(), self.source.gens
-        return all(src_lat.contains({i: v for i, v in col.items() if i < g})
-                   for col in eng.kernel_cols())
+        """Bijective on the underlying quotient groups: the complex
+        target <- source has no homology (H_0 is the cokernel, H_1 the kernel)."""
+        complex_ = ChainComplexFg([self.target, self.source], [self], check=False)
+        return homology_at(complex_, 0).is_trivial and homology_at(complex_, 1).is_trivial
 
 
 # ---------------------------------------------------------------------------
@@ -696,57 +692,78 @@ class ChainComplexFg:
                             raise ValueError(f"boundary composite at {i + 2} is nonzero")
 
 
-def _kernel_coords(vinv, rank, chain_dict):
-    y = vinv.matvec(chain_dict)
-    if any(i < rank for i in y):
-        raise AssertionError("chain is not a cycle")
-    return {i - rank: v for i, v in y.items()}
-
-
 class CyclePresentation:
-    """Smith-reduced presentation of ker(d_n)/im(d_next) at a free position.
+    """Smith-reduced presentation of Z/B at position n of a complex of
+    presented groups.
 
-    The relations, written in the kernel basis of d_n, are put into Smith
+    Z is the group of chains x with d_n(x) in the relation lattice of
+    below, the group one position down, and B is spanned by the columns of
+    above.  One elimination of [d_n | relations below] gives the lattice K
+    of pairs (x, y) with d_n(x) + rels y = 0, which projects onto Z; the
+    pairs over x = 0 are the (0, y) with rels y = 0.  So a cycle x lifts to
+    (x, y), with y the preimage of -d_n(x) (empty when below has no
+    relations), and reads its coordinates in K's basis through Vinv.  The
+    relations are the lifts of the columns of above and the pairs (0, y),
+    y in the kernel basis of the relations below; they are put into Smith
     form once (_SmithCoordinates), so the presented group is the canonical
-    one that PresentedGroup.from_group builds.  Chains translate to class
-    coordinates through Vinv and U, and generators lift to chains through
-    Uinv and the kernel basis.
+    one that PresentedGroup.from_group builds.  Class coordinates come
+    through U, and generators lift to chains through Uinv and K's basis.
+
+    >>> z4 = PresentedGroup(1, IntMatrix([[4]]))
+    >>> h1 = CyclePresentation(1, IntMatrix([[1]]), z4, IntMatrix([[12]]))
+    >>> h1.presented.canonical(), h1.cycle_of_generator(0), h1.coords_of_cycle({0: 8})
+    (Z/3, {0: 4}, {0: 2})
     """
 
-    __slots__ = ("presented", "_vinv", "_rank", "_basis", "_smith", "_uinv")
+    __slots__ = ("presented", "_d_n", "_below", "_kernel", "_smith")
 
-    def __init__(self, g, d_n, d_next):
-        # the kernel basis is columns rank.. of V; a cycle's coordinates in
-        # it are the trailing entries of Vinv applied to the cycle
-        kernel = _engine_for(d_n)
-        self._vinv, self._rank = kernel.vinv, kernel.rank
-        self._basis = kernel.kernel_cols()
+    def __init__(self, g, d_n, below, above):
+        self._d_n, self._below = d_n, below
+        self._kernel = _engine_for(d_n.hstack(below.relations))
+        pairs = [self._lift(col) for col in above.cols]
+        if below.relations.ncols:
+            dependent = below.lattice().engine.kernel_cols()
+            pairs += ({g + i: v for i, v in y.items()} for y in dependent)
         rels = IntMatrix.from_sparse_cols(
-            [_kernel_coords(self._vinv, self._rank, col) for col in d_next.cols], g - self._rank
-        )
-        eng = _engine_for(rels)
-        self._smith, self._uinv = _SmithCoordinates(eng), eng.uinv
+            map(self._in_kernel, pairs), g + below.relations.ncols - self._kernel.rank)
+        self._smith = _SmithCoordinates(_engine_for(rels))
         self.presented = PresentedGroup.from_group(self._smith.group)
+
+    def _lift(self, chain):
+        """The pair (x, y) of K over a cycle x; AssertionError off the cycles."""
+        if not self._below.relations.ncols:
+            return chain
+        pair = dict(chain)
+        y = self._below.lattice().preimage(self._d_n.matvec(chain))
+        pair.update((self._d_n.ncols + i, -v) for i, v in y.items())
+        return pair
+
+    def _in_kernel(self, pair):
+        """Coordinates of a pair of K in its basis, the trailing rows of Vinv."""
+        rank = self._kernel.rank
+        w = self._kernel.vinv.matvec(pair)
+        if any(i < rank for i in w):
+            raise AssertionError("chain is not a cycle")
+        return {i - rank: v for i, v in w.items()}
 
     def coords_of_cycle(self, chain_dict):
         """Class coordinates of a cycle, torsion ones reduced, as a sparse dict."""
-        return self._smith.coords(_kernel_coords(self._vinv, self._rank, chain_dict))
+        return self._smith.coords(self._in_kernel(self._lift(chain_dict)))
 
     def cycle_of_generator(self, i):
         """The chain representing presented generator i, as a sparse dict."""
-        chain = {}
-        for j, c in self._uinv.cols[self._smith.rows[i]].items():
-            _dict_addmul(chain, self._basis[j], c)
-        return chain
+        pair, basis = {}, self._kernel.kernel_cols()
+        for j, c in self._smith.engine.uinv.cols[self._smith.rows[i]].items():
+            _dict_addmul(pair, basis[j], c)
+        return {k: v for k, v in pair.items() if k < self._d_n.ncols}
 
 
 def homology_at(complex_, n):
     """H_n = ker(d_n) / im(d_{n+1}) as a canonical FgAbGroup.
 
-    Positions outside the complex are zero.  Kernels and images are lifted
-    through the presentations: cycles are generator vectors whose boundary
-    lies in the relation lattice below, and the quotient is taken by the
-    relations at n together with the image of d_{n+1}.
+    Positions outside the complex are zero.  Degree 0 is the cokernel of
+    [d_1 | relations]; above it, the CyclePresentation of the position,
+    whose B is spanned by the image of d_{n+1} and the relations at n.
     """
     if n < 0 or n >= len(complex_.groups):
         return TRIVIAL_GROUP
@@ -754,26 +771,13 @@ def homology_at(complex_, n):
     g = group.gens
     if g == 0:
         return TRIVIAL_GROUP
-    d_next = complex_.boundaries[n].matrix if n < len(complex_.boundaries) else None
+    above = group.relations
+    if n < len(complex_.boundaries):
+        above = complex_.boundaries[n].matrix.hstack(above)
     if n == 0:
-        rels = group.relations if d_next is None else d_next.hstack(group.relations)
-        return PresentedGroup(g, rels).canonical()
+        return PresentedGroup(g, above).canonical()
     d_n = complex_.boundaries[n - 1].matrix
-    prev_rels = complex_.groups[n - 1].relations
-    # cycles: x with d_n(x) in the lattice below, found via the kernel of
-    # [d_n | prev_rels] projected onto the x block
-    aug = d_n.hstack(prev_rels)
-    cycle_gens = [{i: v for i, v in col.items() if i < g}
-                  for col in _engine_for(aug).kernel_cols()]
-    cycles = _engine_for(IntMatrix.from_sparse_cols(cycle_gens, g))
-    s = cycles.rank
-    if s == 0:
-        return TRIVIAL_GROUP
-    # rewrite the image of d_next and the relations at n in the Smith
-    # basis of the cycle lattice; both lie inside it
-    mod_cols = (d_next.cols if d_next is not None else ()) + group.relations.cols
-    rels = IntMatrix.from_sparse_cols(map(_SmithCoordinates(cycles).solve, mod_cols), s)
-    return PresentedGroup(s, rels).canonical()
+    return CyclePresentation(g, d_n, complex_.groups[n - 1], above).presented.canonical()
 
 
 @lru_cache(maxsize=None)

@@ -301,7 +301,7 @@ class TokenProvider:
         if tag == ISO:
             if token != target_token:
                 raise ValueError("iso tag between different tokens")
-            return AbHom(source, target, IntMatrix.identity(source.gens), check=False)
+            return AbHom.identity(source)
         if tag == ZERO_MAP or self.inst.resolution == ZERO_MAP:
             return AbHom.zero(source, target)
         return canonical_max_hom(source, target)
@@ -442,9 +442,9 @@ def assemble_system(tree, provider):
     The provider is asked for every vertex of the tree first, then every
     edge; a TooLargeError it raises gains the tag of the simplex.
 
-    Then, outward from the root, an edge is contracted when its map toward
-    its tail is the identity of the tail's own presentation (the same
-    generators and relations) and the tail is not yet contracted.  With
+    Then, outward from the root, an edge is contracted when its group is
+    the tail's own presentation object, its map toward the tail is that
+    presentation's AbHom.identity, and the tail is not yet contracted.  With
     the edge's columns and the tail's rows first, the boundary is
     [[A, B], [C, D]] with A = -id, and the complex is isomorphic to A plus
     D - C A^-1 B = D + C B.  So the edge and its tail go, and every other
@@ -481,7 +481,8 @@ def assemble_system(tree, provider):
             cols.append(col)
     merged, contracted = set(), set()
     for e, (group, to_tail, _) in zip(tree.edges, edge_data):
-        if e.tail in merged or not _is_identity_of(to_tail, group, vertex_groups[e.tail]):
+        own = group is vertex_groups[e.tail] and to_tail is AbHom.identity(group)
+        if e.tail in merged or not own:
             continue
         merged.add(e.tail)
         contracted.add(e.eid)
@@ -511,13 +512,6 @@ def assemble_system(tree, provider):
     kept = ({row[r]: v for r, v in col.items()} for col in cols if col is not None)
     matrix = IntMatrix.from_sparse_cols(kept, c0.gens)
     return ChainComplexFg([c0, c1], [AbHom(c1, c0, matrix)])
-
-
-def _is_identity_of(hom, group, tail_group):
-    """Whether group and tail_group are one presentation (the same generators
-    and relations) and hom is its identity."""
-    same = group is tail_group or (group.gens, group.relations) == (tail_group.gens, tail_group.relations)
-    return same and hom.matrix == IntMatrix.identity(group.gens)
 
 
 def e2_pair(complex_):

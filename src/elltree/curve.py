@@ -191,11 +191,6 @@ class WeierstrassCurve:
             return True
         return self.equation_value(point.x, point.y).is_zero()
 
-    def negate(self, point):
-        if point.is_infinity:
-            return point
-        return CurvePoint(point.x, -point.y - self.a1 * point.x - self.a3)
-
     def _ys_on_line(self, l):
         # on x = l the equation becomes y^2 + (a1*l + a3)*y - rhs(l) = 0
         b = self.a1 * l + self.a3

@@ -16,11 +16,12 @@ Z-matrix has their G-translates as columns.
     the whole kernel, so the resolution is exact.
 
 H_q(G; Z) is the homology of Z (x)_G F, whose boundary sums each image
-over G into an r_(n-1) x r_n matrix.  A hom f: G -> H lifts to a chain
-map (comparison theorem; K. Brown, Cohomology of Groups, I.7): phi_0
-sends e_g to e_f(g), and phi_n(x_i) solves d_n(y) = phi_(n-1)(d_n(x_i))
-in H's resolution, through the Smith form of its d_n that the extension
-step computed.
+over G into an r_(n-1) x r_n matrix; it is the abelian.CyclePresentation
+of that complex at q, whose group below is free.  A hom f: G -> H lifts
+to a chain map (comparison theorem; K. Brown, Cohomology of Groups,
+I.7): phi_0 sends e_g to e_f(g), and phi_n(x_i) solves
+d_n(y) = phi_(n-1)(d_n(x_i)) in H's resolution, as the preimage under
+the column lattice of its d_n that the extension step eliminated.
 
 >>> from elltree.field import make_field
 >>> from elltree.groups import cyclic, pgl2
@@ -34,7 +35,8 @@ step computed.
 
 from functools import lru_cache
 
-from .abelian import CyclePresentation, IntMatrix, _SmithCoordinates, _dict_addmul, _engine_for
+from .abelian import CyclePresentation, IntMatrix, PresentedGroup, _SmithCoordinates
+from .abelian import _dict_addmul, _engine_for
 from .groups import subgroup_closure
 
 
@@ -73,7 +75,7 @@ class Resolution:
         # images[n][i] = d_n(x_i) in F_(n-1); F_0 = ZG has no d_0 images
         self.images = [None, [{s: 1, group.identity: -1} for s in gens]]
         self.ranks = [1, len(gens)]
-        # (column lattice, V) of the Smith form U d_n V = S, for n >= 1
+        # the column lattice of d_n, for n >= 1
         self._smith = [None]
 
     def translate(self, vec, h):
@@ -96,7 +98,7 @@ class Resolution:
         while len(self.images) <= top:
             n = len(self.images) - 1
             eng = _engine_for(self.matrix(n))
-            self._smith.append((_SmithCoordinates(eng), eng.v))
+            self._smith.append(_SmithCoordinates(eng))
             chosen, span = [], None
             for vec in sorted(eng.kernel_cols(), key=len):
                 if span is None or not span.contains(vec):
@@ -117,13 +119,13 @@ class Resolution:
     def homology(self, q):
         """H_q(G; Z) as a CyclePresentation on the chains of Z (x)_G F_q."""
         self.extend(q + 1)
-        return CyclePresentation(self.ranks[q], self.tensored(q), self.tensored(q + 1))
+        d_q = self.tensored(q)
+        return CyclePresentation(self.ranks[q], d_q, PresentedGroup(d_q.nrows), self.tensored(q + 1))
 
     def solve(self, n, target):
         """A vector y of F_n with d_n(y) = target, for a target in the image of d_n."""
         self.extend(n + 1)
-        lattice, v = self._smith[n]
-        return v.matvec(lattice.solve(target))
+        return self._smith[n].preimage(target)
 
 
 class ChainMap:

@@ -14,11 +14,12 @@ from elltree.abelian import (
     FgAbGroup,
     IntMatrix,
     PresentedGroup,
+    _SmithCoordinates,
     _engine_for,
     invariant_factors,
 )
 from elltree.coefficients import BATTERY_A, TokenProvider, assemble_system, degree_zero_tokens, e2_pair
-from elltree.curve import INFINITY_POINT, WeierstrassCurve
+from elltree.curve import INFINITY_POINT, CurvePoint, WeierstrassCurve
 from elltree.field import _poly_divmod
 from elltree.groups import (
     additive_group_size,
@@ -30,6 +31,53 @@ from elltree.groups import (
     triangular_size,
     unit_group_size,
 )
+
+
+def compose(f, g):
+    """The hom f after g; g's target must be f's source, or present it by
+    the same relations."""
+    if g.target is not f.source and g.target.relations != f.source.relations:
+        raise ValueError("composition mismatch")
+    return AbHom(g.source, f.target, f.matrix @ g.matrix, check=False)
+
+
+def is_zero_hom(f):
+    """Whether every generator goes into the target's relation lattice."""
+    lattice = f.target.lattice()
+    return all(lattice.contains(col) for col in f.matrix.cols)
+
+
+def homology_by_cycle_lattice(complex_, n):
+    """H_n at n >= 1 by a second route, the oracle for abelian.homology_at:
+    the cycles are the x-parts of the kernel of [d_n | relations below],
+    eliminated once more for a Smith basis of the lattice they span, in
+    which the image of d_(n+1) and the relations at n are then solved."""
+    group = complex_.groups[n]
+    g = group.gens
+    d_n = complex_.boundaries[n - 1].matrix
+    aug = d_n.hstack(complex_.groups[n - 1].relations)
+    cycle_gens = [{i: v for i, v in col.items() if i < g}
+                  for col in _engine_for(aug).kernel_cols()]
+    cycles = _engine_for(IntMatrix.from_sparse_cols(cycle_gens, g))
+    if cycles.rank == 0:
+        return TRIVIAL_GROUP
+    d_next = complex_.boundaries[n].matrix.cols if n < len(complex_.boundaries) else ()
+    lattice = _SmithCoordinates(cycles)
+    rels = IntMatrix.from_sparse_cols(map(lattice.solve, d_next + group.relations.cols), cycles.rank)
+    return PresentedGroup(cycles.rank, rels).canonical()
+
+
+def is_isomorphism_by_elimination(f):
+    """Bijectivity by one elimination of [matrix | target relations], the
+    oracle for AbHom.is_isomorphism: surjective when the invariant factors
+    are all 1 and fill every row, injective when every kernel vector's
+    source part is a source relation."""
+    eng = _engine_for(f.matrix.hstack(f.target.relations))
+    if eng.rank != f.target.gens or any(d != 1 for d in eng.diag[:eng.rank]):
+        return False
+    lattice, g = f.source.lattice(), f.source.gens
+    return all(lattice.contains({i: v for i, v in col.items() if i < g})
+               for col in eng.kernel_cols())
 
 
 def matrix_rank(mat):
@@ -133,7 +181,7 @@ class BarHomology:
         nxt = _bar_tuples(group, q + 1)
         d_next_cols = _bar_boundary_cols(group, q + 1, nxt, self.tuple_index)
         d_next = IntMatrix.from_sparse_cols(d_next_cols, n_q)
-        self.cycles = CyclePresentation(n_q, d_q, d_next)
+        self.cycles = CyclePresentation(n_q, d_q, PresentedGroup(d_q.nrows), d_next)
         self.presented = self.cycles.presented
 
     def canonical(self):
@@ -363,8 +411,15 @@ def curve_from_json(field, data):
     return WeierstrassCurve(field, data["a1"], data["a2"], data["a3"], data["a4"], data["a6"])
 
 
+def negate(curve, point):
+    """The inverse of a point in the group law: (x, -y - a1 x - a3)."""
+    if point.is_infinity:
+        return point
+    return CurvePoint(point.x, -point.y - curve.a1 * point.x - curve.a3)
+
+
 def is_two_torsion(curve, point):
-    return curve.negate(point) == point
+    return negate(curve, point) == point
 
 
 def enumerate_points(curve):

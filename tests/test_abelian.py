@@ -20,6 +20,7 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 from elltree.abelian import (
     AbHom,
     ChainComplexFg,
+    CyclePresentation,
     FgAbGroup,
     IntMatrix,
     PresentedGroup,
@@ -38,7 +39,16 @@ from elltree.field import make_field
 from elltree.groups import cyclic, pgl2
 from elltree.resolution import resolution
 from elltree.selftest import _dense_product, _det_bareiss
-from helpers import _bar_boundary_cols, _bar_tuples, kernel_basis, matrix_rank
+from helpers import (
+    _bar_boundary_cols,
+    _bar_tuples,
+    compose,
+    homology_by_cycle_lattice,
+    is_isomorphism_by_elimination,
+    is_zero_hom,
+    kernel_basis,
+    matrix_rank,
+)
 
 
 def rational_rank(mat):
@@ -255,8 +265,8 @@ def test_abhom_compose_and_zero():
     z3 = PresentedGroup(1, IntMatrix([[3]]))
     f = AbHom(z6, z3, IntMatrix([[1]]))
     g = AbHom(z3, z3, IntMatrix([[3]]))  # multiplication by 3 is zero on Z/3
-    assert g.is_zero_hom()
-    assert g.compose(f).is_zero_hom()
+    assert is_zero_hom(g)
+    assert is_zero_hom(compose(g, f))
 
 
 def test_abhom_compose_checks_middle_presentation():
@@ -264,10 +274,10 @@ def test_abhom_compose_checks_middle_presentation():
     z2 = PresentedGroup(1, IntMatrix([[2]]))
     # the composite would be Z/2 -> Z/4 with 1 |-> 1, which is not a hom
     with pytest.raises(ValueError):
-        AbHom.identity(z4).compose(AbHom.identity(z2))
+        compose(AbHom.identity(z4), AbHom.identity(z2))
     # a distinct object with the same relations is the same middle group
     z4_again = PresentedGroup(1, IntMatrix.from_sparse_cols([{0: 4}], 1))
-    f = AbHom.identity(z4).compose(AbHom.identity(z4_again))
+    f = compose(AbHom.identity(z4), AbHom.identity(z4_again))
     assert f.source is z4_again and f.target is z4
 
 
@@ -278,6 +288,7 @@ def test_abhom_is_isomorphism():
     assert h.is_isomorphism()
     assert not AbHom(z6, z6, IntMatrix([[2]])).is_isomorphism()
     assert AbHom.identity(other).is_isomorphism()
+    assert AbHom.identity(other) is AbHom.identity(other)
     # injective but not surjective on free parts
     z = PresentedGroup(1)
     assert not AbHom(z, z, IntMatrix([[2]])).is_isomorphism()
@@ -318,6 +329,82 @@ def test_is_isomorphism_is_bijectivity_on_finite_groups(hom_data):
         for xs in product(*[range(sj) for sj in s])
     }
     assert f.is_isomorphism() == (len(images) == prod(s) == prod(t))
+
+
+_ENTRY = st.integers(-3, 3)
+
+
+def _int_matrix(draw, nrows, ncols, entry=_ENTRY):
+    return IntMatrix([draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)],
+                     nrows, ncols)
+
+
+@st.composite
+def _presented(draw, max_gens=3):
+    """Canonical, or random relations with a dependent column appended."""
+    if draw(st.booleans()):
+        torsion = draw(st.sampled_from([(), (2,), (3,), (2, 4), (2, 6)]))
+        rank = draw(st.integers(0, max_gens - len(torsion)))
+        return PresentedGroup.from_group(FgAbGroup(rank, torsion))
+    gens = draw(st.integers(1, max_gens))
+    rels = _int_matrix(draw, gens, draw(st.integers(0, 3)))
+    if rels.ncols and draw(st.booleans()):
+        # a combination of the columns already there, so they are dependent
+        c = draw(st.lists(_ENTRY, min_size=rels.ncols, max_size=rels.ncols))
+        combo = {}
+        for col, a in zip(rels.cols, c):
+            _dict_addmul(combo, col, a)
+        rels = rels.hstack(IntMatrix.from_sparse_cols([combo], gens))
+    return PresentedGroup(gens, rels)
+
+
+def _cycles_of(draw, d, below, count):
+    """count random combinations of the x-parts of ker [d | relations below],
+    each of which d sends into the relation lattice below."""
+    gens = [{i: v for i, v in col.items() if i < d.ncols}
+            for col in kernel_basis(d.hstack(below.relations)).cols]
+    out = []
+    for _ in range(count):
+        vec = {}
+        for gen in gens:
+            _dict_addmul(vec, gen, draw(_ENTRY))
+        out.append(vec)
+    return IntMatrix.from_sparse_cols(out, d.ncols)
+
+
+@st.composite
+def _presented_homs(draw):
+    """A well-defined hom into a random presented group: either random, with
+    the source relations drawn among the vectors it sends into the target's
+    relations, or an isomorphism by construction, a unimodular matrix P with
+    the source relations P^-1 (target relations)."""
+    target = draw(_presented())
+    g = target.gens
+    if draw(st.booleans()):
+        ops = draw(st.lists(st.tuples(st.integers(0, g - 1), st.integers(0, g - 1), _ENTRY),
+                            max_size=5)) if g else []
+        p, pinv = IntMatrix.identity(g), IntMatrix.identity(g)
+        for i, j, c in ops:
+            if i != j:
+                # I + c E_ij and its inverse I - c E_ij
+                e, einv = (IntMatrix.from_sparse_cols(
+                    [{k: 1, i: a} if k == j else {k: 1} for k in range(g)], g) for a in (c, -c))
+                p, pinv = e @ p, pinv @ einv
+        source = PresentedGroup(g, pinv @ target.relations)
+        return AbHom(source, target, p)
+    matrix = _int_matrix(draw, g, draw(st.integers(0, 3)))
+    rels = _cycles_of(draw, matrix, target, draw(st.integers(0, 3)))
+    return AbHom(PresentedGroup(matrix.ncols, rels), target, matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_presented_homs())
+@example(AbHom(PresentedGroup(2, IntMatrix([[0], [6]])), PresentedGroup(2, IntMatrix([[0], [6]])),
+               IntMatrix([[1, 0], [1, 1]])))
+@example(AbHom(PresentedGroup(2, IntMatrix([[0], [2]])), PresentedGroup(2, IntMatrix([[0], [4]])),
+               IntMatrix([[1, 0], [0, 2]])))
+def test_is_isomorphism_matches_one_elimination_on_presented_groups(f):
+    assert f.is_isomorphism() == is_isomorphism_by_elimination(f)
 
 
 def free_complex(mats):
@@ -392,6 +479,64 @@ def test_homology_rank_nullity_oracle():
         torsion = tuple(d for d in invariant_factors(d2) if d > 1)
         assert got == FgAbGroup(betti, torsion)
         count += 1
+
+
+@st.composite
+def _presented_complexes(draw):
+    """C_0 <- C_1 or C_0 <- C_1 <- C_2 of presented groups: each boundary and
+    each relation column is drawn among the vectors that the boundary below
+    sends into the relation lattice below, so the complex is well defined."""
+    c0 = draw(_presented())
+    d1 = _int_matrix(draw, c0.gens, draw(st.integers(1, 3)))
+    r1 = _cycles_of(draw, d1, c0, draw(st.integers(0, 3)))
+    if r1.ncols and draw(st.booleans()):
+        r1 = r1.hstack(IntMatrix.from_sparse_cols([r1.cols[-1]], r1.nrows))
+    c1 = PresentedGroup(d1.ncols, r1)
+    groups, bounds = [c0, c1], [AbHom(c1, c0, d1)]
+    if draw(st.booleans()):
+        d2 = _cycles_of(draw, d1, c0, draw(st.integers(1, 3)))
+        c2 = PresentedGroup(d2.ncols, _cycles_of(draw, d2, c1, draw(st.integers(0, 2))))
+        groups.append(c2)
+        bounds.append(AbHom(c2, c1, d2))
+    return ChainComplexFg(groups, bounds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_presented_complexes(), st.data())
+def test_cycle_presentation_at_presented_positions(cx, data):
+    for n in range(1, len(cx.groups)):
+        group, below, d_n = cx.groups[n], cx.groups[n - 1], cx.boundaries[n - 1].matrix
+        above = group.relations
+        if n < len(cx.boundaries):
+            above = cx.boundaries[n].matrix.hstack(above)
+        h = CyclePresentation(group.gens, d_n, below, above)
+        assert h.presented.canonical() == homology_by_cycle_lattice(cx, n) == homology_at(cx, n)
+        for i in range(h.presented.gens):
+            assert h.coords_of_cycle(h.cycle_of_generator(i)) == {i: 1}
+        # B reads zero, alone and added to a cycle
+        cycle = _cycles_of(data.draw, d_n, below, 1).cols[0]
+        for col in above.cols:
+            assert h.coords_of_cycle(col) == {}
+            moved = dict(cycle)
+            _dict_addmul(moved, col, data.draw(_ENTRY))
+            assert h.coords_of_cycle(moved) == h.coords_of_cycle(cycle)
+        lattice = below.lattice()
+        for j in range(group.gens):
+            if not lattice.contains(d_n.matvec({j: 1})):
+                with pytest.raises(AssertionError):
+                    h.coords_of_cycle({j: 1})
+
+
+def test_cycles_over_dependent_relations_below():
+    # Z -> Z/<2, 4> by 1: the cycles are 2Z, a copy of Z, but the kernel of
+    # [1 | 2 4] has rank 2; its vectors over x = 0, the (0, y) with
+    # 2 y_1 + 4 y_2 = 0, must join the relations
+    below, z = PresentedGroup(1, IntMatrix([[2, 4]])), PresentedGroup(1)
+    h = CyclePresentation(1, IntMatrix([[1]]), below, IntMatrix.zeros(1, 0))
+    assert h.presented.canonical() == FgAbGroup(1, ())
+    assert h.cycle_of_generator(0) in ({0: 2}, {0: -2})
+    cx = ChainComplexFg([below, z], [AbHom(z, below, IntMatrix([[1]]))])
+    assert homology_at(cx, 1) == FgAbGroup(1, ())
 
 
 def test_matrix_rank_matches_rational_rank():

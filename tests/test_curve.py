@@ -22,7 +22,7 @@ from elltree.curve import (
 )
 from elltree.cli import main
 from elltree.field import FiniteField, make_field
-from helpers import case_lines, curve_from_json, enumerate_points, is_two_torsion, total_points
+from helpers import case_lines, curve_from_json, enumerate_points, is_two_torsion, negate, total_points
 
 
 def brute_force_points(curve):
@@ -103,15 +103,15 @@ def test_negation_is_involution_and_fixes_curve():
     for p, k, coeffs in [(5, 1, [0, 0, 0, -1, 0]), (2, 1, [1, 0, 0, 0, 1]), (2, 1, [0, 0, 1, 0, 0])]:
         c = cubic_curve(p, k, coeffs)
         for pt in enumerate_points(c):
-            npt = c.negate(pt)
+            npt = negate(c, pt)
             assert c.contains(npt)
-            assert c.negate(npt) == pt
+            assert negate(c, npt) == pt
 
 
 def test_negate_example():
     c = cubic_curve(5, 1, [0, 0, 0, -1, 0])
     F = c.field
-    assert c.negate(CurvePoint(F(2), F(1))) == CurvePoint(F(2), F(4))
+    assert negate(c, CurvePoint(F(2), F(1))) == CurvePoint(F(2), F(4))
 
 
 def test_two_torsion_example():
@@ -140,7 +140,7 @@ def test_classification_f5():
     for l, lc in zip(F.elements(), summary.lines):
         if lc.case == 3:
             p, q = c.points_on_line(l)
-            assert c.negate(p) == q
+            assert negate(c, p) == q
             assert (p.label(), q.label()) == lc.points
     assert total_points(summary) == 8
     # the case-2 point on l=1 is (1, 0)

@@ -183,10 +183,12 @@ def test_copies_with_one_field_changed():
 
 
 def test_cli_import_loads_no_dataclasses_and_no_selftest():
-    # -S keeps site packages, which may import dataclasses themselves, out
+    # -S keeps site packages, which may import dataclasses themselves, out;
+    # groups imports resolution only when it first computes group homology
     code = (
         "import sys, elltree.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'elltree.selftest') if m in sys.modules))"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'elltree.selftest', 'elltree.resolution')"
+        " if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
