@@ -19,10 +19,10 @@ fields.  Two specs:
     is the same in every degree q >= 1.
 
   concrete (ConcreteSpec): the same token system over a chosen field;
-    each role token names a finite stabilizer whose integral homology is
-    the group, and maps are induced by the inclusions.  Its preflight
-    assembles each line's own branch with SizingProvider, which checks
-    the stabilizers' closed-form (name, order) and builds nothing.
+    each simplex's role token names a stabilizer key, and groups hands
+    out its H_q and induced maps, refusing from closed forms before it
+    builds a table.  The preflight assembles each line's own branch with
+    SizingProvider, which checks each simplex's own key, building nothing.
 
 Each system yields a two-term chain complex: degree 0 sums the vertex
 groups, degree 1 sums the edge groups, and the boundary of an edge is
@@ -68,20 +68,7 @@ from .abelian import (
 )
 from .curve import LineRows, synthetic_summary
 from .errors import TooLargeError
-from .groups import (
-    CHAIN_DATA,
-    DEFAULT_LIMITS,
-    PRESENTATION,
-    bar_homology,
-    check_ceilings,
-    diagonal_to_triangular,
-    homology_presentation,
-    induced_map,
-    stabilizer,
-    stabilizer_inclusion,
-    stabilizer_size,
-    triangular_size,
-)
+from .groups import DEFAULT_LIMITS, size_check, stabilizer_homology, stabilizer_map
 from .tree import branch_tree
 from .value import Value
 
@@ -334,11 +321,9 @@ def _stabilizer_key(simplex, token):
 
 
 class ConcreteProvider:
-    """Degree-q homology of the stabilizers over a field, with induced maps.
-
-    Each simplex's stabilizer is named by its role token in symbolic_tokens.
-    Raises TooLargeError when a stabilizer exceeds the homology ceilings.
-    """
+    """Degree-q homology of the stabilizers over a field, with induced maps,
+    asked of groups by the stabilizer key of each simplex's role token; a
+    refusal comes before anything is built."""
 
     def __init__(self, tree, field, q, limits):
         self.tree = tree
@@ -350,49 +335,33 @@ class ConcreteProvider:
         self.edge_keys = [_stabilizer_key(e, tokens.edge_tokens[e.eid].token) for e in tree.edges]
 
     def vertex_group(self, vid):
-        return self._group(self.vertex_keys[vid])
+        return stabilizer_homology(self.field, self.vertex_keys[vid], self.q, self.limits)
 
     def edge_data(self, eid):
         e, key = self.tree.edges[eid], self.edge_keys[eid]
-        tail, head = self.vertex_keys[e.tail], self.vertex_keys[e.head]
-        return self._group(key), self._map(key, tail), self._map(key, head)
-
-    def _group(self, key):
-        # the trivial group of TOKEN_ZERO has H_q = 0 for q >= 1
-        return PresentedGroup(0) if key is None else self._presentation(key)
-
-    def _map(self, source, target):
-        if source is None:
-            return AbHom.zero(PresentedGroup(0), self._group(target))
-        return self._induced(source, target)
-
-    def _presentation(self, key):
-        return homology_presentation(stabilizer(self.field, key), self.q, self.limits)
-
-    def _induced(self, source, target):
-        if source == target:
-            # the identity map, with induced_map's refusal and no hom to lift
-            check_ceilings(*stabilizer_size(self.field, source), self.q, self.limits, CHAIN_DATA)
-            return AbHom.identity(self._presentation(source))
-        hom = stabilizer_inclusion(self.field, source, target)
-        return induced_map(hom, self.q, self.limits)
+        group = stabilizer_homology(self.field, key, self.q, self.limits)
+        to_tail, to_head = (stabilizer_map(self.field, key, self.vertex_keys[v], self.q, self.limits)
+                            for v in (e.tail, e.head))
+        return group, to_tail, to_head
 
 
 class SizingProvider(ConcreteProvider):
-    """ConcreteProvider's ceiling checks on closed-form sizes; builds nothing.
+    """ConcreteProvider's refusals from closed-form sizes; builds nothing.
 
-    Every group it hands out is 0, so assembling its system walks and tags
-    the simplices as the real system would, at almost no cost.
+    Every group it hands out is 0, and only each simplex's own key is
+    checked: assemble_system asks for every vertex before any edge, an
+    edge's maps touch only its own key and its endpoints', and a map's
+    check makes the same order, degree and (|G|-1)^(q+1) tests as a group's.
     """
 
-    def _presentation(self, key):
-        check_ceilings(*stabilizer_size(self.field, key), self.q, self.limits, PRESENTATION)
+    def vertex_group(self, vid):
+        size_check(self.field, self.vertex_keys[vid], self.q, self.limits)
         return PresentedGroup(0)
 
-    def _induced(self, source, target):
-        for key in (source, target):
-            check_ceilings(*stabilizer_size(self.field, key), self.q, self.limits, CHAIN_DATA)
-        return AbHom.zero(PresentedGroup(0), PresentedGroup(0))
+    def edge_data(self, eid):
+        size_check(self.field, self.edge_keys[eid], self.q, self.limits)
+        zero = PresentedGroup(0)
+        return zero, AbHom.zero(zero, zero), AbHom.zero(zero, zero)
 
 
 class ConcreteSpec(Value):
@@ -424,7 +393,8 @@ class ConcreteSpec(Value):
             assemble_over_branches(summary, sized)
 
     def rhs_group(self, token, i):
-        return bar_homology(stabilizer(self.field, (token,)), i, self.limits)
+        # the preflight has checked each token as a vertex key in degree i
+        return stabilizer_homology(self.field, (token,), i, self.limits).canonical()
 
     def report_fields(self, depth, q_max):
         diagonal = measure_diagonal_reduction(self.field, depth, q_max, self.limits)
@@ -628,19 +598,16 @@ def measure_diagonal_reduction(field, depth, q_max, limits=DEFAULT_LIMITS):
     """Whether torus-into-triangular induces isomorphisms on homology.
 
     Measured on the matrix-level groups (before the central quotient):
-    the inclusion (a, d) -> (a, d, 0) of the diagonal into the depth-n
-    triangular group.  Entries that exceed the ceilings are recorded as
-    skipped rather than guessed, from the groups' closed-form sizes
-    before either is built.
+    the inclusion (a, d) -> (a, d, 0) of the diagonal ("tri", 0) into the
+    depth-n triangular group ("tri", n).  Entries that exceed the ceilings
+    are recorded as skipped rather than guessed, before either is built.
     """
     out = []
     for n in range(1, depth + 1):
         for q in range(1, q_max + 1):
             entry = {"depth": n, "degree": q}
             try:
-                for name, order in (triangular_size(field, 0), triangular_size(field, n)):
-                    check_ceilings(name, order, q, limits, CHAIN_DATA)
-                f = induced_map(diagonal_to_triangular(field, n), q, limits)
+                f = stabilizer_map(field, ("tri", 0), ("tri", n), q, limits)
                 entry["isomorphism"] = f.is_isomorphism()
             except TooLargeError as exc:
                 entry["skipped"] = str(exc)

@@ -17,9 +17,10 @@ the ceilings are re-derived from resolution sizes.
 
 Every stabilizer constructor has a closed form beside it, *_size(...) ->
 (name, order), which builds nothing; the constructor takes its name from
-it.  check_ceilings is the one ceiling test on (name, order, degree):
-callers size a run from the closed forms and refuse before any table is
-built, and the homology routines apply it again to the groups they get.
+it.  check_ceilings is the one ceiling test on (name, order, degree).
+Other modules name a stabilizer by key, ("cusp", 2) or None for the
+trivial group, and ask stabilizer_homology and stabilizer_map, which
+refuse from the key's closed form (size_check) before building a table.
 
 The stabilizers over a field are built on element codes alone, code i
 standing for field.elements()[i], through q x q add, mul and inverse
@@ -84,11 +85,6 @@ def check_ceilings(name, order, q, limits, dense=None):
     max_order is checked first, then MAX_DEGREE; with dense set to what
     needs the chain data (PRESENTATION or CHAIN_DATA), also the tuple
     count (|G|-1)^(q+1) against dense_columns.
-
-    >>> check_ceilings("PGL2(GF(5))", 120, 1, DEFAULT_LIMITS)
-    Traceback (most recent call last):
-    ...
-    elltree.errors.TooLargeError: bar homology of PGL2(GF(5)): size 120 exceeds ceiling 24
     """
     if order > limits.max_order:
         raise TooLargeError(f"bar homology of {name}", order, limits.max_order)
@@ -149,9 +145,6 @@ class FiniteGroup:
                     frontier = {t[x][s] for x in frontier for s in gens} - reached
                     reached |= frontier
 
-    def mul(self, i, j):
-        return self.table[i][j]
-
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
             return NotImplemented
@@ -193,9 +186,6 @@ class GroupHom:
             for b in range(source.order):
                 if self.mapping[source.table[a][b]] != target.table[self.mapping[a]][self.mapping[b]]:
                     raise ValueError("mapping is not multiplicative")
-
-    def __call__(self, i):
-        return self.mapping[i]
 
 
 def hom_from_function(source, target, fn):
@@ -596,11 +586,12 @@ def diagonal_to_triangular(field, n):
 
 
 # ---------------------------------------------------------------------------
-# the tree's stabilizers by key: (kind, *arguments after the field)
+# stabilizers by key: (kind, *arguments after the field)
 
 
 # kind -> (constructor, closed form); every role token of coefficients
-# is a kind.  Constructors are looked up when called so that rebinding a
+# is a kind, and so is "tri", the triangular groups of the diagonal
+# reduction.  Constructors are looked up when called so that rebinding a
 # module-level name (as perfbench/traced.py does) reaches them.
 _STABILIZERS = {
     "pgl2k": (lambda field: pgl2(field), pgl2_size),
@@ -608,15 +599,17 @@ _STABILIZERS = {
     "quad_units": (lambda field: quad_units_group(field)[0], quad_units_size),
     "additive": (lambda field: additive_group(field), additive_group_size),
     "cusp": (lambda field, n: cusp_group(field, n), cusp_group_size),
+    "tri": (lambda field, n: triangular_group(field, n), triangular_size),
 }
 
-# (source kind, target kind) -> the inclusion along a tree edge, called
-# with the field and the source key
+# (source kind, target kind) -> the inclusion along a tree edge (or of the
+# torus into a triangular group), called with the field and both keys
 _INCLUSIONS = {
-    ("additive", "cusp"): lambda field, source: additive_to_cusp(field),
-    ("units", "cusp"): lambda field, source: units_to_cusp(field),
-    ("cusp", "cusp"): lambda field, source: cusp_chain_inclusion(field, source[1]),
-    ("cusp", "pgl2k"): lambda field, source: cusp_to_pgl2(field),
+    ("additive", "cusp"): lambda field, source, target: additive_to_cusp(field),
+    ("units", "cusp"): lambda field, source, target: units_to_cusp(field),
+    ("cusp", "cusp"): lambda field, source, target: cusp_chain_inclusion(field, source[1]),
+    ("cusp", "pgl2k"): lambda field, source, target: cusp_to_pgl2(field),
+    ("tri", "tri"): lambda field, source, target: diagonal_to_triangular(field, target[1]),
 }
 
 
@@ -631,10 +624,48 @@ def stabilizer_size(field, key):
 
 
 def stabilizer_inclusion(field, source, target):
-    """The hom from one stabilizer into another along a tree edge, for
-    distinct keys: the inclusion of k or k^* as a depth-1 cusp group, of
-    one cusp group into the next deeper one, or of the depth-1 cusp group
-    into PGL2.  (An edge whose keys are equal maps by the identity, which
-    ConcreteProvider takes without a hom.)
+    """The hom from one stabilizer into another along a tree edge, or of
+    the torus ("tri", 0) into ("tri", n); the keys are distinct."""
+    return _INCLUSIONS[source[0], target[0]](field, source, target)
+
+
+def size_check(field, key, q, limits, dense=PRESENTATION):
+    """check_ceilings on a keyed stabilizer's closed form; None passes."""
+    if key is not None:
+        check_ceilings(*stabilizer_size(field, key), q, limits, dense)
+
+
+def stabilizer_homology(field, key, q, limits=DEFAULT_LIMITS):
+    """H_q, q >= 1, of the stabilizer a key names, refused from the closed
+    form before any table is built; one presentation per group and degree.
+
+    >>> stabilizer_homology(make_field(2, 1), ("cusp", 2), 1).canonical()
+    Z/2 + Z/2
+    >>> stabilizer_homology(make_field(5, 1), ("pgl2k",), 1)
+    Traceback (most recent call last):
+    ...
+    elltree.errors.TooLargeError: bar homology of PGL2(GF(5)): size 120 exceeds ceiling 24
     """
-    return _INCLUSIONS[source[0], target[0]](field, source)
+    if key is None:
+        return PresentedGroup(0)
+    size_check(field, key, q, limits)
+    return homology_presentation(stabilizer(field, key), q, limits)
+
+
+def stabilizer_map(field, source, target, q, limits=DEFAULT_LIMITS):
+    """The map on H_q, q >= 1, induced by the inclusion of one keyed
+    stabilizer into another: zero from the trivial group, the identity of
+    the one presentation between equal keys (no hom is built), otherwise
+    induced by stabilizer_inclusion once source and target pass size_check.
+
+    >>> f = make_field(2, 1)
+    >>> [stabilizer_map(f, ("tri", 0), ("tri", 1), q).is_isomorphism() for q in (1, 2)]
+    [False, True]
+    """
+    if source is None:
+        return AbHom.zero(PresentedGroup(0), stabilizer_homology(field, target, q, limits))
+    if source == target:
+        return AbHom.identity(stabilizer_homology(field, source, q, limits))
+    for key in (source, target):
+        size_check(field, key, q, limits, CHAIN_DATA)
+    return induced_map(stabilizer_inclusion(field, source, target), q, limits)

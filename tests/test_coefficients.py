@@ -47,7 +47,7 @@ from elltree.coefficients import (
     rhs_tokens,
     symbolic_tokens,
 )
-from elltree import abelian, coefficients, groups
+from elltree import abelian, cli, coefficients, groups
 from elltree.cli import LARGE_LIMITS
 from elltree.coefficients import _branch_e2
 from elltree.curve import ClassificationSummary, WeierstrassCurve, synthetic_summary
@@ -649,26 +649,45 @@ def _first_refusal(run):
     return None
 
 
-# (curve, depth, q_max, limits, refuses): at a cap, at a cusp, in degree 3
-# after two degrees of work, in degree 2 with raised ceilings; then runs
-# that complete
+# (curve, depth, attach, q_max, limits, refuses): at a cap, at a cusp, in
+# degree 3 after two degrees of work, in degree 2 with raised ceilings;
+# then runs that complete
 PREFLIGHT_CASES = [
-    (corpus()[1], 1, 1, DEFAULT_LIMITS, True),
-    (corpus()[2], 1, 1, DEFAULT_LIMITS, True),
-    (CURVE_F2_A, 1, 4, DEFAULT_LIMITS, True),
-    (corpus()[0], 2, 2, LARGE_LIMITS, True),
-    (CURVE_F2_B, 2, 2, DEFAULT_LIMITS, False),
-    (corpus()[0], 1, 1, DEFAULT_LIMITS, False),
+    (corpus()[1], 1, 1, 1, DEFAULT_LIMITS, True),
+    (corpus()[2], 1, 1, 1, DEFAULT_LIMITS, True),
+    (CURVE_F2_A, 1, 1, 4, DEFAULT_LIMITS, True),
+    (corpus()[0], 2, 1, 2, LARGE_LIMITS, True),
+    (CURVE_F2_B, 2, 1, 2, DEFAULT_LIMITS, False),
+    (corpus()[0], 1, 1, 1, DEFAULT_LIMITS, False),
 ]
+PREFLIGHT_IDS = ["gf5-cap", "gf7-cusp", "gf2-degree3", "gf3-large-degree2", "gf2-completes",
+                 "gf3-completes"]
+
+# A grid that meets the dense ceiling at a cusp vertex, at the cap and at a
+# depth-2 attachment; whether each case refuses is left to the run, which
+# the preflight must match (SizingProvider checks each simplex's own key only)
+_GRID_CURVES = {
+    "gf2": CURVE_F2_A,
+    "gf3": corpus()[0],
+    "gf4": WeierstrassCurve(make_field(2, 2), 0, 0, 1, 0, 0),
+}
+_GRID_LIMITS = [DEFAULT_LIMITS, BarLimits(60, 600), BarLimits(24, 50), BarLimits(60, 10**4)]
+_GRID = [
+    (name, curve, depth, attach, q_max, limits)
+    for name, curve in _GRID_CURVES.items()
+    for limits in _GRID_LIMITS
+    for depth in (1, 2, 3)
+    for attach in range(1, min(2, depth) + 1)
+    for q_max in (1, 2, 3)
+]
+PREFLIGHT_CASES += [(c, d, a, q, limits, None) for _, c, d, a, q, limits in _GRID]
+PREFLIGHT_IDS += [f"grid-{n}-d{d}a{a}-q{q}-{limits.max_order}x{limits.dense_columns}"
+                  for n, _, d, a, q, limits in _GRID]
 
 
-@pytest.mark.parametrize(
-    "curve,depth,q_max,limits,refuses",
-    PREFLIGHT_CASES,
-    ids=["gf5-cap", "gf7-cusp", "gf2-degree3", "gf3-large-degree2", "gf2-completes",
-         "gf3-completes"],
-)
-def test_preflight_refuses_exactly_as_the_run(curve, depth, q_max, limits, refuses):
+@pytest.mark.parametrize("curve,depth,attach,q_max,limits,refuses", PREFLIGHT_CASES,
+                         ids=PREFLIGHT_IDS)
+def test_preflight_refuses_exactly_as_the_run(curve, depth, attach, q_max, limits, refuses):
     # the closed-form walk against the built groups' own checks, which the
     # real providers apply as they meet the stabilizers of each line's own
     # branch; e2 meets the same ones on its cached branch per case, whose
@@ -676,21 +695,51 @@ def test_preflight_refuses_exactly_as_the_run(curve, depth, q_max, limits, refus
     summary = curve.classify_all()
     spec = ConcreteSpec(curve.field, limits)
     degrees = range(1, q_max + 1)
-    sized = _first_refusal(lambda: spec.preflight(summary, depth, 1, q_max))
+    sized = _first_refusal(lambda: spec.preflight(summary, depth, attach, q_max))
     built = _first_refusal(lambda: [
         assemble_over_branches(
-            summary, lambda line: e2_whole_tree(branch_tree(line, depth, 1), spec, q)
+            summary, lambda line: e2_whole_tree(branch_tree(line, depth, attach), spec, q)
         )
         for q in degrees
     ])
-    cached = _first_refusal(lambda: [e2(summary, depth, 1, spec, q) for q in degrees])
+    cached = _first_refusal(lambda: [e2(summary, depth, attach, spec, q) for q in degrees])
     assert sized == built
-    assert (sized is not None) == refuses
+    if refuses is not None:
+        assert (sized is not None) == refuses
 
     def untagged(text):
         return text and re.sub(r" \[(vertex|edge) .*?\]\]", "", text)
 
     assert untagged(cached) == untagged(sized)
+
+
+@pytest.mark.parametrize("p,case", [(5, 2), (7, 2), (7, 3)])
+def test_provider_refuses_before_it_builds(monkeypatch, cold_caches, p, case):
+    # with no preflight, the run's own provider refuses a stabilizer over
+    # the ceilings from its closed form, before building its table
+    build = groups.group_from_elements
+
+    def guarded(elements, mul, name="", **kwargs):
+        elements = list(elements)
+        assert len(elements) <= DEFAULT_LIMITS.max_order, f"built {name} before refusing it"
+        return build(elements, mul, name=name, **kwargs)
+
+    monkeypatch.setattr(groups, "group_from_elements", guarded)
+    tree = branch_tree(coefficients._CASE_LINES[case], 2)
+    provider = ConcreteProvider(tree, make_field(p, 1), 1, DEFAULT_LIMITS)
+    with pytest.raises(TooLargeError, match="exceeds ceiling 24"):
+        for v in tree.vertices:
+            provider.vertex_group(v.vid)
+
+
+def test_the_seam_is_the_only_door_to_group_homology():
+    # coefficients and cli name stabilizers by key and reach their homology
+    # only through groups.stabilizer_homology and stabilizer_map
+    inner = {"stabilizer", "stabilizer_size", "stabilizer_inclusion", "check_ceilings",
+             "homology_presentation", "induced_map", "bar_homology", "triangular_size",
+             "diagonal_to_triangular", "CHAIN_DATA", "PRESENTATION"}
+    for module in (coefficients, cli):
+        assert sorted(inner.intersection(vars(module))) == [], module.__name__
 
 
 def test_diagonal_skip_builds_nothing(monkeypatch, cold_caches):
@@ -730,13 +779,13 @@ def test_report_builds_each_group_once(monkeypatch, cold_caches):
 def test_equal_stabilizer_keys_map_by_the_identity(monkeypatch):
     # a cusp-cusp edge carries its tail's group; the map toward the tail is
     # the identity of the cached presentation, and no hom is built for it
-    include = coefficients.stabilizer_inclusion
+    include = groups.stabilizer_inclusion
 
     def distinct_only(field, source, target):
         assert source != target, "built a hom between equal keys"
         return include(field, source, target)
 
-    monkeypatch.setattr(coefficients, "stabilizer_inclusion", distinct_only)
+    monkeypatch.setattr(groups, "stabilizer_inclusion", distinct_only)
     curve = WeierstrassCurve(make_field(2, 1), 0, 0, 1, 0, 0)
     identities = 0
     for line in curve.classify_all().lines:

@@ -62,6 +62,9 @@ from elltree.groups import (
     quad_units_size,
     quotient_by_central,
     quotient_by_normal,
+    stabilizer,
+    stabilizer_inclusion,
+    stabilizer_size,
     subgroup_closure,
     triangular_group,
     triangular_size,
@@ -552,6 +555,19 @@ def test_closed_forms_match_built_groups(p, k, depth):
             pairs.append((cusp_group_size(f, n), cusp_group(f, n)))
     for closed, built in pairs:
         assert closed == (built.name, built.order)
+    # every key kind has a closed form, and every inclusion builds (GroupHom
+    # checks that it is multiplicative) between the groups its keys name
+    keys = [("pgl2k",), ("units",), ("quad_units",), ("additive",)]
+    keys += [("tri", n) for n in range(depth + 1)] + [("cusp", n) for n in range(1, depth + 1)]
+    assert {key[0] for key in keys} == set(groups._STABILIZERS)
+    for key in keys:
+        assert stabilizer_size(f, key) == (stabilizer(f, key).name, stabilizer(f, key).order)
+    edges = [(("additive",), ("cusp", 1)), (("units",), ("cusp", 1)), (("cusp", 1), ("cusp", 2)),
+             (("cusp", 1), ("pgl2k",)), (("tri", 0), ("tri", depth))]
+    assert {(source[0], target[0]) for source, target in edges} == set(groups._INCLUSIONS)
+    for source, target in edges:
+        hom = stabilizer_inclusion(f, source, target)
+        assert (hom.source, hom.target) == (stabilizer(f, source), stabilizer(f, target))
 
 
 def test_cyclic_closed_form_size():
