@@ -21,8 +21,8 @@ fields.  Two specs:
   concrete (ConcreteSpec): the same token system over a chosen field;
     each simplex's role token names a stabilizer key, and groups hands
     out its H_q and induced maps, refusing from closed forms before it
-    builds a table.  The preflight assembles each line's own branch with
-    SizingProvider, which checks each simplex's own key, building nothing.
+    builds a table.  The preflight walks the vertex keys of each line's
+    own branch layout, checking each key's closed form, building nothing.
 
 Each system yields a two-term chain complex: degree 0 sums the vertex
 groups, degree 1 sums the edge groups, and the boundary of an edge is
@@ -69,7 +69,7 @@ from .abelian import (
 from .curve import LineRows, synthetic_summary
 from .errors import TooLargeError
 from .groups import DEFAULT_LIMITS, size_check, stabilizer_homology, stabilizer_map
-from .tree import branch_tree
+from .tree import Vertex, branch_layout, branch_tree
 from .value import Value
 
 TOKEN_PGL2K = "pgl2k"
@@ -214,6 +214,13 @@ class TokenSystem(Value):
 _LINE_TOKEN_BY_CASE = {1: TOKEN_QUAD, 2: TOKEN_ADDITIVE, 3: TOKEN_UNITS}
 
 
+def _vertex_token(v, case):
+    """The role token of a vertex of a line of this case."""
+    if v.kind == "line":
+        return _LINE_TOKEN_BY_CASE[case]
+    return {"root": TOKEN_ZERO, "cusp": TOKEN_UNITS, "cap": TOKEN_PGL2K}[v.kind]
+
+
 def symbolic_tokens(tree):
     """The role-token system of a tree, uniform in the homology degree.
 
@@ -228,16 +235,7 @@ def symbolic_tokens(tree):
     cusp-cap units iso unconstrained
     """
     case_of_line = {lc.line: lc.case for lc in tree.summary.lines}
-    vertex_tokens = {}
-    for v in tree.vertices:
-        if v.kind == "root":
-            vertex_tokens[v.vid] = TOKEN_ZERO
-        elif v.kind == "line":
-            vertex_tokens[v.vid] = _LINE_TOKEN_BY_CASE[case_of_line[v.line]]
-        elif v.kind == "cusp":
-            vertex_tokens[v.vid] = TOKEN_UNITS
-        else:
-            vertex_tokens[v.vid] = TOKEN_PGL2K
+    vertex_tokens = {v.vid: _vertex_token(v, case_of_line.get(v.line)) for v in tree.vertices}
     edge_tokens = {}
     for e in tree.edges:
         if e.kind == "root-line":
@@ -345,25 +343,6 @@ class ConcreteProvider:
         return group, to_tail, to_head
 
 
-class SizingProvider(ConcreteProvider):
-    """ConcreteProvider's refusals from closed-form sizes; builds nothing.
-
-    Every group it hands out is 0, and only each simplex's own key is
-    checked: assemble_system asks for every vertex before any edge, an
-    edge's maps touch only its own key and its endpoints', and a map's
-    check makes the same order, degree and (|G|-1)^(q+1) tests as a group's.
-    """
-
-    def vertex_group(self, vid):
-        size_check(self.field, self.vertex_keys[vid], self.q, self.limits)
-        return PresentedGroup(0)
-
-    def edge_data(self, eid):
-        size_check(self.field, self.edge_keys[eid], self.q, self.limits)
-        zero = PresentedGroup(0)
-        return zero, AbHom.zero(zero, zero), AbHom.zero(zero, zero)
-
-
 class ConcreteSpec(Value):
     """The concrete system over a field, within the homology ceilings."""
 
@@ -381,16 +360,25 @@ class ConcreteSpec(Value):
     def preflight(self, summary, depth, attach, q_max):
         """Refuse as the run up to q_max would, from closed-form sizes only.
 
-        Degrees 1..q_max, lines in order, each line's own branch through
-        the real assembler, so the first refusal is the run's own and its
-        tags name the line's own points.
+        Degrees 1..q_max, lines in order, and the vertices of each line's
+        own branch_layout in assemble_system's order and tags: the first
+        refusal is the run's own, and the walk stops there.  Edges need no
+        check: an edge's key is its tail's, or for a cap edge the depth-1
+        cusp's, a vertex assemble_system asks for before any edge.
         """
-        def sized(line):
-            tree = branch_tree(line, depth, attach)
-            return e2_pair(assemble_system(tree, SizingProvider(tree, self.field, q, self.limits)))
+        def walk(line):
+            for v in branch_layout(line, depth, attach):
+                if not isinstance(v, Vertex):
+                    continue
+                key = _stabilizer_key(v, _vertex_token(v, line.case))
+                try:
+                    size_check(self.field, key, q, self.limits)
+                except TooLargeError as exc:
+                    raise exc.at(f"vertex {v.tag}") from exc
+            return TRIVIAL_GROUP, TRIVIAL_GROUP
 
         for q in range(1, q_max + 1):
-            assemble_over_branches(summary, sized)
+            assemble_over_branches(summary, walk)
 
     def rhs_group(self, token, i):
         # the preflight has checked each token as a vertex key in degree i

@@ -8,6 +8,7 @@ outputs.
 """
 
 import math
+from functools import lru_cache
 from itertools import islice, product
 
 from .abelian import prime_powers
@@ -376,8 +377,9 @@ def _power_text(p, k):
     return p ** k if k * math.log10(p) < 4300 else f"{p}^{k}"
 
 
+@lru_cache(maxsize=None)
 def make_field(p, k):
-    """Construct F_{p^k} with the canonical modulus.
+    """Construct F_{p^k} with the canonical modulus, once per (p, k).
 
     The modulus is the first monic irreducible polynomial of degree k when
     the non-leading coefficient vectors (constant term first) are ordered

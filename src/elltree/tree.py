@@ -12,13 +12,13 @@ Cusp paths are conceptually infinite; the tree stores a finite depth-N
 truncation.  Edges are oriented away from the root (tail is the endpoint
 nearer the root), which fixes the boundary sign convention downstream.
 
-The whole tree serves the domain dump and the whole-tree reference
-assembly; build_domain counts its vertices from the summary and refuses
-it before building when there are too many.  Reports need only
-branch_tree: a branch depends on its line's case, the depth and the cap
-attachment, so one one-line tree stands for every line of a case.  A
-branch is refused by the same count, so no report builds a tree over
-the ceiling.
+DomainTree collects the generator layout, which yields the vertices and
+edges in creation order.  The whole tree serves the domain dump and the
+whole-tree reference assembly; build_domain counts its vertices from the
+summary and refuses it before building when there are too many.  Reports
+need only branch_tree, or branch_layout to walk one lazily: a branch
+depends on its line's case, the depth and the cap attachment, so one
+one-line tree stands for every line of a case, refused by the same count.
 """
 
 from .curve import ClassificationSummary
@@ -68,7 +68,7 @@ class Edge(Value):
 
 
 class DomainTree:
-    """The truncated tree for a classification summary.
+    """The truncated tree of a classification summary, collected from layout.
 
     attach selects the cusp vertex carrying the cap in case 2 (depth 1 by
     default; 2 is a structural variant used to show the choice does not
@@ -76,46 +76,47 @@ class DomainTree:
     """
 
     def __init__(self, summary, depth, attach=1):
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        if attach not in (1, 2):
-            raise ValueError("cap attachment depth must be 1 or 2")
-        if attach > depth:
-            raise ValueError("cap attachment exceeds the truncation depth")
         self.summary = summary
-        self.depth = depth
-        self.attach = attach
-        vertices = [Vertex(0, "root")]
-        edges = []
-
-        def new_vertex(kind, line="", point="", d=0):
-            v = Vertex(len(vertices), kind, line, point, d)
-            vertices.append(v)
-            return v
-
-        def new_edge(tail, head, kind, line="", d=0):
-            edges.append(Edge(len(edges), tail.vid, head.vid, kind, line, d))
-
-        for lc in summary.lines:
-            lbl = lc.line
-            v_line = new_vertex("line", line=lbl)
-            new_edge(vertices[0], v_line, "root-line", line=lbl)
-            for plbl in lc.points:
-                chain = [new_vertex("cusp", line=lbl, point=plbl, d=n) for n in range(1, depth + 1)]
-                new_edge(v_line, chain[0], "line-cusp", line=lbl)
-                for n in range(1, depth):
-                    new_edge(chain[n - 1], chain[n], "cusp-cusp", line=lbl, d=n)
-                if lc.case == 2:
-                    cap = new_vertex("cap", line=lbl, point=plbl)
-                    new_edge(chain[attach - 1], cap, "cusp-cap", line=lbl, d=attach)
-        self.vertices = tuple(vertices)
-        self.edges = tuple(edges)
+        simplices = list(layout(summary, depth, attach))
+        self.vertices = tuple(s for s in simplices if isinstance(s, Vertex))
+        self.edges = tuple(s for s in simplices if isinstance(s, Edge))
 
     def graph_dump(self):
         """Line-oriented text dump: vertices then edges, creation order."""
         out = [f"vertex {v.vid} {v.tag}" for v in self.vertices]
         out.extend(f"edge {e.tail} {e.head}" for e in self.edges)
         return "\n".join(out) + "\n"
+
+
+def layout(summary, depth, attach=1):
+    """The Vertex and Edge records of the tree, yielded in creation order:
+    the root, then per line its vertex and root edge, and per point its
+    cusp path, the path's edges and, in case 2, the cap and its edge."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    if attach not in (1, 2):
+        raise ValueError("cap attachment depth must be 1 or 2")
+    if attach > depth:
+        raise ValueError("cap attachment exceeds the truncation depth")
+    # an edge follows its head, the one vertex it adds: its eid is head - 1
+    vid = 0
+    yield Vertex(vid, "root")
+    for lc in summary.lines:
+        line = vid = vid + 1
+        yield Vertex(line, "line", lc.line)
+        yield Edge(line - 1, 0, line, "root-line", lc.line)
+        for plbl in lc.points:
+            ray = vid  # the cusp at depth n is vertex ray + n
+            for n in range(1, depth + 1):
+                yield Vertex(ray + n, "cusp", lc.line, plbl, n)
+            yield Edge(ray, line, ray + 1, "line-cusp", lc.line)
+            for n in range(1, depth):
+                yield Edge(ray + n, ray + n, ray + n + 1, "cusp-cusp", lc.line, n)
+            vid = ray + depth
+            if lc.case == 2:
+                vid += 1
+                yield Vertex(vid, "cap", lc.line, plbl)
+                yield Edge(vid - 1, ray + attach, vid, "cusp-cap", lc.line, attach)
 
 
 def domain_size(summary, depth):
@@ -125,13 +126,17 @@ def domain_size(summary, depth):
     return 1 + len(summary.lines) + depth * (n2 + 2 * n3) + n2
 
 
-def build_domain(summary, depth, attach=1):
-    """The whole tree, refused before it is built when it would have more
-    than MAX_DOMAIN_VERTICES vertices."""
+def _check_size(summary, depth):
+    """Refuse a tree of more than MAX_DOMAIN_VERTICES vertices."""
     size = domain_size(summary, depth)
     if size > MAX_DOMAIN_VERTICES:
         what = f"domain tree vertices ({len(summary.lines)} lines, depth {depth})"
         raise TooLargeError(what, size, MAX_DOMAIN_VERTICES)
+
+
+def build_domain(summary, depth, attach=1):
+    """The whole tree, refused by _check_size before it is built."""
+    _check_size(summary, depth)
     return DomainTree(summary, depth, attach)
 
 
@@ -144,3 +149,10 @@ def branch_tree(line_class, depth, attach=1):
     0, so assembling this whole tree gives the branch's E2.
     """
     return build_domain(ClassificationSummary((line_class,)), depth, attach)
+
+
+def branch_layout(line_class, depth, attach=1):
+    """The layout of branch_tree(line_class, depth, attach), refused as it is."""
+    summary = ClassificationSummary((line_class,))
+    _check_size(summary, depth)
+    return layout(summary, depth, attach)

@@ -245,6 +245,29 @@ def test_ray_over_the_tree_ceiling_refused_before_building(capsys, monkeypatch):
         )
 
 
+def test_deep_ray_refused_before_building(capsys, monkeypatch):
+    # the preflight walks each branch's vertex keys lazily and stops at the
+    # first refused cusp, so a depth under the tree ceiling costs only the
+    # prefix it reads
+    def refuse(*args):
+        raise AssertionError("the preflight builds no tree")
+
+    monkeypatch.setattr(DomainTree, "__init__", refuse)
+    runs = [
+        (["concrete", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "100000", "--q-max", "1"],
+         "too large: bar homology of Tri(GF(2),5)/N1 [vertex cusp[(0,0),5]] [line x=0]: "
+         "size 32 exceeds ceiling 24\n"),
+        (["concrete", "--p", "3", "--curve", "0,0,0,-1,0", "--depth", "5000", "--q-max", "2",
+          "--allow-large"],
+         "too large: homology presentation for Tri(GF(3),4)/N2 [vertex cusp[(0,0),4]] "
+         "[line x=0]: size 25921 exceeds ceiling 9000\n"),
+    ]
+    for argv, err in runs:
+        with _Clock(0.05, f"refusal: {' '.join(argv)} before building the ray"):
+            assert cli.main(argv) == 3
+        assert capsys.readouterr().err == err
+
+
 def test_large_field_refused_before_classifying(capsys, cold_caches):
     # item 5: the line x = 0 alone settles the refusal, so 65521 lines are
     # never classified

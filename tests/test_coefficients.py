@@ -665,7 +665,7 @@ PREFLIGHT_IDS = ["gf5-cap", "gf7-cusp", "gf2-degree3", "gf3-large-degree2", "gf2
 
 # A grid that meets the dense ceiling at a cusp vertex, at the cap and at a
 # depth-2 attachment; whether each case refuses is left to the run, which
-# the preflight must match (SizingProvider checks each simplex's own key only)
+# the preflight must match (it checks each vertex's own key only)
 _GRID_CURVES = {
     "gf2": CURVE_F2_A,
     "gf3": corpus()[0],
@@ -858,6 +858,33 @@ def test_stabilizer_keys_follow_role_tokens(case, attach):
     assert keys.pop(f"edge root--{line}") is None
     expected = dict(_LINE_BRANCH_KEYS[case], **(_CAP_EDGE_KEYS[attach] if case == 2 else {}))
     assert keys == expected
+
+
+def test_every_edge_key_is_a_vertex_key_of_its_branch():
+    # the preflight checks vertex keys only, which covers the edges because
+    # every edge carries the key of a vertex of its own branch
+    branches = 0
+    for case, line in coefficients._CASE_LINES.items():
+        for depth in range(1, 7):
+            for attach in range(1, min(2, depth) + 1):
+                tree = branch_tree(line, depth, attach)
+                provider = ConcreteProvider(tree, F2, 1, DEFAULT_LIMITS)
+                assert set(provider.edge_keys) <= set(provider.vertex_keys), (case, depth, attach)
+                branches += 1
+    assert branches == 33
+
+
+def test_preflight_checks_the_vertex_keys_of_the_run(monkeypatch):
+    # per degree, the walk asks for the keys the run's provider holds, vertex
+    # by vertex and line by line, the quadratic units of a case-1 line too
+    checked = []
+    monkeypatch.setattr(coefficients, "size_check",
+                        lambda field, key, q, limits: checked.append((q, key)))
+    summary = synthetic_summary(1, 1, 1)
+    ConcreteSpec(F2).preflight(summary, 3, 2, 2)
+    keys = [key for line in summary.lines
+            for key in ConcreteProvider(branch_tree(line, 3, 2), F2, 1, DEFAULT_LIMITS).vertex_keys]
+    assert checked == [(q, key) for q in (1, 2) for key in keys]
 
 
 def _valuation(n, ell):

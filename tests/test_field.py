@@ -60,6 +60,17 @@ def test_make_field_ceiling():
         make_field(3 * 65537, 1)
 
 
+def test_make_field_is_built_once_and_refuses_every_time():
+    # the closed form of a quadratic-units stabilizer asks for its
+    # extension field on every check, so the field is cached; a refusal
+    # is an exception, which is not cached, so it is raised again
+    assert make_field(5, 2) is make_field(5, 2)
+    for _ in range(2):
+        with pytest.raises(TooLargeError) as info:
+            make_field(257, 2)
+        assert str(info.value) == "field F_257^2: size 66049 exceeds ceiling 65536"
+
+
 def test_make_field_refuses_huge_powers_without_forming_them():
     # 3^10000 has 4772 digits, more than Python converts to text by
     # default, and 3^(10^12) could not be built at all: both sizes print
