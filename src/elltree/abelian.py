@@ -656,12 +656,6 @@ class AbHom:
     def zero(source, target):
         return AbHom(source, target, IntMatrix.zeros(target.gens, source.gens), check=False)
 
-    def is_isomorphism(self):
-        """Bijective on the underlying quotient groups: the complex
-        target <- source has no homology (H_0 is the cokernel, H_1 the kernel)."""
-        complex_ = ChainComplexFg([self.target, self.source], [self], check=False)
-        return homology_at(complex_, 0).is_trivial and homology_at(complex_, 1).is_trivial
-
 
 # ---------------------------------------------------------------------------
 # chain complexes and homology

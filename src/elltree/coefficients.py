@@ -68,7 +68,13 @@ from .abelian import (
 )
 from .curve import LineRows, synthetic_summary
 from .errors import TooLargeError
-from .groups import DEFAULT_LIMITS, size_check, stabilizer_homology, stabilizer_map
+from .groups import (
+    DEFAULT_LIMITS,
+    diagonal_reduction,
+    size_check,
+    stabilizer_homology,
+    stabilizer_map,
+)
 from .tree import Vertex, branch_layout, branch_tree
 from .value import Value
 
@@ -585,18 +591,20 @@ def _degree_entry(i, e20, e21_prev, predicted, rhs):
 def measure_diagonal_reduction(field, depth, q_max, limits=DEFAULT_LIMITS):
     """Whether torus-into-triangular induces isomorphisms on homology.
 
-    Measured on the matrix-level groups (before the central quotient):
-    the inclusion (a, d) -> (a, d, 0) of the diagonal ("tri", 0) into the
-    depth-n triangular group ("tri", n).  Entries that exceed the ceilings
-    are recorded as skipped rather than guessed, before either is built.
+    Asked of the matrix-level groups (before the central quotient): the
+    inclusion (a, d) -> (a, d, 0) of the diagonal torus into the depth-n
+    triangular group Tri(k, n).  groups.diagonal_reduction reads the
+    answer off the p-part of the depth-n cusp group's H_q, which the run
+    resolves anyway, and builds no triangular group.  Entries that exceed
+    the ceilings of Tri(k, 0) or Tri(k, n) are recorded as skipped rather
+    than guessed, before anything is built.
     """
     out = []
     for n in range(1, depth + 1):
         for q in range(1, q_max + 1):
             entry = {"depth": n, "degree": q}
             try:
-                f = stabilizer_map(field, ("tri", 0), ("tri", n), q, limits)
-                entry["isomorphism"] = f.is_isomorphism()
+                entry["isomorphism"] = diagonal_reduction(field, n, q, limits)
             except TooLargeError as exc:
                 entry["skipped"] = str(exc)
             out.append(entry)

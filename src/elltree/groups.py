@@ -21,6 +21,9 @@ it.  check_ceilings is the one ceiling test on (name, order, degree).
 Other modules name a stabilizer by key, ("cusp", 2) or None for the
 trivial group, and ask stabilizer_homology and stabilizer_map, which
 refuse from the key's closed form (size_check) before building a table.
+diagonal_reduction answers whether the diagonal torus into the
+triangular group Tri(k, n) is an isomorphism on H_q from the p-part of
+the cusp group's H_q, so no triangular group is built.
 
 The stabilizers over a field are built on element codes alone, code i
 standing for field.elements()[i], through q x q add, mul and inverse
@@ -278,30 +281,11 @@ def pgl2(field):
 
 
 def triangular_size(field, n):
+    """The triangular group Tri(k, n) of matrices [[a, v], [0, d]], units
+    a, d and v in k^n, in closed form only: no table of it is built.  It
+    names the cusp groups, and diagonal_reduction checks its ceilings."""
     q = field.order
     return f"Tri({field!r},{n})", (q - 1) ** 2 * q ** n
-
-
-@lru_cache(maxsize=None)
-def triangular_group(field, n):
-    """Matrices [[p, q], [0, s]] with units p, s and q an n-vector entry.
-
-    Multiplication follows the 2x2 pattern with the vector slot acted on
-    coordinatewise: (p1,s1,q1)(p2,s2,q2) = (p1p2, s1s2, p1*q2 + q1*s2).
-    For n = 0 this is the diagonal torus, a product of two unit groups.
-    """
-    add, mul, _ = _code_tables(field)
-    units = range(1, field.order)
-    vectors = list(product(range(field.order), repeat=n))
-    els = [(p, s, q) for p in units for s in units for q in vectors]
-
-    def tri_mul(x, y):
-        p1, s1, q1 = x
-        p2, s2, q2 = y
-        row = mul[p1]
-        return row[p2], mul[s1][s2], tuple(add[row[b]][mul[a][s2]] for a, b in zip(q1, q2))
-
-    return group_from_elements(els, tri_mul, name=triangular_size(field, n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +480,7 @@ def cusp_group(field, n):
     Each coset of scalars has one member (c, s, v) whose first entry is
     c, the unit of code 1, so (c, s1, v1)(c, s2, v2) = (c, s1*s2/c,
     v2 + v1*s2/c).  Code 1 is the least unit, so that member is the
-    coset's first in the order of triangular_group(field, n).
+    coset's first when Tri(k, n) lists its (a, d, v) in code order.
     """
     add, mul, inverse = _code_tables(field)
     over_c = mul[inverse[1]]
@@ -577,21 +561,12 @@ def quad_units_group(field):
     return quotient_by_central(big, base, quad_units_size(field)[0])
 
 
-@lru_cache(maxsize=None)
-def diagonal_to_triangular(field, n):
-    """The diagonal torus (p, s) included into the triangular group."""
-    return hom_from_function(
-        triangular_group(field, 0), triangular_group(field, n), lambda x: (x[0], x[1], (0,) * n)
-    )
-
-
 # ---------------------------------------------------------------------------
 # stabilizers by key: (kind, *arguments after the field)
 
 
 # kind -> (constructor, closed form); every role token of coefficients
-# is a kind, and so is "tri", the triangular groups of the diagonal
-# reduction.  Constructors are looked up when called so that rebinding a
+# is a kind.  Constructors are looked up when called so that rebinding a
 # module-level name (as perfbench/traced.py does) reaches them.
 _STABILIZERS = {
     "pgl2k": (lambda field: pgl2(field), pgl2_size),
@@ -599,17 +574,15 @@ _STABILIZERS = {
     "quad_units": (lambda field: quad_units_group(field)[0], quad_units_size),
     "additive": (lambda field: additive_group(field), additive_group_size),
     "cusp": (lambda field, n: cusp_group(field, n), cusp_group_size),
-    "tri": (lambda field, n: triangular_group(field, n), triangular_size),
 }
 
-# (source kind, target kind) -> the inclusion along a tree edge (or of the
-# torus into a triangular group), called with the field and both keys
+# (source kind, target kind) -> the inclusion along a tree edge, called
+# with the field and both keys
 _INCLUSIONS = {
     ("additive", "cusp"): lambda field, source, target: additive_to_cusp(field),
     ("units", "cusp"): lambda field, source, target: units_to_cusp(field),
     ("cusp", "cusp"): lambda field, source, target: cusp_chain_inclusion(field, source[1]),
     ("cusp", "pgl2k"): lambda field, source, target: cusp_to_pgl2(field),
-    ("tri", "tri"): lambda field, source, target: diagonal_to_triangular(field, target[1]),
 }
 
 
@@ -624,8 +597,8 @@ def stabilizer_size(field, key):
 
 
 def stabilizer_inclusion(field, source, target):
-    """The hom from one stabilizer into another along a tree edge, or of
-    the torus ("tri", 0) into ("tri", n); the keys are distinct."""
+    """The hom from one stabilizer into another along a tree edge; the
+    keys are distinct."""
     return _INCLUSIONS[source[0], target[0]](field, source, target)
 
 
@@ -657,10 +630,6 @@ def stabilizer_map(field, source, target, q, limits=DEFAULT_LIMITS):
     stabilizer into another: zero from the trivial group, the identity of
     the one presentation between equal keys (no hom is built), otherwise
     induced by stabilizer_inclusion once source and target pass size_check.
-
-    >>> f = make_field(2, 1)
-    >>> [stabilizer_map(f, ("tri", 0), ("tri", 1), q).is_isomorphism() for q in (1, 2)]
-    [False, True]
     """
     if source is None:
         return AbHom.zero(PresentedGroup(0), stabilizer_homology(field, target, q, limits))
@@ -669,3 +638,30 @@ def stabilizer_map(field, source, target, q, limits=DEFAULT_LIMITS):
     for key in (source, target):
         size_check(field, key, q, limits, CHAIN_DATA)
     return induced_map(stabilizer_inclusion(field, source, target), q, limits)
+
+
+def diagonal_reduction(field, n, q, limits=DEFAULT_LIMITS):
+    """Whether the diagonal torus T into Tri(k, n) induces an isomorphism
+    on H_q, for n, q >= 1, read off the depth-n cusp group's H_q.
+
+    Tri = T x| U with U = {(1, 1, v)} the unipotent radical, a p-group,
+    and |T| prime to p, so H_q(Tri) = H_q(T) + H_q(U)_T, T's inclusion
+    being onto the first summand (Lyndon-Hochschild-Serre; Brown,
+    Cohomology of Groups, III.10): it is an isomorphism exactly when
+    H_q(U)_T = 0.  The scalars are central, act trivially on U and have
+    order prime to p, so H_q(U)_T is the p-part of H_q(Tri/scalars), the
+    cusp group ("cusp", n).  No Tri(k, n) table is built.
+
+    The ceilings are checked on Tri(k, 0) and then Tri(k, n) as for the
+    inclusion's chain data, so a refusal names the triangular group; the
+    cusp group is no larger in order or in tuple count, so it never trips
+    a ceiling that they passed.
+
+    >>> f = make_field(2, 1)
+    >>> [diagonal_reduction(f, 1, q) for q in (1, 2)]
+    [False, True]
+    """
+    for m in (0, n):
+        check_ceilings(*triangular_size(field, m), q, limits, CHAIN_DATA)
+    torsion = stabilizer_homology(field, ("cusp", n), q, limits).canonical().torsion
+    return all(d % field.p for d in torsion)

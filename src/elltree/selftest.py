@@ -45,7 +45,6 @@ from .groups import (
     cyclic,
     pgl2,
     quad_units_group,
-    triangular_group,
     unit_group,
 )
 from .tree import build_domain
@@ -281,12 +280,12 @@ def _stabilizer_zoo():
         unit_group(f5),
         quad_units_group(f2)[0],
         quad_units_group(f3)[0],
+        quad_units_group(f4)[0],
         cusp_group(f2, 1),
         cusp_group(f2, 2),
         cusp_group(f2, 3),
         cusp_group(f3, 1),
-        triangular_group(f2, 1),
-        triangular_group(f3, 0),
+        cusp_group(f4, 1),
         pgl2(f2),
         pgl2(f3),
     ]

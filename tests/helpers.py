@@ -16,18 +16,20 @@ from elltree.abelian import (
     PresentedGroup,
     _SmithCoordinates,
     _engine_for,
+    homology_at,
     invariant_factors,
 )
 from elltree.coefficients import BATTERY_A, TokenProvider, assemble_system, degree_zero_tokens, e2_pair
 from elltree.curve import INFINITY_POINT, CurvePoint, WeierstrassCurve
 from elltree.field import _poly_divmod
 from elltree.groups import (
+    _code_tables,
     additive_group_size,
     cusp_group_size,
     group_from_elements,
+    hom_from_function,
     pgl2_size,
     quotient_by_central,
-    triangular_group,
     triangular_size,
     unit_group_size,
 )
@@ -67,9 +69,17 @@ def homology_by_cycle_lattice(complex_, n):
     return PresentedGroup(cycles.rank, rels).canonical()
 
 
+def is_isomorphism(f):
+    """Whether an AbHom is bijective on the underlying quotient groups: the
+    complex target <- source has no homology (H_0 is the cokernel, H_1 the
+    kernel)."""
+    complex_ = ChainComplexFg([f.target, f.source], [f], check=False)
+    return homology_at(complex_, 0).is_trivial and homology_at(complex_, 1).is_trivial
+
+
 def is_isomorphism_by_elimination(f):
     """Bijectivity by one elimination of [matrix | target relations], the
-    oracle for AbHom.is_isomorphism: surjective when the invariant factors
+    oracle for is_isomorphism: surjective when the invariant factors
     are all 1 and fill every row, injective when every kernel vector's
     source part is a source relation."""
     eng = _engine_for(f.matrix.hstack(f.target.relations))
@@ -321,10 +331,44 @@ def quotient_by_scalars(tri, field, n):
 
 
 @lru_cache(maxsize=None)
+def triangular_group(field, n):
+    """Tri(k, n) on element codes: matrices [[p, q], [0, s]] with units p,
+    s and q an n-vector entry, the oracle behind groups.diagonal_reduction
+    and groups.cusp_group.
+
+    Multiplication follows the 2x2 pattern with the vector slot acted on
+    coordinatewise: (p1,s1,q1)(p2,s2,q2) = (p1p2, s1s2, p1*q2 + q1*s2).
+    For n = 0 this is the diagonal torus, a product of two unit groups.
+    """
+    add, mul, _ = _code_tables(field)
+    units = range(1, field.order)
+    vectors = list(product(range(field.order), repeat=n))
+    els = [(p, s, q) for p in units for s in units for q in vectors]
+
+    def tri_mul(x, y):
+        p1, s1, q1 = x
+        p2, s2, q2 = y
+        row = mul[p1]
+        return row[p2], mul[s1][s2], tuple(add[row[b]][mul[a][s2]] for a, b in zip(q1, q2))
+
+    return group_from_elements(els, tri_mul, name=triangular_size(field, n)[0])
+
+
+@lru_cache(maxsize=None)
+def diagonal_to_triangular(field, n):
+    """The diagonal torus (p, s) included into the triangular group; the
+    isomorphism answers of its induced maps are the oracle for
+    groups.diagonal_reduction."""
+    return hom_from_function(
+        triangular_group(field, 0), triangular_group(field, n), lambda x: (x[0], x[1], (0,) * n)
+    )
+
+
+@lru_cache(maxsize=None)
 def cusp_by_quotient(field, n):
-    """(quotient, projection) of the package's coded triangular group by its
-    scalars, the oracle for groups.cusp_group; the projection is the hom
-    from triangular_group(field, n) onto it."""
+    """(quotient, projection) of the coded triangular group by its scalars,
+    the oracle for groups.cusp_group; the projection is the hom from
+    triangular_group(field, n) onto it."""
     return quotient_by_scalars(triangular_group(field, n), field, n)
 
 

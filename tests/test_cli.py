@@ -1,7 +1,12 @@
 """End-to-end tests of the command-line front end and its exit codes."""
 
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +78,29 @@ def test_symbolic_deterministic_bytes(tmp_path, capsys):
     assert main(args + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+# (p, attach) -> depths whose symbolic E5 reports agree once the depth key
+# is dropped: the truncation depth does not change the symbolic answer
+DEPTH_FREE_RUNS = {
+    ("101", "1"): ("1", "3", "30", "400"),
+    ("101", "2"): ("2", "30", "400"),
+    ("5", "1"): ("1", "2", "50"),
+    ("5", "2"): ("2", "50"),
+}
+
+
+@pytest.mark.parametrize("p,attach", list(DEPTH_FREE_RUNS), ids=lambda v: str(v))
+def test_symbolic_reports_do_not_depend_on_the_depth(capsys, p, attach):
+    digests = set()
+    for depth in DEPTH_FREE_RUNS[p, attach]:
+        code, out, err = run_cli(capsys, "symbolic", "--p", p, "--curve", "0,0,0,-1,0",
+                                 "--depth", depth, "--attach", attach)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report.pop("depth") == int(depth)
+        digests.add(hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest())
+    assert len(digests) == 1
 
 
 def test_concrete_f2_mismatch_exit_two(capsys):
@@ -558,3 +586,34 @@ def test_malformed_input_exits_one_or_three(fuzz_dir, run):
         # "." names the fuzz directory itself, "missing.json" a file not in it
         argv = argv + [str(fuzz_dir / a) if a in (".", "missing.json") else a for a in item]
     assert main(argv) in (1, 3)
+
+
+# ---------------------------------------------------------------------------
+# the trace channel: perfbench/traced.py runs the CLI with its layers hooked
+
+ROOT = Path(__file__).resolve().parents[1]
+# hooks that traced.py still names but the package no longer defines
+GONE_HOOKS = {
+    "coefficients.degree_zero_e2", "coefficients.symbolic_e2", "coefficients.instantiate_tokens",
+    "coefficients.concrete_e2", "coefficients.concrete_rhs", "coefficients._symbolic_branch_e2",
+    "coefficients._concrete_branch_e2", "groups._bar_invariants_large",
+    "groups.diagonal_to_triangular",
+}
+
+
+def test_traced_run_keeps_its_hooks_and_the_report_bytes(tmp_path):
+    argv = ["concrete", "--p", "2", "--k", "2", "--curve", "0:0,0:0,1:0,0:0,1:0",
+            "--depth", "1", "--q-max", "1", "--allow-large"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = tmp_path / "trace.json"
+    traced = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(out), "job"] + argv,
+        cwd=ROOT, env=env, capture_output=True, timeout=120,
+    )
+    assert traced.returncode == 0, traced.stderr.decode()
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert set(result["missing"]) <= GONE_HOOKS
+    plain = subprocess.run([sys.executable, "-m", "elltree.cli"] + argv,
+                           cwd=ROOT, env=env, capture_output=True, timeout=120)
+    assert plain.returncode == result["exit"] == 0
+    assert result["stdout_sha256"] == hashlib.sha256(plain.stdout).hexdigest()

@@ -759,6 +759,19 @@ def test_diagonal_skip_builds_nothing(monkeypatch, cold_caches):
     }
 
 
+def test_diagonal_reduction_builds_no_triangular_group(monkeypatch, cold_caches):
+    # the answer is read off the cusp groups Tri(k, n)/N, never Tri(k, n)
+    build = groups.group_from_elements
+
+    def guarded(elements, mul, name="", **kwargs):
+        assert not (name.startswith("Tri(") and "/N" not in name), f"built {name}"
+        return build(elements, mul, name=name, **kwargs)
+
+    monkeypatch.setattr(groups, "group_from_elements", guarded)
+    entries = measure_diagonal_reduction(make_field(3, 1), 2, 2, BarLimits(10**4, 10**30))
+    assert [e["isomorphism"] for e in entries] == [True, True, True, False]
+
+
 def test_report_builds_each_group_once(monkeypatch, cold_caches):
     # the table constructors are cached, so a GF(4) run builds PGL2(GF(4))
     # once for the cap and the prediction's factors alike
