@@ -2,7 +2,8 @@
 
 Everything here works with arbitrary-precision Python ints.  The central
 routine is one Smith elimination that logs its operations, so each caller
-reads only the transforms it needs (Cohen, GTM 138, 2.4); on top of it
+reads only the transforms it needs (Cohen, GTM 138, 2.4); apart from
+smith_normal_form, PresentedGroup.lattice is its one reader.  On top of it
 sit canonical forms of presented abelian groups, homomorphisms checked for
 well-definedness at construction, and one homology routine for complexes
 of presented groups, CyclePresentation, which every other one reads.
@@ -434,12 +435,6 @@ def smith_normal_form(mat):
     return eng.u, IntMatrix.from_sparse_cols(cols, mat.nrows), eng.v
 
 
-def invariant_factors(mat):
-    """Nonzero diagonal of the Smith form, in divisibility order."""
-    eng = _engine_for(mat)
-    return [d for d in eng.diag if d]
-
-
 # ---------------------------------------------------------------------------
 # finitely generated abelian groups
 
@@ -550,10 +545,7 @@ class PresentedGroup:
 
     def canonical(self):
         if self._canonical is None:
-            factors = invariant_factors(self.relations)
-            rank = self.gens - len(factors)
-            torsion = tuple(d for d in factors if d > 1)
-            self._canonical = FgAbGroup(rank, torsion)
+            self._canonical = self.lattice().group
         return self._canonical
 
     def lattice(self):
@@ -688,39 +680,42 @@ class ChainComplexFg:
 
 class CyclePresentation:
     """Smith-reduced presentation of Z/B at position n of a complex of
-    presented groups.
+    presented groups, and of the cokernel of d_n one position down.
 
     Z is the group of chains x with d_n(x) in the relation lattice of
     below, the group one position down, and B is spanned by the columns of
-    above.  One elimination of [d_n | relations below] gives the lattice K
-    of pairs (x, y) with d_n(x) + rels y = 0, which projects onto Z; the
-    pairs over x = 0 are the (0, y) with rels y = 0.  So a cycle x lifts to
-    (x, y), with y the preimage of -d_n(x) (empty when below has no
-    relations), and reads its coordinates in K's basis through Vinv.  The
-    relations are the lifts of the columns of above and the pairs (0, y),
-    y in the kernel basis of the relations below; they are put into Smith
-    form once (_SmithCoordinates), so the presented group is the canonical
-    one that PresentedGroup.from_group builds.  Class coordinates come
-    through U, and generators lift to chains through Uinv and K's basis.
+    above.  One elimination of [d_n | relations below], which presents the
+    cokernel, gives the lattice K of pairs (x, y) with d_n(x) + rels y = 0,
+    which projects onto Z; the pairs over x = 0 are the (0, y) with
+    rels y = 0.  So a cycle x lifts to (x, y), with y the preimage of -d_n(x)
+    (empty when below has no relations), and reads its coordinates in K's
+    basis through Vinv.  The relations are the lifts of the columns of
+    above and the pairs (0, y), y in the kernel basis of the relations
+    below; they are put into Smith form once, so the presented group is the
+    canonical one that PresentedGroup.from_group builds.  Class coordinates
+    come through U, and generators lift to chains through Uinv and K's basis.
 
     >>> z4 = PresentedGroup(1, IntMatrix([[4]]))
     >>> h1 = CyclePresentation(1, IntMatrix([[1]]), z4, IntMatrix([[12]]))
     >>> h1.presented.canonical(), h1.cycle_of_generator(0), h1.coords_of_cycle({0: 8})
     (Z/3, {0: 4}, {0: 2})
+    >>> h1.cokernel.canonical()
+    0
     """
 
-    __slots__ = ("presented", "_d_n", "_below", "_kernel", "_smith")
+    __slots__ = ("cokernel", "presented", "_d_n", "_below", "_kernel", "_smith")
 
     def __init__(self, g, d_n, below, above):
         self._d_n, self._below = d_n, below
-        self._kernel = _engine_for(d_n.hstack(below.relations))
+        self.cokernel = PresentedGroup(below.gens, d_n.hstack(below.relations))
+        self._kernel = self.cokernel.lattice().engine
         pairs = [self._lift(col) for col in above.cols]
         if below.relations.ncols:
             dependent = below.lattice().engine.kernel_cols()
             pairs += ({g + i: v for i, v in y.items()} for y in dependent)
-        rels = IntMatrix.from_sparse_cols(
-            map(self._in_kernel, pairs), g + below.relations.ncols - self._kernel.rank)
-        self._smith = _SmithCoordinates(_engine_for(rels))
+        k = g + below.relations.ncols - self._kernel.rank
+        rels = IntMatrix.from_sparse_cols(map(self._in_kernel, pairs), k)
+        self._smith = PresentedGroup(k, rels).lattice()
         self.presented = PresentedGroup.from_group(self._smith.group)
 
     def _lift(self, chain):
@@ -758,6 +753,8 @@ def homology_at(complex_, n):
     Positions outside the complex are zero.  Degree 0 is the cokernel of
     [d_1 | relations]; above it, the CyclePresentation of the position,
     whose B is spanned by the image of d_{n+1} and the relations at n.
+    The selftest and the tests ask it; reports take both groups of a
+    two-term complex from one CyclePresentation (coefficients.e2_pair).
     """
     if n < 0 or n >= len(complex_.groups):
         return TRIVIAL_GROUP

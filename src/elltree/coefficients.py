@@ -3,7 +3,7 @@
 A coefficient system assigns an abelian group to every vertex and edge of
 the tree and, for each edge, a map toward each endpoint.  A provider hands
 them out per simplex, vertex_group(vid) and edge_data(eid) -> (edge group,
-map toward tail, map toward head), and assemble_system builds the complex
+map toward tail, map toward head), and assemble_system builds the boundary
 below from them.  A spec names a system and the report about it:
 provider(tree, q) makes its degree-q provider, system_degree(q) names the
 degree q' whose system stands for q >= 1, preflight(summary, depth,
@@ -48,6 +48,19 @@ cross-checks this.
 The predicted decomposition has one projective-linear factor per point
 fixed by negation, one units factor per line meeting the curve twice, and
 one quadratic-units factor per line missing the curve entirely.
+
+Excess theorem.  Let q >= 1, n the depth, T = k^*, U_n = (k+)^n and
+B_n = T x| U_n the depth-n cusp group.  For either attach, every concrete
+branch has E1 = 0, and E0 is H_q(k(w)^*/k^*) in case 1, H_q(T) +
+2 H_q(U_n)_T in case 3, and H_q(PGL2(k)) + H_q(U_n)_T / H_q(U_1)_T in
+case 2.  Proof sketch: |T| is prime to p, so H_q(B_n) = H_q(T) +
+H_q(U_n)_T, T onto the first summand (Brown, Cohomology of Groups,
+III.10), and H_q(U_n)_T is the p-part of H_q(B_n).  B_n -> B_(n+1) is
+split by the projection onto the first n coordinates, so it is injective
+on H_q.  Contracted, case 3 is T with two split edges into B_n, and case
+2 one edge from B_1 into B_n + PGL2(k); their kernels and cokernels give
+E2.  So no concrete report has a caveat-extension, and its verdicts are
+read off the p-part of H_q(B_n).
 """
 
 import io
@@ -58,13 +71,12 @@ from math import gcd
 
 from .abelian import (
     AbHom,
-    ChainComplexFg,
+    CyclePresentation,
     FgAbGroup,
     IntMatrix,
     PresentedGroup,
     TRIVIAL_GROUP,
     direct_sum_groups,
-    homology_at,
 )
 from .curve import LineRows, synthetic_summary
 from .errors import TooLargeError
@@ -400,8 +412,8 @@ class ConcreteSpec(Value):
 
 
 def assemble_system(tree, provider):
-    """The two-term complex (vertex sum) <- (edge sum) of a provider's system,
-    with its identity edges contracted.
+    """The boundary (vertex sum) <- (edge sum) of a provider's system, with
+    its identity edges contracted, as an AbHom checked to be well defined.
 
     The provider is asked for every vertex of the tree first, then every
     edge; a TooLargeError it raises gains the tag of the simplex.
@@ -475,12 +487,18 @@ def assemble_system(tree, provider):
     c1 = PresentedGroup.direct_sum([d[0] for eid, d in enumerate(edge_data) if eid not in contracted])
     kept = ({row[r]: v for r, v in col.items()} for col in cols if col is not None)
     matrix = IntMatrix.from_sparse_cols(kept, c0.gens)
-    return ChainComplexFg([c0, c1], [AbHom(c1, c0, matrix)])
+    return AbHom(c1, c0, matrix)
 
 
-def e2_pair(complex_):
-    """Homology of a two-term complex: (degree 0, degree 1)."""
-    return homology_at(complex_, 0), homology_at(complex_, 1)
+def e2_pair(boundary):
+    """Homology (degree 0, degree 1) of the two-term complex of a boundary,
+    both from one elimination: the cokernel and the presented group of its
+    CyclePresentation.  Without edge generators it is (C_0, 0)."""
+    c1, c0 = boundary.source, boundary.target
+    if not c1.gens:
+        return c0.canonical(), TRIVIAL_GROUP
+    cp = CyclePresentation(c1.gens, boundary.matrix, c0, c1.relations)
+    return cp.cokernel.canonical(), cp.presented.canonical()
 
 
 def e2_whole_tree(tree, spec, q):

@@ -93,11 +93,6 @@ class ClassificationSummary(Value):
         cases = [lc.case for lc in self.lines]
         return cases.count(1), cases.count(2), cases.count(3)
 
-    @property
-    def cusp_count(self):
-        _, n2, n3 = self.case_counts()
-        return n2 + 2 * n3
-
     def to_json(self):
         n1, n2, n3 = self.case_counts()
         return {
@@ -177,19 +172,6 @@ class WeierstrassCurve:
         b6 = a3 * a3 + 4 * a6
         b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
         return -(b2 * b2 * b8) - 8 * (b4 ** 3) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
-
-    def equation_value(self, x, y):
-        """y^2 + a1*x*y + a3*y - x^3 - a2*x^2 - a4*x - a6; zero on the curve."""
-        x, y = self.field(x), self.field(y)
-        return (
-            y * y + self.a1 * x * y + self.a3 * y
-            - x ** 3 - self.a2 * x * x - self.a4 * x - self.a6
-        )
-
-    def contains(self, point):
-        if point.is_infinity:
-            return True
-        return self.equation_value(point.x, point.y).is_zero()
 
     def _ys_on_line(self, l):
         # on x = l the equation becomes y^2 + (a1*l + a3)*y - rhs(l) = 0

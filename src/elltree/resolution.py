@@ -35,8 +35,7 @@ the column lattice of its d_n that the extension step eliminated.
 
 from functools import lru_cache
 
-from .abelian import CyclePresentation, IntMatrix, PresentedGroup, _SmithCoordinates
-from .abelian import _dict_addmul, _engine_for
+from .abelian import CyclePresentation, IntMatrix, PresentedGroup, _dict_addmul
 from .groups import subgroup_closure
 
 
@@ -97,13 +96,14 @@ class Resolution:
         """Build F_n and d_n for every n <= top."""
         while len(self.images) <= top:
             n = len(self.images) - 1
-            eng = _engine_for(self.matrix(n))
-            self._smith.append(_SmithCoordinates(eng))
+            d_n = self.matrix(n)
+            self._smith.append(PresentedGroup(d_n.nrows, d_n).lattice())
             chosen, span = [], None
-            for vec in sorted(eng.kernel_cols(), key=len):
+            for vec in sorted(self._smith[n].engine.kernel_cols(), key=len):
                 if span is None or not span.contains(vec):
                     chosen.append(vec)
-                    span = _SmithCoordinates(_engine_for(self._translates(chosen, self.ranks[n])))
+                    gens = self._translates(chosen, self.ranks[n])
+                    span = PresentedGroup(gens.nrows, gens).lattice()
             self.images.append(chosen)
             self.ranks.append(len(chosen))
 

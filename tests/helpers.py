@@ -17,7 +17,6 @@ from elltree.abelian import (
     _SmithCoordinates,
     _engine_for,
     homology_at,
-    invariant_factors,
 )
 from elltree.coefficients import BATTERY_A, TokenProvider, assemble_system, degree_zero_tokens, e2_pair
 from elltree.curve import INFINITY_POINT, CurvePoint, WeierstrassCurve
@@ -88,6 +87,14 @@ def is_isomorphism_by_elimination(f):
     lattice, g = f.source.lattice(), f.source.gens
     return all(lattice.contains({i: v for i, v in col.items() if i < g})
                for col in eng.kernel_cols())
+
+
+def invariant_factors(mat):
+    """Nonzero diagonal of the Smith form, in divisibility order, read off
+    the engine without building a transform; the oracle for
+    PresentedGroup.canonical, which reads the same elimination through
+    PresentedGroup.lattice."""
+    return [d for d in _engine_for(mat).diag if d]
 
 
 def matrix_rank(mat):
@@ -466,6 +473,26 @@ def is_two_torsion(curve, point):
     return negate(curve, point) == point
 
 
+def equation_value(curve, x, y):
+    """y^2 + a1*x*y + a3*y - x^3 - a2*x^2 - a4*x - a6; zero on the curve."""
+    x, y = curve.field(x), curve.field(y)
+    return (
+        y * y + curve.a1 * x * y + curve.a3 * y
+        - x ** 3 - curve.a2 * x * x - curve.a4 * x - curve.a6
+    )
+
+
+def contains(curve, point):
+    """Whether a point lies on the curve; infinity always does."""
+    return point.is_infinity or equation_value(curve, point.x, point.y).is_zero()
+
+
+def cusp_count(summary):
+    """Cusps of the tree: one per case-2 line, two per case-3 line."""
+    _, n2, n3 = summary.case_counts()
+    return n2 + 2 * n3
+
+
 def enumerate_points(curve):
     """All rational points, infinity first, then affine in (x, y) order."""
     points = [INFINITY_POINT]
@@ -506,9 +533,9 @@ def tag_set(tree):
 
 
 def assemble_uncontracted(tree, provider):
-    """The two-term complex of a provider's system with nothing contracted:
-    every vertex and edge group, the boundary of an edge being its map
-    toward the head minus its map toward the tail.  The oracle for
+    """The boundary of a provider's system with nothing contracted: every
+    vertex and edge group, the boundary of an edge being its map toward
+    the head minus its map toward the tail.  The oracle for
     coefficients.assemble_system, which eliminates the identity edges."""
     vertex_groups = [provider.vertex_group(v.vid) for v in tree.vertices]
     offset = [0]
@@ -524,7 +551,7 @@ def assemble_uncontracted(tree, provider):
             cols.append(col)
     c0 = PresentedGroup.direct_sum(vertex_groups)
     c1 = PresentedGroup.direct_sum(edge_groups)
-    return ChainComplexFg([c0, c1], [AbHom(c1, c0, IntMatrix.from_sparse_cols(cols, c0.gens))])
+    return AbHom(c1, c0, IntMatrix.from_sparse_cols(cols, c0.gens))
 
 
 def degree_zero_row(tree):

@@ -6,17 +6,21 @@ against a prime-factorization oracle; homology of free complexes is checked
 against an independent rank-nullity computation over the rationals.
 """
 
+import ast
 import hashlib
 import random
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
+import elltree.resolution as resolution_module
+from elltree import abelian, coefficients
 from elltree.abelian import (
     AbHom,
     ChainComplexFg,
@@ -27,7 +31,6 @@ from elltree.abelian import (
     cyclic_group_homology,
     direct_sum_groups,
     homology_at,
-    invariant_factors,
     smith_normal_form,
     _SmithCoordinates,
     _SmithEngine,
@@ -44,6 +47,7 @@ from helpers import (
     _bar_tuples,
     compose,
     homology_by_cycle_lattice,
+    invariant_factors,
     is_isomorphism,
     is_isomorphism_by_elimination,
     is_zero_hom,
@@ -512,6 +516,8 @@ def test_cycle_presentation_at_presented_positions(cx, data):
             above = cx.boundaries[n].matrix.hstack(above)
         h = CyclePresentation(group.gens, d_n, below, above)
         assert h.presented.canonical() == homology_by_cycle_lattice(cx, n) == homology_at(cx, n)
+        if n == 1:
+            assert h.cokernel.canonical() == homology_at(cx, 0)
         for i in range(h.presented.gens):
             assert h.coords_of_cycle(h.cycle_of_generator(i)) == {i: 1}
         # B reads zero, alone and added to a cycle
@@ -702,6 +708,9 @@ def test_smith_on_bar_like_matrices(mat):
     want = sympy_invariant_factors(sympy.Matrix(mat.rows), domain=sympy.ZZ)
     assert nz == [int(d) for d in want if d]
     assert invariant_factors(mat) == nz  # builds no transform
+    # the route the package takes to the same diagonal
+    canonical = PresentedGroup(mat.nrows, mat).canonical()
+    assert canonical == FgAbGroup(mat.nrows - len(nz), tuple(d for d in nz if d > 1))
 
 
 def _bar_boundary(group, q):
@@ -790,3 +799,45 @@ def test_unit_pivot_from_the_shortest_row_and_column():
     mat = IntMatrix([[4, 6], [3, 2], [2, 5]])
     eng = _SmithEngine(_transpose_dicts(mat.cols, mat.nrows), mat.nrows, mat.ncols)
     assert eng._find_pivot(0) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# one reader of the elimination
+
+
+def _callers(callee):
+    """Where the package source calls callee by name: one 'module:scope'
+    per enclosing class and def, the scope empty at module level."""
+    found = set()
+
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name], module)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == callee:
+                    found.add(f"{module}:{'.'.join(scope)}")
+            visit(child, scope, module)
+
+    for path in sorted(Path(abelian.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [], path.stem)
+    return found
+
+
+def test_presented_group_lattice_is_the_one_reader_of_an_elimination():
+    # every elimination outside smith_normal_form is read through
+    # PresentedGroup.lattice, E2 takes no route through homology_at, and
+    # resolution reaches none of abelian's private names but the vector
+    # helper
+    assert _callers("_engine_for") == {"abelian:PresentedGroup.lattice", "abelian:smith_normal_form"}
+    assert _callers("_SmithCoordinates") == {"abelian:PresentedGroup.lattice"}
+    assert "invariant_factors" not in vars(abelian)
+    assert {"ChainComplexFg", "homology_at"}.isdisjoint(vars(coefficients))
+    private = [value for name, value in vars(abelian).items()
+               if name.startswith("_") and not name.startswith("__")]
+    bound = sorted(name for name, value in vars(resolution_module).items()
+                   if any(value is obj for obj in private))
+    assert bound == ["_dict_addmul"]

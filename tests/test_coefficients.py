@@ -8,13 +8,25 @@ once consecutive inclusions are glued.
 """
 
 import json
+import random
 import re
+from collections import Counter
 from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elltree.abelian import FgAbGroup, IntMatrix, PresentedGroup, TRIVIAL_GROUP, prime_powers
+from elltree.abelian import (
+    AbHom,
+    ChainComplexFg,
+    FgAbGroup,
+    IntMatrix,
+    PresentedGroup,
+    TRIVIAL_GROUP,
+    direct_sum_groups,
+    homology_at,
+    prime_powers,
+)
 from elltree.coefficients import (
     BATTERIES,
     BATTERY_A,
@@ -55,7 +67,7 @@ from elltree.errors import TooLargeError
 from elltree.field import make_field
 from elltree.groups import DEFAULT_LIMITS, BarLimits
 from elltree.tree import branch_tree, build_domain
-from helpers import assemble_uncontracted, degree_zero_row, is_zero_hom
+from helpers import assemble_uncontracted, degree_zero_row, is_zero_hom, kernel_basis
 
 
 def fg(rank, *torsion):
@@ -510,6 +522,118 @@ def test_elimination_size_does_not_grow_with_depth(cold_caches, monkeypatch):
             report(summary, depth, 2, inst, 5)
         largest[depth] = max(cells)
     assert largest[200] == largest[5]
+
+
+# ---------------------------------------------------------------------------
+# E2 from one elimination
+
+
+def _random_boundary(rng):
+    """C_0 <- C_1 of presented groups, with any of n_0, n_1 and the relation
+    counts 0: the relations of C_1 are drawn among the chains that d sends
+    into the relation lattice of C_0, so the AbHom check passes."""
+    n0, n1, r0 = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 3)
+    entries = [0, 0, 1, -1, 2, -3, 4, 6]
+    rels0 = IntMatrix([[rng.choice(entries) for _ in range(r0)] for _ in range(n0)], n0, r0)
+    d = IntMatrix([[rng.choice(entries) for _ in range(n1)] for _ in range(n0)], n0, n1)
+    cycles = [{i: v for i, v in col.items() if i < n1} for col in kernel_basis(d.hstack(rels0)).cols]
+    rels1 = []
+    for _ in range(rng.randint(0, 3) if cycles else 0):
+        col = {}
+        for cycle in cycles:
+            c = rng.randint(-2, 2)
+            for i, v in cycle.items():
+                col[i] = col.get(i, 0) + c * v
+        rels1.append(col)
+    c0, c1 = PresentedGroup(n0, rels0), PresentedGroup(n1, IntMatrix.from_sparse_cols(rels1, n1))
+    return AbHom(c1, c0, d)
+
+
+def test_e2_pair_matches_homology_at_position_by_position():
+    rng = random.Random(31)
+    boundaries = [_random_boundary(rng) for _ in range(300)]
+    # no edge generators, dependent relations below; no vertex generators
+    z = PresentedGroup(1, IntMatrix([[2, 4]]))
+    boundaries.append(AbHom(PresentedGroup(0), z, IntMatrix.zeros(1, 0)))
+    boundaries.append(AbHom(PresentedGroup(2, IntMatrix([[3], [0]])), PresentedGroup(0),
+                            IntMatrix.zeros(0, 2)))
+    for boundary in boundaries:
+        cx = ChainComplexFg([boundary.target, boundary.source], [boundary])
+        assert e2_pair(boundary) == (homology_at(cx, 0), homology_at(cx, 1))
+    assert e2_pair(boundaries[-2]) == (fg(0, 2), TRIVIAL_GROUP)
+
+
+def test_e2_pair_eliminates_d_beside_the_relations_below_once(monkeypatch):
+    # H_0 is the cokernel of [d | relations of C_0], and the kernel of the
+    # same matrix gives the cycles of H_1: one elimination serves both
+    c0 = PresentedGroup(2, IntMatrix([[4, 0], [0, 6]]))
+    c1 = PresentedGroup(2, IntMatrix([[2], [0]]))
+    boundary = AbHom(c1, c0, IntMatrix([[2, 2], [3, 0]]))
+    beside = boundary.matrix.hstack(c0.relations)
+    seen = []
+    engine_for = abelian._engine_for
+
+    def counted(mat):
+        seen.append(mat)
+        return engine_for(mat)
+
+    monkeypatch.setattr(abelian, "_engine_for", counted)
+    got = e2_pair(boundary)
+    assert seen.count(beside) == 1
+    monkeypatch.undo()
+    cx = ChainComplexFg([c0, c1], [boundary])
+    assert got == (homology_at(cx, 0), homology_at(cx, 1))
+    assert not got[0].is_trivial and not got[1].is_trivial
+
+
+# The excess theorem (see the coefficients module docstring), on the grid
+# where its cusp groups are small: (field, top depth, top depth for q = 3).
+_EXCESS_GRID = [((2, 1), 3, 3), ((3, 1), 3, 2), ((2, 2), 2, 1), ((5, 1), 2, 0)]
+_EXCESS_LIMITS = BarLimits(10**4, 10**30)
+
+
+def _excess_formula(field, case, depth, q):
+    """A branch's first E2 column from stabilizer_homology of the keys
+    alone: case 1 is H_q(k(w)^*/k^*); case 3 is H_q(T) plus twice the
+    p-part P_n of H_q of the depth-n cusp group; case 2 is H_q(PGL2(k))
+    plus P_n less P_1, which it must contain."""
+    def h(key):
+        return groups.stabilizer_homology(field, key, q, _EXCESS_LIMITS).canonical()
+
+    def p_part(n):
+        return Counter(power for d in h(("cusp", n)).torsion
+                       for r, power in prime_powers(d) if r == field.p)
+
+    if case == 1:
+        return h((TOKEN_QUAD,))
+    excess = p_part(depth)
+    if case == 3:
+        head, excess = h((TOKEN_UNITS,)), excess + excess
+    else:
+        depth_one = p_part(1)
+        assert depth_one <= excess, (field, depth, q)
+        head, excess = h((TOKEN_PGL2K,)), excess - depth_one
+    return direct_sum_groups([head] + [fg(0, d) for d in excess.elements()])
+
+
+def test_branch_e2_is_the_excess_theorem(cold_caches):
+    # an oracle for the assembly, the contraction and e2_pair that reads
+    # only the stabilizers' homology, never a boundary
+    cells, wrong = 0, []
+    for (p, k), top, top_q3 in _EXCESS_GRID:
+        field = make_field(p, k)
+        spec = ConcreteSpec(field, _EXCESS_LIMITS)
+        for depth in range(1, top + 1):
+            for q in range(1, 4 if depth <= top_q3 else 3):
+                for case in (1, 2, 3):
+                    for attach in (1, 2) if case == 2 and depth >= 2 else (1,):
+                        cells += 1
+                        want = (_excess_formula(field, case, depth, q), TRIVIAL_GROUP)
+                        got = _branch_e2(spec, case, depth, attach, q)
+                        if got != want:
+                            wrong.append((f"GF({p}^{k})", case, depth, attach, q, got, want))
+    assert cells == 93
+    assert wrong == []
 
 
 # ---------------------------------------------------------------------------

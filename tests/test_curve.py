@@ -22,7 +22,17 @@ from elltree.curve import (
 )
 from elltree.cli import main
 from elltree.field import FiniteField, make_field
-from helpers import case_lines, curve_from_json, enumerate_points, is_two_torsion, negate, total_points
+from helpers import (
+    case_lines,
+    contains,
+    curve_from_json,
+    cusp_count,
+    enumerate_points,
+    equation_value,
+    is_two_torsion,
+    negate,
+    total_points,
+)
 
 
 def brute_force_points(curve):
@@ -30,7 +40,7 @@ def brute_force_points(curve):
     pts = [INFINITY_POINT]
     for x in curve.field.elements():
         for y in curve.field.elements():
-            if curve.equation_value(x, y).is_zero():
+            if equation_value(curve, x, y).is_zero():
                 pts.append(CurvePoint(x, y))
     return pts
 
@@ -55,9 +65,9 @@ def test_discriminant_example():
 def test_point_membership_example():
     c = cubic_curve(5, 1, [0, 0, 0, -1, 0])
     F = c.field
-    assert c.contains(CurvePoint(F(2), F(1)))
-    assert not c.contains(CurvePoint(F(2), F(2)))
-    assert c.contains(INFINITY_POINT)
+    assert contains(c, CurvePoint(F(2), F(1)))
+    assert not contains(c, CurvePoint(F(2), F(2)))
+    assert contains(c, INFINITY_POINT)
 
 
 def test_point_counts_match_brute_force():
@@ -104,7 +114,7 @@ def test_negation_is_involution_and_fixes_curve():
         c = cubic_curve(p, k, coeffs)
         for pt in enumerate_points(c):
             npt = negate(c, pt)
-            assert c.contains(npt)
+            assert contains(c, npt)
             assert negate(c, npt) == pt
 
 
@@ -219,7 +229,7 @@ def test_synthetic_summary_shape():
     assert len(case_lines(s, 1)) == 2
     assert len(case_lines(s, 2)) == 1
     assert len(case_lines(s, 3)) == 1
-    assert s.cusp_count == 3
+    assert cusp_count(s) == 3
     empty = synthetic_summary()
     assert empty.lines == ()
 

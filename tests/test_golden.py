@@ -146,6 +146,11 @@ DIGESTS = [
     ("symbolic-p101-d400", 0,
      "ee0a15b6a899a9aeb710ba43d722205fbd109f24a3bc31e2cf4648a6c2454d1d",
      ["symbolic", "--p", "101", "--curve", E5, "--depth", "400"]),
+    # written before every Smith elimination was read through
+    # PresentedGroup.lattice; each battery runs such a reader
+    ("selftest", 0,
+     "c5729e3bd6f4621bf4bdc7d7fb4594e3ab6aee320764d69019b67bf4ac46a41e",
+     ["selftest"]),
 ]
 
 
