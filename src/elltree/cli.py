@@ -252,7 +252,8 @@ def _run_reports(args, field, curve):
         rep = run(args.mode)
         _emit(report_to_json_text(rep), args.out)
         return 2 if "mismatch" in _verdicts(rep) else 0
-    sym, con = run("symbolic"), run("concrete")
+    # concrete first, so that its preflight refuses before any report is built
+    con, sym = run("concrete"), run("symbolic")
     agreement = [
         {
             "i": s["i"],

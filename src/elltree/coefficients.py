@@ -27,9 +27,11 @@ fields.  Two specs:
 Each system yields a two-term chain complex: degree 0 sums the vertex
 groups, degree 1 sums the edge groups, and the boundary of an edge is
 (map toward head) minus (map toward tail) with edges oriented away from
-the root.  assemble_system eliminates each edge that maps to its tail by
-the identity, together with that tail, before any Smith elimination; the
-homology stays, and a cusp ray costs time linear in its depth.  Writing
+the root.  assemble_system contracts each edge that maps to its tail by
+the identity, identifying the tail with the head through the edge's map
+toward the head, before any Smith elimination; the homology stays, every
+map into a cusp ray is read at its deepest vertex, and a ray costs time
+linear in its depth.  Writing
 E0(q), E1(q) for the two homology groups in degree q, the assembled
 group in degree i >= 1 is E0(i) + E1(i-1), flagged when E1(i-1) is
 nonzero because the direct sum is then only one resolution of an
@@ -418,20 +420,23 @@ def assemble_system(tree, provider):
     The provider is asked for every vertex of the tree first, then every
     edge; a TooLargeError it raises gains the tag of the simplex.
 
-    Then, outward from the root, an edge is contracted when its group is
-    the tail's own presentation object, its map toward the tail is that
-    presentation's AbHom.identity, and the tail is not yet contracted.  With
-    the edge's columns and the tail's rows first, the boundary is
-    [[A, B], [C, D]] with A = -id, and the complex is isomorphic to A plus
-    D - C A^-1 B = D + C B.  So the edge and its tail go, and every other
-    edge at the tail moves to the edge's head: its map into the tail is
-    composed with the edge's map toward the head, and its orientation is
-    kept.  The homology is unchanged (Serre, Trees, I.4; Kaczynski, Mrozek
-    and Slusarek, Comput. Math. Appl. 35, 1998; Skoldberg, Trans. AMS 358,
-    2006).  Every cusp-cusp edge carries its tail's group with the
-    identity, so a cusp ray reaches the Smith elimination as a few
-    generators, and a row -> columns incidence map keeps the walk linear
-    in the ray's depth.
+    In edge order, outward from the root, an edge is contracted when its
+    group is the tail's own presentation object, its map toward the tail
+    is that presentation's AbHom.identity, and the tail is not yet
+    contracted.  The tail is then identified with the head through the
+    edge's map toward the head, and each surviving edge reads an endpoint
+    at the kept vertex its chain of contracted edges ends at, through the
+    composite of the head maps along the chain.  With a contracted edge's
+    columns and its tail's rows first, the boundary is [[A, B], [C, D]]
+    with A = -id, and the complex is isomorphic to A plus
+    D - C A^-1 B = D + C B: mapping a column's tail block through the head
+    map is that D + C B, so the homology is unchanged (Serre, Trees, I.4;
+    Kaczynski, Mrozek and Slusarek, Comput. Math. Appl. 35, 1998;
+    Skoldberg, Trans. AMS 358, 2006).  Every cusp-cusp edge carries its
+    tail's group with the identity, so every map into a cusp ray is read
+    at the ray's deepest vertex through the composed inclusions: a ray
+    reaches the Smith elimination as that vertex's generators, and each
+    surviving edge walks its chain once, in time linear in the depth.
     """
     vertex_groups, edge_data = [], []
     for v in tree.vertices:
@@ -445,49 +450,33 @@ def assemble_system(tree, provider):
         except TooLargeError as exc:
             tag = f"{tree.vertices[e.tail].tag}--{tree.vertices[e.head].tag}"
             raise exc.at(f"edge {tag}") from exc
-    offset = list(accumulate((g.gens for g in vertex_groups), initial=0))
-    start = list(accumulate((d[0].gens for d in edge_data), initial=0))
-    cols, incidence = [], {}
-    for e, (_, to_tail, to_head) in zip(tree.edges, edge_data):
-        for head_col, tail_col in zip(to_head.matrix.cols, to_tail.matrix.cols):
-            col = {offset[e.head] + i: v for i, v in head_col.items()}
-            col.update((offset[e.tail] + i, -v) for i, v in tail_col.items())
-            for r in col:
-                incidence.setdefault(r, set()).add(len(cols))
+    into, surviving = {}, []
+    for e, (group, to_tail, to_head) in zip(tree.edges, edge_data):
+        if group is vertex_groups[e.tail] and to_tail is AbHom.identity(group) and e.tail not in into:
+            into[e.tail] = (e.head, to_head.matrix)
+        else:
+            surviving.append((e, group, to_tail, to_head))
+
+    def merged(v, matrix):
+        while v in into:
+            v, head_map = into[v]
+            matrix = head_map @ matrix
+        return v, matrix
+
+    kept = [v for v in range(len(vertex_groups)) if v not in into]
+    offset = dict(zip(kept, accumulate((vertex_groups[v].gens for v in kept), initial=0)))
+    cols = []
+    for e, _, to_tail, to_head in surviving:
+        # in a tree the two endpoints never end at one kept vertex
+        head, at_head = merged(e.head, to_head.matrix)
+        tail, at_tail = merged(e.tail, to_tail.matrix)
+        for head_col, tail_col in zip(at_head.cols, at_tail.cols):
+            col = {offset[head] + i: v for i, v in head_col.items()}
+            col.update((offset[tail] + i, -v) for i, v in tail_col.items())
             cols.append(col)
-    merged, contracted = set(), set()
-    for e, (group, to_tail, _) in zip(tree.edges, edge_data):
-        own = group is vertex_groups[e.tail] and to_tail is AbHom.identity(group)
-        if e.tail in merged or not own:
-            continue
-        merged.add(e.tail)
-        contracted.add(e.eid)
-        for j in range(group.gens):
-            c, pivot = start[e.eid] + j, offset[e.tail] + j
-            head, cols[c] = cols[c], None
-            del head[pivot]
-            for r in head:
-                incidence[r].remove(c)
-            for d in incidence.pop(pivot):
-                if d == c:
-                    continue
-                col = cols[d]
-                b = col.pop(pivot)
-                for r, v in head.items():
-                    val = col.get(r, 0) + b * v
-                    if val:
-                        col[r] = val
-                        incidence.setdefault(r, set()).add(d)
-                    else:
-                        del col[r]
-                        incidence[r].remove(d)
-    rows = [offset[v] + i for v, g in enumerate(vertex_groups) if v not in merged for i in range(g.gens)]
-    row = {r: k for k, r in enumerate(rows)}
-    c0 = PresentedGroup.direct_sum([g for v, g in enumerate(vertex_groups) if v not in merged])
-    c1 = PresentedGroup.direct_sum([d[0] for eid, d in enumerate(edge_data) if eid not in contracted])
-    kept = ({row[r]: v for r, v in col.items()} for col in cols if col is not None)
-    matrix = IntMatrix.from_sparse_cols(kept, c0.gens)
-    return AbHom(c1, c0, matrix)
+    c0 = PresentedGroup.direct_sum([vertex_groups[v] for v in kept])
+    c1 = PresentedGroup.direct_sum([group for _, group, _, _ in surviving])
+    return AbHom(c1, c0, IntMatrix.from_sparse_cols(cols, c0.gens))
 
 
 def e2_pair(boundary):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elltree import groups, tree
+from elltree import coefficients, groups, tree
 from elltree.cli import main, parse_curve_coefficients, CliError
 from elltree.coefficients import REPORT_SCHEMA
 
@@ -482,6 +482,26 @@ def test_refusal_builds_no_refused_group(capsys, monkeypatch, cold_caches, argv,
     monkeypatch.setattr(groups, "group_from_elements", guarded)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (3, "", text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--p", "3", "--curve", E5, "--depth", "1", "--q-max", "10000000"),
+        ("--p", "5", "--curve", "0,0,0,0,2", "--depth", "600000", "--q-max", "1"),
+    ],
+    ids=["q-max", "deep-ray"],
+)
+def test_compare_refuses_as_concrete_does(capsys, monkeypatch, cold_caches, argv):
+    # compare runs its concrete report first, so it refuses with the
+    # concrete text before the symbolic report is even preflighted
+    def unreached(self, *args):
+        raise AssertionError("compare started its symbolic report before refusing")
+
+    monkeypatch.setattr(coefficients.Instantiation, "preflight", unreached)
+    code, out, err = run_cli(capsys, "concrete", *argv)
+    assert (code, out) == (3, "")
+    assert run_cli(capsys, "compare", *argv) == (3, "", err)
 
 
 # ---------------------------------------------------------------------------

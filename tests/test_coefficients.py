@@ -7,6 +7,7 @@ them contributes (Z/2)^N in degree 1 and (Z/2)^(N(N-1)/2) in degree 2
 once consecutive inclusions are glued.
 """
 
+import hashlib
 import json
 import random
 import re
@@ -500,6 +501,45 @@ def test_contraction_keeps_concrete_e2(data):
     tree = build_domain(synthetic_summary(*counts), depth, attach)
     provider = ConcreteProvider(tree, field, q, BarLimits(max_order=400, dense_columns=10**9))
     assert e2_pair(assemble_system(tree, provider)) == e2_pair(assemble_uncontracted(tree, provider))
+
+
+def _boundary_record(b):
+    def cols(x):
+        return tuple(tuple(sorted(c.items())) for c in x.cols)
+
+    def rels(p):
+        return (p.gens, cols(p.relations))
+
+    return (b.matrix.nrows, b.matrix.ncols, cols(b.matrix), rels(b.source), rels(b.target))
+
+
+def test_assembled_boundaries_are_pinned():
+    # the matrices the Smith engine receives, not only their E2: whole
+    # symbolic trees under both batteries and resolutions plus degree 0,
+    # then concrete one-line branches, each field at depth, attach, case, q
+    records = []
+    for counts in [(1, 1, 1), (0, 2, 3), (3, 1, 2)]:
+        for depth, attach in [(1, 1), (2, 1), (2, 2), (5, 1), (5, 2)]:
+            tree = build_domain(synthetic_summary(*counts, include_infinity_line=True), depth, attach)
+            tokens = symbolic_tokens(tree)
+            for inst in (BATTERY_A, BATTERY_B):
+                for resolution in (ZERO_MAP, ISO):
+                    provider = TokenProvider(tree, tokens, inst.with_resolution(resolution))
+                    records.append(_boundary_record(assemble_system(tree, provider)))
+            provider = TokenProvider(tree, coefficients.degree_zero_tokens(tree), BATTERY_A)
+            records.append(_boundary_record(assemble_system(tree, provider)))
+    limits = BarLimits(max_order=10**4, dense_columns=10**30)
+    for (p, k), depths, qs in [((2, 1), (1, 2, 3), (1, 2, 3)), ((3, 1), (1, 2), (1, 2)), ((2, 2), (1,), (1, 2))]:
+        spec = ConcreteSpec(make_field(p, k), limits)
+        for depth in depths:
+            for attach in range(1, min(2, depth) + 1):
+                for case in (1, 2, 3):
+                    tree = branch_tree(coefficients._CASE_LINES[case], depth, attach)
+                    for q in qs:
+                        records.append(_boundary_record(assemble_system(tree, spec.provider(tree, q))))
+    assert len(records) == 144
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "348fc006a1b92877c71320ba08709cf2300f750d4c6cfd5d34895153eddead51"
 
 
 def test_elimination_size_does_not_grow_with_depth(cold_caches, monkeypatch):
