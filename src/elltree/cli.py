@@ -21,10 +21,8 @@ from .coefficients import BATTERIES, ConcreteSpec, report, report_to_json_text
 from .curve import ClassificationSummary, SingularCurveError, WeierstrassCurve
 from .errors import TooLargeError
 from .field import make_field
-from .groups import BarLimits, DEFAULT_LIMITS
+from .groups import DEFAULT_LIMITS, LARGE_LIMITS
 from .tree import build_domain
-
-LARGE_LIMITS = BarLimits(max_order=360, dense_columns=9000)
 
 MODES = ("classify", "domain", "symbolic", "concrete", "compare", "selftest")
 
@@ -70,7 +68,7 @@ _FLAGS = {
         "coefficients a1,a2,a3,a4,a6; integers for k=1, "
         "colon-separated vectors c0:c1:... for k>1",
     ),
-    "q_max": (int, None, "top homology degree"),
+    "q_max": (int, None, "top degree of homology"),
     "depth": (int, None, "cusp truncation depth (default 2)"),
     "battery": (str, sorted(BATTERIES), None),
     "resolution": (str, ["zero", "iso"], None),

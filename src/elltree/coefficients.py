@@ -103,6 +103,12 @@ ISO = "iso"
 ZERO_MAP = "zero"
 UNCONSTRAINED = "unconstrained"
 
+# A symbolic report writes one rhs row per line and degree, about 100
+# bytes of JSON and 450 bytes of peak memory each (GF(65521) at depth 2,
+# q-max 10: 655,220 rows, 62.5 MB of JSON, 293 MB peak RSS), so this
+# bounds a report near tree.MAX_DOMAIN_VERTICES's memory budget.
+MAX_REPORT_ROWS = 1_000_000
+
 
 class Instantiation(Value):
     """Token-to-group assignment plus the unconstrained-map resolution.
@@ -145,7 +151,11 @@ class Instantiation(Value):
         return TokenProvider(tree, symbolic_tokens(tree), self)
 
     def preflight(self, summary, depth, attach, q_max):
-        """Token systems build no finite group, so nothing to refuse."""
+        """Token systems build no group: refuse only over MAX_REPORT_ROWS rhs rows."""
+        n = len(summary.lines)
+        if n * q_max > MAX_REPORT_ROWS:
+            raise TooLargeError(f"symbolic report rows ({n} lines, q-max {q_max})",
+                                n * q_max, MAX_REPORT_ROWS)
 
     def rhs_group(self, token, i):
         return self.group_for(token)
@@ -242,7 +252,7 @@ def _vertex_token(v, case):
 
 
 def symbolic_tokens(tree):
-    """The role-token system of a tree, uniform in the homology degree.
+    """The role-token system of a tree, the same in every degree q >= 1.
 
     >>> tree = branch_tree(synthetic_summary(case2=1).lines[0], 2)  # case 2
     >>> edge_tokens = symbolic_tokens(tree).edge_tokens

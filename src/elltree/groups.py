@@ -10,10 +10,10 @@ degree q + 1; induced maps come from lifting a hom to a chain map of
 resolutions.  Each H_q(G; Z) is built once, as a Smith-reduced
 presentation with its cycle basis (_bar_data), and bar_homology,
 homology_presentation and induced_map all read that one build.  Ceilings
-keep group order and degree bounded, and the tuple count of the
-normalized bar complex, (|G|-1)^(q+1), still bounds what the chain-level
-entry points may ask for: BarLimits sizes runs by bar-tuple counts until
-the ceilings are re-derived from resolution sizes.
+keep group order bounded, and the tuple count of the normalized bar
+complex, (|G|-1)^(q+1), bounds the chain-level entry points and so every
+degree: BarLimits (presets DEFAULT_LIMITS, LARGE_LIMITS) sizes runs by
+bar-tuple counts until the ceilings are re-derived from resolution sizes.
 
 Every stabilizer constructor has a closed form beside it, *_size(...) ->
 (name, order), which builds nothing; the constructor takes its name from
@@ -47,9 +47,6 @@ from .field import coded_field, make_field
 from .value import Value
 
 
-# The highest homology degree computed for any group, whatever its BarLimits.
-MAX_DEGREE = 3
-
 # Tables of at most this order are checked for associativity.
 ASSOC_CEILING = 64
 
@@ -57,8 +54,8 @@ ASSOC_CEILING = 64
 class BarLimits(Value):
     """Size ceilings for homology computations.
 
-    max_order and MAX_DEGREE bound every homology computation;
-    dense_columns bounds the bar-complex tuple count (|G|-1)^(q+1) only
+    max_order bounds every homology computation; dense_columns bounds
+    the bar-complex tuple count (|G|-1)^(q+1), and so the degree, only
     for homology_presentation and induced_map.  Homology no longer builds
     the bar complex, but runs are still sized by these counts.
     """
@@ -70,6 +67,7 @@ class BarLimits(Value):
 
 
 DEFAULT_LIMITS = BarLimits()
+LARGE_LIMITS = BarLimits(max_order=360, dense_columns=9000)
 
 # What needs the chain data that dense_columns bounds, as check_ceilings
 # names it in a refusal.
@@ -85,14 +83,12 @@ def _tuple_count(order, q):
 def check_ceilings(name, order, q, limits, dense=None):
     """Refuse degree-q homology of a group of this name and order.
 
-    max_order is checked first, then MAX_DEGREE; with dense set to what
-    needs the chain data (PRESENTATION or CHAIN_DATA), also the tuple
-    count (|G|-1)^(q+1) against dense_columns.
+    max_order is checked first; with dense set to what needs the chain
+    data (PRESENTATION or CHAIN_DATA), also the tuple count
+    (|G|-1)^(q+1) against dense_columns, which grows exponentially in q.
     """
     if order > limits.max_order:
         raise TooLargeError(f"bar homology of {name}", order, limits.max_order)
-    if q > MAX_DEGREE:
-        raise TooLargeError(f"homology degree for {name}", q, MAX_DEGREE)
     count = _tuple_count(order, q + 1)
     if dense is not None and count > limits.dense_columns:
         raise TooLargeError(f"{dense} for {name}", count, limits.dense_columns)
@@ -385,8 +381,8 @@ def _bar_data(group, q):
 def bar_homology(group, q, limits=DEFAULT_LIMITS):
     """H_q(G; Z), from a free ZG-resolution.
 
-    Only max_order and MAX_DEGREE apply; degree q >= 1 reads the same
-    cached presentation that homology_presentation returns.
+    Only max_order applies (no degree is refused); degree q >= 1 reads
+    the same cached presentation that homology_presentation returns.
 
     >>> bar_homology(cyclic(4), 1)
     Z/4

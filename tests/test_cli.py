@@ -416,20 +416,27 @@ GF2_Q4_REFUSAL = (
     "too large: homology presentation for PGL2(GF(2)) [vertex cap[inf]] [line x=inf]: "
     "size 625 exceeds ceiling 600\n"
 )
-# Captured before branches were assembled with their root: the root's
-# trivial group is no stabilizer to refuse, even past the degree ceiling.
-GF2_Q4_LARGE_REFUSAL = (
-    "too large: homology degree for GF(2)^* [vertex line[0]] [line x=0]: "
-    "size 4 exceeds ceiling 3\n"
+# The tuple count alone bounds the degree: S3 = PGL2(GF(2)) refuses at
+# q = 5 under the large limits, 5^6 = 15625 > 9000.
+GF2_Q5_LARGE_REFUSAL = (
+    "too large: homology presentation for PGL2(GF(2)) [vertex cap[inf]] [line x=inf]: "
+    "size 15625 exceeds ceiling 9000\n"
 )
 GF65521_REFUSAL = (
     "too large: bar homology of GF(65521)+ [vertex line[0]] [line x=0]: "
     "size 65521 exceeds ceiling 24\n"
 )
+# One rhs row per line and degree, 6 lines over GF(5): refused before any
+# report is built.
+SYMBOLIC_ROWS_REFUSAL = (
+    "too large: symbolic report rows (6 lines, q-max 10000000): "
+    "size 60000000 exceeds ceiling 1000000\n"
+)
 
 E5 = "0,0,0,-1,0"
 DEPTH1 = ("--depth", "1", "--q-max", "1")
-# (argv, stderr, ceiling on group order in force)
+# (argv, stderr, ceiling on group order in force; 0 where no group may be
+# built at all)
 REFUSALS = {
     "concrete-gf5": (("concrete", "--p", "5", "--curve", E5) + DEPTH1, GF5_REFUSAL, 24),
     "concrete-gf7": (("concrete", "--p", "7", "--curve", E5) + DEPTH1, GF7_REFUSAL, 24),
@@ -450,14 +457,19 @@ REFUSALS = {
         GF2_Q4_REFUSAL,
         24,
     ),
-    "concrete-gf2-q4-large": (
-        ("concrete", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "1", "--q-max", "4",
+    "concrete-gf2-q5-large": (
+        ("concrete", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "1", "--q-max", "5",
          "--allow-large"),
-        GF2_Q4_LARGE_REFUSAL,
+        GF2_Q5_LARGE_REFUSAL,
         360,
     ),
     "concrete-gf65521": (("concrete", "--p", "65521", "--curve", E5) + DEPTH1, GF65521_REFUSAL, 24),
     "compare-gf65521": (("compare", "--p", "65521", "--curve", E5) + DEPTH1, GF65521_REFUSAL, 24),
+    "symbolic-rows": (
+        ("symbolic", "--p", "5", "--curve", E5, "--depth", "1", "--q-max", "10000000"),
+        SYMBOLIC_ROWS_REFUSAL,
+        0,
+    ),
 }
 
 

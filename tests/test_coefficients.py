@@ -33,6 +33,7 @@ from elltree.coefficients import (
     BATTERY_A,
     BATTERY_B,
     ISO,
+    MAX_REPORT_ROWS,
     REPORT_SCHEMA,
     TOKEN_ADDITIVE,
     TOKEN_PGL2K,
@@ -117,6 +118,21 @@ def test_with_resolution():
     alt = BATTERY_A.with_resolution(ISO)
     assert alt.resolution == ISO
     assert alt.group_for(TOKEN_PGL2K) == BATTERY_A.group_for(TOKEN_PGL2K)
+
+
+@pytest.mark.parametrize("fits,over", [
+    ((1, MAX_REPORT_ROWS), (1, MAX_REPORT_ROWS + 1)),
+    ((100, 10**4), (101, 9901)),
+])
+def test_symbolic_preflight_refuses_past_the_row_ceiling(fits, over):
+    # one rhs row per line and degree: exactly the ceiling passes, one row
+    # more refuses
+    assert (fits[0] * fits[1], over[0] * over[1]) == (MAX_REPORT_ROWS, MAX_REPORT_ROWS + 1)
+    BATTERY_A.preflight(synthetic_summary(case1=fits[0]), 2, 1, fits[1])
+    with pytest.raises(TooLargeError) as info:
+        BATTERY_A.preflight(synthetic_summary(case1=over[0]), 2, 1, over[1])
+    assert str(info.value) == (f"symbolic report rows ({over[0]} lines, q-max {over[1]}): "
+                               f"size {MAX_REPORT_ROWS + 1} exceeds ceiling {MAX_REPORT_ROWS}")
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +643,14 @@ def test_e2_pair_eliminates_d_beside_the_relations_below_once(monkeypatch):
 
 
 # The excess theorem (see the coefficients module docstring), on the grid
-# where its cusp groups are small: (field, top depth, top depth for q = 3).
-_EXCESS_GRID = [((2, 1), 3, 3), ((3, 1), 3, 2), ((2, 2), 2, 1), ((5, 1), 2, 0)]
+# where its cusp groups are small: (field, top depth for q = 1, ..., 5),
+# 0 for a degree left out.
+_EXCESS_GRID = [
+    ((2, 1), (3, 3, 3, 3, 3)),
+    ((3, 1), (3, 3, 2, 2, 2)),
+    ((2, 2), (2, 2, 1, 1, 0)),
+    ((5, 1), (2, 2, 0, 1, 0)),
+]
 _EXCESS_LIMITS = BarLimits(10**4, 10**30)
 
 
@@ -660,11 +682,11 @@ def test_branch_e2_is_the_excess_theorem(cold_caches):
     # an oracle for the assembly, the contraction and e2_pair that reads
     # only the stabilizers' homology, never a boundary
     cells, wrong = 0, []
-    for (p, k), top, top_q3 in _EXCESS_GRID:
+    for (p, k), tops in _EXCESS_GRID:
         field = make_field(p, k)
         spec = ConcreteSpec(field, _EXCESS_LIMITS)
-        for depth in range(1, top + 1):
-            for q in range(1, 4 if depth <= top_q3 else 3):
+        for q, top in enumerate(tops, 1):
+            for depth in range(1, top + 1):
                 for case in (1, 2, 3):
                     for attach in (1, 2) if case == 2 and depth >= 2 else (1,):
                         cells += 1
@@ -672,7 +694,7 @@ def test_branch_e2_is_the_excess_theorem(cold_caches):
                         got = _branch_e2(spec, case, depth, attach, q)
                         if got != want:
                             wrong.append((f"GF({p}^{k})", case, depth, attach, q, got, want))
-    assert cells == 93
+    assert cells == 135
     assert wrong == []
 
 

@@ -146,6 +146,14 @@ DIGESTS = [
     ("symbolic-p101-d400", 0,
      "ee0a15b6a899a9aeb710ba43d722205fbd109f24a3bc31e2cf4648a6c2454d1d",
      ["symbolic", "--p", "101", "--curve", E5, "--depth", "400"]),
+    # the first concrete run past degree 3: its degrees 1-3 and its
+    # degree <= 3 diagonal_reduction entries equal the q-max 3 report's,
+    # and its degree 4, (Z/2)^6, is what the excess theorem predicts from
+    # H_4(S3) = 0 and H_4((Z/2)^2) = (Z/2)^2
+    ("concrete-p2-d2-q4-large", 2,
+     "e98639af6ec280b4f5f4d80e26290e8be6dafb58579938d2ac94344394864a3b",
+     ["concrete", "--p", "2", "--curve", "0,0,1,0,0", "--depth", "2", "--q-max", "4",
+      "--allow-large"]),
     # written before every Smith elimination was read through
     # PresentedGroup.lattice; each battery runs such a reader
     ("selftest", 0,

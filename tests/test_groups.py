@@ -435,7 +435,7 @@ def test_trivial_group_homology():
 def test_cyclic_closed_form():
     for n in range(2, 9):
         g = cyclic(n)
-        for q in range(4):
+        for q in range(6):
             assert bar_homology(g, q) == cyclic_group_homology(n, q), (n, q)
 
 
@@ -487,8 +487,10 @@ def test_klein_four_degree_two():
 
 
 def test_bar_homology_agrees_with_rank_nullity():
-    # dense_columns bounds only the chain-level entry points; C6 in degree
-    # 3 has 5^4 = 625 tuples, over the default 600
+    # dense_columns bounds only the chain-level entry points, and no degree
+    # is refused for itself; C6 in degree 3 has 5^4 = 625 tuples, over the
+    # default 600.  Above degree 3: H_4(S3) = 0, and H_4, H_5 of the Klein
+    # four-group are (Z/2)^2 and (Z/2)^4 (Kunneth)
     tight = BarLimits(max_order=24, dense_columns=1)
     cases = [(g, q) for g in [cyclic(4), cyclic(6), symmetric_group(3)] for q in (1, 2)]
     assert _tuple_count(6, 4) > DEFAULT_LIMITS.dense_columns
@@ -496,25 +498,29 @@ def test_bar_homology_agrees_with_rank_nullity():
         want = rank_nullity_bar_homology(g, q)
         assert bar_homology(g, q) == want, (g.name, q)
         assert bar_homology(g, q, tight) == want, (g.name, q)
+    v4 = direct_product(cyclic(2), cyclic(2))
+    for g, q, want in [(symmetric_group(3), 4, TRIVIAL_GROUP),
+                       (v4, 4, FgAbGroup(0, (2,) * 2)), (v4, 5, FgAbGroup(0, (2,) * 4))]:
+        assert rank_nullity_bar_homology(g, q) == want, (g.name, q)
+        assert bar_homology(g, q, tight) == want, (g.name, q)
 
 
 def test_too_large_guards():
     with pytest.raises(TooLargeError):
         bar_homology(cyclic(30), 1)
     with pytest.raises(TooLargeError):
-        bar_homology(cyclic(3), 4)
-    with pytest.raises(TooLargeError):
         induced_map(hom_from_function(cyclic(3), cyclic(3), lambda a: a), 1,
                     BarLimits(max_order=24, dense_columns=1))
 
 
 def test_check_ceilings_order_of_checks():
-    # max_order before MAX_DEGREE before the tuple count; the dense check
-    # only when asked for, under the name of what needs the chain data
+    # max_order before the tuple count, which alone bounds the degree; the
+    # dense check only when asked for, under the name of what needs the
+    # chain data
     small = BarLimits(max_order=24, dense_columns=600)
     cases = [
         ((25, 9, None), "bar homology of G: size 25 exceeds ceiling 24"),
-        ((24, 4, PRESENTATION), "homology degree for G: size 4 exceeds ceiling 3"),
+        ((24, 4, PRESENTATION), "homology presentation for G: size 6436343 exceeds ceiling 600"),
         ((6, 3, PRESENTATION), "homology presentation for G: size 625 exceeds ceiling 600"),
         ((6, 3, CHAIN_DATA), "induced map chain data for G: size 625 exceeds ceiling 600"),
     ]
@@ -524,6 +530,7 @@ def test_check_ceilings_order_of_checks():
         assert str(info.value) == text
     check_ceilings("G", 6, 3, small)
     check_ceilings("G", 6, 2, small, PRESENTATION)
+    check_ceilings("G", 2, 50, small, PRESENTATION)
 
 
 def test_too_large_guards_apply_check_ceilings():
