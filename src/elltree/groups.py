@@ -21,9 +21,11 @@ it.  check_ceilings is the one ceiling test on (name, order, degree).
 Other modules name a stabilizer by key, ("cusp", 2) or None for the
 trivial group, and ask stabilizer_homology and stabilizer_map, which
 refuse from the key's closed form (size_check) before building a table.
-diagonal_reduction answers whether the diagonal torus into the
-triangular group Tri(k, n) is an isomorphism on H_q from the p-part of
-the cusp group's H_q, so no triangular group is built.
+No cusp group deeper than 1 is built: its H_q is depth 1's plus
+(Z/p)^(d_n - d_1), d_n = unipotent_rank (a count of torus weights), and
+the cusp ray maps by coordinate inclusions; the lattice route is the
+tests' oracle.  diagonal_reduction answers whether the torus into
+Tri(k, n) is an isomorphism on H_q from the same count.
 
 The stabilizers over a field are built on element codes alone, code i
 standing for field.elements()[i], through q x q add, mul and inverse
@@ -499,7 +501,9 @@ def cusp_group(field, n):
 
 @lru_cache(maxsize=None)
 def cusp_chain_inclusion(field, n):
-    """Depth-n cusp group into depth-(n+1), padding the vector with a zero."""
+    """Depth-n cusp group into depth-(n+1), padding the vector with a zero.
+    The run path no longer calls it (stabilizer_map reads the cusp ray
+    from unipotent_rank); it is the lattice oracle of that route."""
     return hom_from_function(
         cusp_group(field, n), cusp_group(field, n + 1), lambda x: (1, x[1], x[2] + (0,))
     )
@@ -573,7 +577,7 @@ _STABILIZERS = {
 }
 
 # (source kind, target kind) -> the inclusion along a tree edge, called
-# with the field and both keys
+# with the field and both keys; ("cusp", "cusp") is the tests' oracle
 _INCLUSIONS = {
     ("additive", "cusp"): lambda field, source, target: additive_to_cusp(field),
     ("units", "cusp"): lambda field, source, target: units_to_cusp(field),
@@ -604,9 +608,74 @@ def size_check(field, key, q, limits, dense=PRESENTATION):
         check_ceilings(*stabilizer_size(field, key), q, limits, dense)
 
 
+@lru_cache(maxsize=None)
+def unipotent_rank(field, n, q):
+    """The rank d_n of the F_p-space H_q(U_n; Z)_T, q >= 1: the p-part of
+    H_q of the depth-n cusp group B_n = T x| U_n, T = k^*, U_n = (k+)^n.
+
+    |T| is prime to p, so H_q(B_n) = H_q(T) + H_q(U_n; Z)_T
+    (Lyndon-Hochschild-Serre; Brown, Cohomology of Groups, III.10).
+    H_*(U_n; F_p) has a basis of monomials in weight vectors: exterior x's
+    of degree 1 and polynomial y's of degree 2 for odd p, polynomial x's
+    of degree 1 for p = 2 (Brown V.6; Adem and Milgram, Cohomology of
+    Finite Groups, II.4).  T acts on v through a character chi of order
+    |k| - 1; over the algebraic closure k+ splits into the chi^(p^j),
+    j < k, so every x and y carries one chi^(p^j), each j n times, and a
+    monomial is fixed iff sum c_j p^j = 0 mod |k| - 1, c_j counting its
+    factors of class j.  Coinvariants are exact and H_q(U_n; Z) has
+    exponent p for q >= 1, so universal coefficients give d = (fixed
+    monomials of degree q) - (d in degree q - 1), nothing subtracted for
+    q = 1.  The count runs over (degree, weight), listing no monomial.
+
+    The projection B_n -> B_1 retracts the inclusion, so along the cusp
+    ray H_q(B_n) = H_q(B_1) + a kernel, and the kernels form a chain of
+    split injections of F_p-spaces, determined up to isomorphism by their
+    dimensions: stabilizer_homology presents depth n >= 2 as depth 1's
+    presentation plus (Z/p)^(d_n - d_1), and stabilizer_map includes the
+    coordinates.  The lattice route is the oracle.
+
+    >>> [unipotent_rank(make_field(3, 1), 1, q) for q in (1, 2, 3, 4)]
+    [0, 0, 1, 0]
+    >>> [unipotent_rank(make_field(2, 1), 3, q) for q in (1, 2, 3)]
+    [3, 3, 7]
+    """
+    p, k = field.p, field.k
+    m = field.order - 1  # counts[d][w]: monomials of degree d, weight w mod m
+    counts = [[1] + [0] * (m - 1)] + [[0] * m for _ in range(q)]
+    # (degree, loop order) per generator: downward takes an exterior x at
+    # most once, upward a polynomial generator any number of times
+    generators = ((1, reversed), (2, iter)) if p > 2 else ((1, iter),)
+    for j in range(k * n):
+        w = p ** (j % k) % m
+        for e, order in generators:
+            for d in order(range(e, q + 1)):
+                row = counts[d]
+                for x, c in enumerate(counts[d - e]):
+                    row[(x + w) % m] += c
+    rank = 0
+    for row in counts[1:]:
+        rank = row[0] - rank
+    return rank
+
+
+def _deep_cusp(key):
+    return key is not None and key[0] == "cusp" and key[1] > 1
+
+
+@lru_cache(maxsize=None)
+def _deep_cusp_homology(field, n, q):
+    """H_q of ("cusp", n), n >= 2, one object per key as assemble_system's
+    contraction needs; depth 1 is smaller in order and tuple count, so it
+    passes every ceiling the deep key passed."""
+    extra = unipotent_rank(field, n, q) - unipotent_rank(field, 1, q)
+    torsion = PresentedGroup.from_group(FgAbGroup(0, (field.p,) * extra))
+    return PresentedGroup.direct_sum([_bar_data(cusp_group(field, 1), q).presented, torsion])
+
+
 def stabilizer_homology(field, key, q, limits=DEFAULT_LIMITS):
     """H_q, q >= 1, of the stabilizer a key names, refused from the closed
-    form before any table is built; one presentation per group and degree.
+    form before any table is built; one presentation per group and degree,
+    a cusp group deeper than 1 from unipotent_rank.
 
     >>> stabilizer_homology(make_field(2, 1), ("cusp", 2), 1).canonical()
     Z/2 + Z/2
@@ -618,6 +687,8 @@ def stabilizer_homology(field, key, q, limits=DEFAULT_LIMITS):
     if key is None:
         return PresentedGroup(0)
     size_check(field, key, q, limits)
+    if _deep_cusp(key):
+        return _deep_cusp_homology(field, key[1], q)
     return homology_presentation(stabilizer(field, key), q, limits)
 
 
@@ -625,7 +696,9 @@ def stabilizer_map(field, source, target, q, limits=DEFAULT_LIMITS):
     """The map on H_q, q >= 1, induced by the inclusion of one keyed
     stabilizer into another: zero from the trivial group, the identity of
     the one presentation between equal keys (no hom is built), otherwise
-    induced by stabilizer_inclusion once source and target pass size_check.
+    induced by stabilizer_inclusion once source and target pass size_check;
+    into a deeper cusp group, the inclusion of coordinates (unipotent_rank),
+    the only map that reaches or leaves a cusp group deeper than 1.
     """
     if source is None:
         return AbHom.zero(PresentedGroup(0), stabilizer_homology(field, target, q, limits))
@@ -633,12 +706,19 @@ def stabilizer_map(field, source, target, q, limits=DEFAULT_LIMITS):
         return AbHom.identity(stabilizer_homology(field, source, q, limits))
     for key in (source, target):
         size_check(field, key, q, limits, CHAIN_DATA)
+    if _deep_cusp(source) or _deep_cusp(target):
+        if not (source[0] == target[0] == "cusp" and source[1] < target[1]):
+            raise ValueError(f"no inclusion of {source} into {target}")
+        src, tgt = (stabilizer_homology(field, key, q, limits) for key in (source, target))
+        # the source's relations are the target's first columns
+        cols = [{i: 1} for i in range(src.gens)]
+        return AbHom(src, tgt, IntMatrix.from_sparse_cols(cols, tgt.gens), check=False)
     return induced_map(stabilizer_inclusion(field, source, target), q, limits)
 
 
 def diagonal_reduction(field, n, q, limits=DEFAULT_LIMITS):
     """Whether the diagonal torus T into Tri(k, n) induces an isomorphism
-    on H_q, for n, q >= 1, read off the depth-n cusp group's H_q.
+    on H_q, for n, q >= 1, read off unipotent_rank: no group is built.
 
     Tri = T x| U with U = {(1, 1, v)} the unipotent radical, a p-group,
     and |T| prime to p, so H_q(Tri) = H_q(T) + H_q(U)_T, T's inclusion
@@ -646,12 +726,10 @@ def diagonal_reduction(field, n, q, limits=DEFAULT_LIMITS):
     Cohomology of Groups, III.10): it is an isomorphism exactly when
     H_q(U)_T = 0.  The scalars are central, act trivially on U and have
     order prime to p, so H_q(U)_T is the p-part of H_q(Tri/scalars), the
-    cusp group ("cusp", n).  No Tri(k, n) table is built.
+    cusp group ("cusp", n), whose rank unipotent_rank counts.
 
     The ceilings are checked on Tri(k, 0) and then Tri(k, n) as for the
-    inclusion's chain data, so a refusal names the triangular group; the
-    cusp group is no larger in order or in tuple count, so it never trips
-    a ceiling that they passed.
+    inclusion's chain data, so a refusal names the triangular group.
 
     >>> f = make_field(2, 1)
     >>> [diagonal_reduction(f, 1, q) for q in (1, 2)]
@@ -659,5 +737,4 @@ def diagonal_reduction(field, n, q, limits=DEFAULT_LIMITS):
     """
     for m in (0, n):
         check_ceilings(*triangular_size(field, m), q, limits, CHAIN_DATA)
-    torsion = stabilizer_homology(field, ("cusp", n), q, limits).canonical().torsion
-    return all(d % field.p for d in torsion)
+    return unipotent_rank(field, n, q) == 0

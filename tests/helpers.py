@@ -18,17 +18,23 @@ from elltree.abelian import (
     _engine_for,
     homology_at,
 )
+from elltree import coefficients
 from elltree.coefficients import BATTERY_A, TokenProvider, assemble_system, degree_zero_tokens, e2_pair
 from elltree.curve import INFINITY_POINT, CurvePoint, WeierstrassCurve
 from elltree.field import _poly_divmod
 from elltree.groups import (
+    DEFAULT_LIMITS,
     _code_tables,
     additive_group_size,
     cusp_group_size,
     group_from_elements,
     hom_from_function,
+    homology_presentation,
+    induced_map,
     pgl2_size,
     quotient_by_central,
+    stabilizer,
+    stabilizer_inclusion,
     triangular_size,
     unit_group_size,
 )
@@ -68,12 +74,17 @@ def homology_by_cycle_lattice(complex_, n):
     return PresentedGroup(cycles.rank, rels).canonical()
 
 
-def is_isomorphism(f):
-    """Whether an AbHom is bijective on the underlying quotient groups: the
-    complex target <- source has no homology (H_0 is the cokernel, H_1 the
-    kernel)."""
+def kernel_and_cokernel(f):
+    """(kernel, cokernel) of an AbHom, canonical: H_1 and H_0 of the
+    complex target <- source."""
     complex_ = ChainComplexFg([f.target, f.source], [f], check=False)
-    return homology_at(complex_, 0).is_trivial and homology_at(complex_, 1).is_trivial
+    return homology_at(complex_, 1), homology_at(complex_, 0)
+
+
+def is_isomorphism(f):
+    """Whether an AbHom is bijective on the underlying quotient groups: it
+    has trivial kernel and cokernel."""
+    return all(g.is_trivial for g in kernel_and_cokernel(f))
 
 
 def is_isomorphism_by_elimination(f):
@@ -558,3 +569,29 @@ def degree_zero_row(tree):
     """Row 0 of E2 on a whole tree: H_0 of every stabilizer, Z, with identity maps."""
     provider = TokenProvider(tree, degree_zero_tokens(tree), BATTERY_A)
     return e2_pair(assemble_system(tree, provider))
+
+
+# The lattice route behind the stabilizer seam, deep cusp groups included:
+# the oracle for groups.unipotent_rank's route.  use_lattice_seam patches
+# it into the names coefficients binds, so a provider resolves every group.
+
+
+def lattice_stabilizer_homology(field, key, q, limits=DEFAULT_LIMITS):
+    if key is None:
+        return PresentedGroup(0)
+    return homology_presentation(stabilizer(field, key), q, limits)
+
+
+def lattice_stabilizer_map(field, source, target, q, limits=DEFAULT_LIMITS):
+    """Each map induced by stabilizer_inclusion, the cusp ray's by
+    cusp_chain_inclusion; equal keys map by the one identity."""
+    if source is None:
+        return AbHom.zero(PresentedGroup(0), lattice_stabilizer_homology(field, target, q, limits))
+    if source == target:
+        return AbHom.identity(lattice_stabilizer_homology(field, source, q, limits))
+    return induced_map(stabilizer_inclusion(field, source, target), q, limits)
+
+
+def use_lattice_seam(monkeypatch):
+    monkeypatch.setattr(coefficients, "stabilizer_homology", lattice_stabilizer_homology)
+    monkeypatch.setattr(coefficients, "stabilizer_map", lattice_stabilizer_map)

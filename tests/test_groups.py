@@ -10,6 +10,8 @@ identities on cyclic groups, and against the bar complex's induced maps.
 """
 
 import hashlib
+import re
+import time
 from itertools import permutations
 
 import pytest
@@ -25,6 +27,7 @@ from elltree.abelian import (
     _SmithCoordinates,
     _engine_for,
     cyclic_group_homology,
+    prime_powers,
 )
 from elltree.errors import TooLargeError
 from elltree.field import make_field
@@ -63,12 +66,15 @@ from elltree.groups import (
     quotient_by_central,
     quotient_by_normal,
     stabilizer,
+    stabilizer_homology,
     stabilizer_inclusion,
+    stabilizer_map,
     stabilizer_size,
     subgroup_closure,
     triangular_size,
     unit_group,
     unit_group_size,
+    unipotent_rank,
     units_to_cusp,
 )
 from elltree.resolution import _generating_set, chain_map
@@ -88,6 +94,7 @@ from helpers import (
     is_injective,
     is_isomorphism,
     is_zero_hom,
+    kernel_and_cokernel,
     kernel_basis,
     pgl2_by_elements,
     pgl2_canonical,
@@ -954,6 +961,94 @@ def test_diagonal_reduction_equals_the_induced_map():
     # the torus is checked before Tri(k, n), as the inclusion's chain data was
     with pytest.raises(TooLargeError, match=r"^bar homology of Tri\(GF\(7\),0\): size 36 "):
         diagonal_reduction(make_field(7, 1), 1, 1)
+
+
+# (p, k, largest depth n) on which unipotent_rank meets the lattice route's
+# cusp groups, in degrees 1..3
+UNIPOTENT_FIELDS = [(2, 1, 3), (3, 1, 3), (2, 2, 2), (5, 1, 2), (7, 1, 1), (3, 2, 1)]
+LIFTED = BarLimits(10**4, 10**30)
+
+
+def _p_part(group, p):
+    return sorted(power for d in group.torsion for r, power in prime_powers(d) if r == p)
+
+
+def test_unipotent_rank_is_the_lattice_routes_p_rank():
+    # the count against the resolved cusp group: its p-part is (Z/p)^d
+    for p, k, depth in UNIPOTENT_FIELDS:
+        f = make_field(p, k)
+        for n in range(1, depth + 1):
+            for q in range(1, 4):
+                resolved = homology_presentation(cusp_group(f, n), q, LIFTED).canonical()
+                assert _p_part(resolved, p) == [p] * unipotent_rank(f, n, q), (p, k, n, q)
+                assert stabilizer_homology(f, ("cusp", n), q, LIFTED).canonical() == resolved
+
+
+def test_deep_cusp_maps_match_the_chain_inclusions():
+    # the seam's coordinate inclusion and the lattice route's composite of
+    # chain inclusions are both injective, with the same cokernel
+    for p in (2, 3):
+        f = make_field(p, 1)
+        for q in range(1, 4):
+            for n in range(2, 4):
+                for m in range(1, n):
+                    lattice = induced_map(cusp_chain_inclusion(f, m), q, LIFTED)
+                    for i in range(m + 1, n):
+                        lattice = compose(induced_map(cusp_chain_inclusion(f, i), q, LIFTED), lattice)
+                    seam = stabilizer_map(f, ("cusp", m), ("cusp", n), q, LIFTED)
+                    assert seam.source is stabilizer_homology(f, ("cusp", m), q, LIFTED)
+                    assert seam.target is stabilizer_homology(f, ("cusp", n), q, LIFTED)
+                    (ker, coker), (lattice_ker, lattice_coker) = map(kernel_and_cokernel, (seam, lattice))
+                    assert ker.is_trivial and lattice_ker.is_trivial, (p, q, m, n)
+                    assert coker == lattice_coker, (p, q, m, n)
+
+
+def test_deep_cusp_keys_build_no_deep_cusp_group(monkeypatch, cold_caches):
+    # depth 50 over GF(3) is answered from the count and depth 1 alone
+    build = groups.group_from_elements
+
+    def guarded(elements, mul, name="", **kwargs):
+        deep = re.fullmatch(r"Tri\(GF\(3\),(\d+)\)/N2", name)
+        assert not (deep and int(deep.group(1)) >= 2), f"built {name}"
+        return build(elements, mul, name=name, **kwargs)
+
+    cusp = groups.cusp_group
+
+    def shallow(field, n):
+        # fails before a deep cusp group lists its 3**n vectors
+        assert n < 2, f"asked for the depth-{n} cusp group"
+        return cusp(field, n)
+
+    monkeypatch.setattr(groups, "group_from_elements", guarded)
+    monkeypatch.setattr(groups, "cusp_group", shallow)
+    f = make_field(3, 1)
+    # a dense ceiling of 10**30 refuses the key: (2 * 3**50 - 1)**2 tuples
+    limits = BarLimits(10**30, 10**100)
+    start = time.perf_counter()
+    ranks = [stabilizer_homology(f, ("cusp", 50), q, limits).gens for q in (1, 2, 3)]
+    assert time.perf_counter() - start < 1
+    assert ranks == [1, 1225, 1275]
+    start = time.perf_counter()
+    inclusion = stabilizer_map(f, ("cusp", 49), ("cusp", 50), 3, limits)
+    assert time.perf_counter() - start < 1
+    assert (inclusion.source.gens, inclusion.target.gens) == (1225, 1275)
+    # no other map reaches or leaves a deep cusp group
+    for source, target in [(("additive",), ("cusp", 2)), (("units",), ("cusp", 50)),
+                           (("cusp", 3), ("cusp", 2)), (("cusp", 2), ("pgl2k",))]:
+        with pytest.raises(ValueError, match="^no inclusion of"):
+            stabilizer_map(f, source, target, 1, limits)
+
+
+def test_pgl2_p_part_is_the_depth_one_cusp_groups():
+    # Swan's theorem, the premise that the cusp ends decide every verdict:
+    # the Borel subgroup controls p-fusion in PGL2(k), whose Sylow p is k+,
+    # so its inclusion is an isomorphism on p-parts
+    for p, k in [(2, 1), (3, 1), (2, 2), (5, 1)]:
+        f = make_field(p, k)
+        for q in range(1, 4):
+            ker, coker = kernel_and_cokernel(stabilizer_map(f, ("cusp", 1), ("pgl2k",), q, LIFTED))
+            assert ker.rank == coker.rank == 0
+            assert _p_part(ker, p) == _p_part(coker, p) == [], (p, k, q)
 
 
 def test_additive_group_of_extension_is_elementary():
